@@ -149,11 +149,11 @@ def cmd_solve(args, out: TextIO) -> int:
                 method = "involution"
 
     if outcome == OUTCOME_UNKNOWN and args.method in ("auto", "search"):
-        value = games.grundy(pos, threads=args.threads)
+        value = games.grundy(pos)
         outcome = OUTCOME_N if value else OUTCOME_P
         method = "search"
         if value:
-            mv = games.best_move(pos, threads=args.threads)
+            mv = games.best_move(pos)
             record_move = {"vertex": mv.vertex, "color": mv.color}
         else:
             record_move = None
@@ -180,11 +180,10 @@ def _table_slice(table: op.GrundyTable, kmax: int) -> op.GrundyTable:
         gA=table.gA[: kmax + 1].copy(),
         gC=table.gC[: kmax + 1].copy(),
         gD=table.gD[: kmax + 1].copy(),
-        mode=table.mode,
     )
 
 
-def _compute_with_checkpoint(kmax: int, mode: str, checkpoint: str | None,
+def _compute_with_checkpoint(kmax: int, checkpoint: str | None,
                              step: int) -> op.GrundyTable:
     """Grow the table, persisting after every chunk so a budget abort
     still leaves a loadable file behind."""
@@ -193,13 +192,13 @@ def _compute_with_checkpoint(kmax: int, mode: str, checkpoint: str | None,
         table = op.load_table(checkpoint)
     if not checkpoint:
         if table is None:
-            return op.compute_tables(kmax, mode=mode)
-        return op.extend_table(table, kmax, mode=mode)
+            return op.compute_tables(kmax)
+        return op.extend_table(table, kmax)
     if table is None:
-        table = op.compute_tables(min(step, kmax), mode=mode)
+        table = op.compute_tables(min(step, kmax))
         op.save_table(table, checkpoint)
     while table.K < kmax:
-        table = op.extend_table(table, min(table.K + step, kmax), mode=mode)
+        table = op.extend_table(table, min(table.K + step, kmax))
         op.save_table(table, checkpoint)
     return table
 
@@ -216,7 +215,7 @@ def _summary(table: op.GrundyTable, kmax: int) -> dict:
 
 def cmd_grundy_seq(args, out: TextIO) -> int:
     try:
-        table = _compute_with_checkpoint(args.kmax, args.mode, args.checkpoint,
+        table = _compute_with_checkpoint(args.kmax, args.checkpoint,
                                          args.checkpoint_every)
     except games.MemoryBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -246,7 +245,7 @@ def cmd_grundy_seq(args, out: TextIO) -> int:
 
 
 def cmd_p_positions(args, out: TextIO) -> int:
-    table = op.compute_tables(args.kmax, mode=args.mode)
+    table = op.compute_tables(args.kmax)
     lengths = op.enumerate_p_positions(table, args.klass)
     record = {
         "class": args.klass,
@@ -538,24 +537,21 @@ def cmd_verify(args, out: TextIO) -> int:
 
 def cmd_tables(args, out: TextIO) -> int:
     if args.table_cmd == "compute":
-        table = op.compute_tables(args.kmax, mode=args.mode)
+        table = op.compute_tables(args.kmax)
         op.save_table(table, args.out)
-        _emit({"kmax": table.K, "mode": table.mode, "file": args.out},
-              args.format, out)
+        _emit({"kmax": table.K, "file": args.out}, args.format, out)
         return EXIT_OK
     if args.table_cmd == "extend":
         table = op.load_table(args.table)
-        table = op.extend_table(table, args.kmax, mode=args.mode)
+        table = op.extend_table(table, args.kmax)
         dest = args.out or args.table
         op.save_table(table, dest)
-        _emit({"kmax": table.K, "mode": table.mode, "file": dest},
-              args.format, out)
+        _emit({"kmax": table.K, "file": dest}, args.format, out)
         return EXIT_OK
     if args.table_cmd == "info":
         table = op.load_table(args.table)
         record = {
             "kmax": table.K,
-            "mode": table.mode,
             "max_gA": int(table.gA.max()),
             "max_gC": int(table.gC.max()),
             "max_gD": int(table.gD.max()),
@@ -581,6 +577,12 @@ def _add_format(p: argparse.ArgumentParser) -> None:
                    help="output as key/value text or JSON lines")
 
 
+def _add_mode(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mode", choices=(op.MODE_NAIVE, op.MODE_ACCELERATED),
+                   default=op.MODE_NAIVE,
+                   help="accepted for compatibility; both values run the one table fill")
+
+
 def _add_graph_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", metavar="SPEC",
                    help="family shorthand: path:n cycle:n grid:a,b hypercube:d "
@@ -603,14 +605,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, help="distance bound (distance ruleset only)")
     p.add_argument("--method", choices=("auto", "closed-form", "involution", "search"),
                    default="auto", help="force one solving method")
-    p.add_argument("--threads", type=int, default=1)
     _add_format(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("grundy-seq", help="stream class tables as CSV")
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--mode", choices=(op.MODE_NAIVE, op.MODE_ACCELERATED),
-                   default=op.MODE_NAIVE)
+    _add_mode(p)
     p.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
     p.add_argument("--checkpoint", metavar="PATH",
                    help="binary table file to resume from and persist to")
@@ -624,8 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="klass",
                    choices=(op.CLASS_A, op.CLASS_B, op.CLASS_C, op.CLASS_D),
                    default=op.CLASS_D)
-    p.add_argument("--mode", choices=(op.MODE_NAIVE, op.MODE_ACCELERATED),
-                   default=op.MODE_NAIVE)
+    _add_mode(p)
     _add_format(p)
     p.set_defaults(func=cmd_p_positions)
 
@@ -665,16 +664,14 @@ def build_parser() -> argparse.ArgumentParser:
     tsub = p.add_subparsers(dest="table_cmd", required=True)
     t = tsub.add_parser("compute")
     t.add_argument("--kmax", type=int, required=True)
-    t.add_argument("--mode", choices=(op.MODE_NAIVE, op.MODE_ACCELERATED),
-                   default=op.MODE_NAIVE)
+    _add_mode(t)
     t.add_argument("--out", required=True)
     _add_format(t)
     t.set_defaults(func=cmd_tables)
     t = tsub.add_parser("extend")
     t.add_argument("--table", required=True)
     t.add_argument("--kmax", type=int, required=True)
-    t.add_argument("--mode", choices=(op.MODE_NAIVE, op.MODE_ACCELERATED),
-                   default=op.MODE_NAIVE)
+    _add_mode(t)
     t.add_argument("--out", help="write here instead of overwriting --table")
     _add_format(t)
     t.set_defaults(func=cmd_tables)

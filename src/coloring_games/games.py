@@ -11,7 +11,6 @@ as proper games on the power graph.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -312,41 +311,6 @@ class _Solver:
             return total
         return self._solve_mono(colors, sum(1 for c in colors if c))
 
-    def root_moves(self, colors: list[int]) -> list[tuple[int, int]]:
-        if self.order is not None:
-            painted = sum(1 for c in colors if c)
-            verts: Iterable[int] = (
-                (self.order[painted],) if painted < self.graph.n else ()
-            )
-        else:
-            verts = (v for v in range(self.graph.n) if colors[v] == 0)
-        return [
-            (v, c)
-            for v in verts
-            for c in range(1, self.k + 1)
-            if move_ok(self.ruleset, self.graph, self.k, colors, v, c)
-        ]
-
-    def grundy_of(self, coloring: Sequence, threads: int = 1) -> int:
-        colors = [0 if c is None else c for c in coloring]
-        if threads <= 1:
-            return self.value(colors)
-        # evaluate sibling options concurrently; the table is shared and dict
-        # operations are atomic, so a duplicated computation is just wasted
-        # work, never a wrong value
-        moves = self.root_moves(colors)
-        if not moves:
-            return 0
-
-        def child(mv: tuple[int, int]) -> int:
-            cc = list(colors)
-            cc[mv[0]] = mv[1]
-            return self.value(cc)
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            vals = set(ex.map(child, moves))
-        return mex(vals)
-
 
 _SOLVERS: dict[tuple, _Solver] = {}
 
@@ -367,19 +331,20 @@ def clear_solver_cache() -> None:
     _BUDGET.used = 0
 
 
-def grundy(position: Position, *, threads: int = 1) -> Nimber:
+def grundy(position: Position) -> Nimber:
     """Grundy value of the position under optimal play."""
-    return _solver_for(position).grundy_of(position.coloring, threads=threads)
+    colors = [0 if c is None else c for c in position.coloring]
+    return _solver_for(position).value(colors)
 
 
-def outcome(position: Position, *, threads: int = 1) -> str:
+def outcome(position: Position) -> str:
     """"N" when the player to move wins, "P" otherwise."""
-    return rs.OUTCOME_N if grundy(position, threads=threads) > 0 else rs.OUTCOME_P
+    return rs.OUTCOME_N if grundy(position) > 0 else rs.OUTCOME_P
 
 
-def best_move(position: Position, *, threads: int = 1) -> Move | None:
+def best_move(position: Position) -> Move | None:
     """A move to a Grundy-0 position, or None when the position is a loss."""
     for mv in legal_moves(position):
-        if grundy(apply_move(position, mv), threads=threads) == 0:
+        if grundy(apply_move(position, mv)) == 0:
             return mv
     return None

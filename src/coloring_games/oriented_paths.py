@@ -8,14 +8,10 @@ satisfy Mex recursions over split pairs, with lengths counted in vertices
 and any length <= 0 standing for the empty path (value 0). B mirrors A
 (reverse the path and swap colors), so only A, C, D are stored.
 
-Observed values split into "rare" ones, members of a small XOR-closed set,
-and "common" ones that in practice all fall in a single coset of that set.
-The accelerated mode exploits this: option pairs with a rare side are
-enumerated exactly (rare indices are few), and common XOR common lands back
-in the rare set, so each Mex scan only has to witness a handful of small
-rare candidates before terminating. Whenever a computed value ever breaks
-the one-coset observation, the fill degrades to the naive scan from that
-point, keeping the output bit-identical to naive mode by construction.
+The fill reads every option family as slice views of the stored arrays and
+is O(K^2) in time. Observed values split into "rare" ones, members of a
+small XOR-closed set, and "common" ones; classify_rare_common reports that
+split for a computed table.
 """
 
 from __future__ import annotations
@@ -37,6 +33,7 @@ CLASS_C = "C"
 CLASS_D = "D"
 PATH_CLASSES = (CLASS_A, CLASS_B, CLASS_C, CLASS_D)
 
+# values the CLI accepts for --mode; both run the one fill
 MODE_NAIVE = "naive"
 MODE_ACCELERATED = "accelerated"
 
@@ -84,7 +81,6 @@ class GrundyTable:
     gA: np.ndarray
     gC: np.ndarray
     gD: np.ndarray
-    mode: str = MODE_NAIVE
 
     def __post_init__(self) -> None:
         for arr in (self.gA, self.gC, self.gD):
@@ -158,203 +154,59 @@ def class_move_options(
     return out
 
 
-# ---- fill: naive (vectorized) --------------------------------------------------
+# ---- fill ----------------------------------------------------------------------
 
-def _np_mex(opts: np.ndarray) -> int:
-    if opts.size == 0:
-        return 0
-    bound = int(min(opts.size + 1, 1 << 16))
-    seen = np.zeros(bound + 1, dtype=bool)
-    seen[np.minimum(opts, bound)] = True
-    first = int(np.argmin(seen[:bound]))
-    if seen[first]:
+def _mex(top: int, *families: np.ndarray) -> int:
+    """Least value in no option family, where every option is a XOR of table
+    values <= top, so every option lies below 1 << top.bit_length()."""
+    bound = 1 << top.bit_length()
+    seen = np.zeros(bound + 1, dtype=bool)  # the mex is at most bound
+    for opts in families:
+        seen[opts] = True
+    first = int(seen.argmin())
+    if first >= 1 << 16:
         raise OverflowError("Grundy value does not fit in 16 bits")
     return first
 
 
-def _fill_naive(gA: np.ndarray, gC: np.ndarray, gD: np.ndarray, start: int, K: int) -> None:
-    for k in range(start, K + 1):
-        # C_k: Blue splits A_{i-2} + C_{k+1-i}; Red splits C_i + A_{k-i-1}
-        i1 = np.arange(3, k, dtype=np.intp)
-        i2 = np.arange(2, k - 1, dtype=np.intp)
-        gC[k] = _np_mex(
-            np.concatenate((gA[i1 - 2] ^ gC[k + 1 - i1], gC[i2] ^ gA[k - i2 - 1]))
-        )
-        # A_k: Blue splits A_{i-2} + A_{k+1-i}; Red splits C_i + D_{k-i-1}
-        i1 = np.arange(3, k + 1, dtype=np.intp)
-        i2 = np.arange(2, k + 1, dtype=np.intp)
-        gA[k] = _np_mex(
-            np.concatenate(
-                (gA[i1 - 2] ^ gA[k + 1 - i1], gC[i2] ^ gD[np.maximum(k - i2 - 1, 0)])
-            )
-        )
-        # D_k: Blue splits D_{i-2} + A_{k+1-i}; Red splits A_i + D_{k-i-1}
-        i1 = np.arange(1, k + 1, dtype=np.intp)
-        gD[k] = _np_mex(
-            np.concatenate(
-                (
-                    gD[np.maximum(i1 - 2, 0)] ^ gA[k + 1 - i1],
-                    gA[i1] ^ gD[np.maximum(k - i1 - 1, 0)],
-                )
-            )
-        )
+def _splits(X: np.ndarray, rY: np.ndarray, r: int, lo: int, hi: int) -> np.ndarray:
+    """X[j] ^ Y[k-1-j] for lo <= j <= hi, with rY = Y[::-1] and r = len(Y) - k."""
+    hi = max(hi, lo - 1)
+    return X[lo : hi + 1] ^ rY[r + lo : r + hi + 1]
 
 
-# ---- fill: accelerated ------------------------------------------------------------
+def _fill(gA: np.ndarray, gC: np.ndarray, gD: np.ndarray, start: int, K: int) -> None:
+    """Fill lengths start..K in place; the lengths below start are already set.
 
-# An option set is described as (left, right, lo, hi, shape): shape 1 is the
-# Blue-move family {L[max(i-2,0)] ^ R[k+1-i]}, shape 2 the Red-move family
-# {L[i] ^ R[max(k-i-1,0)]}, both over lo <= i <= hi.
-
-def _class_sets(k: int) -> dict[str, list[tuple[str, str, int, int, int]]]:
-    return {
-        "C": [("A", "C", 3, k - 1, 1), ("C", "A", 2, k - 2, 2)],
-        "A": [("A", "A", 3, k, 1), ("C", "D", 2, k, 2)],
-        "D": [("D", "A", 1, k, 1), ("A", "D", 1, k, 2)],
-    }
-
-
-_SMALL = 4096  # mex candidates live far below this (observed max value 1401)
-
-
-class _AccelFill:
-    """Sparse-space Mex evaluation over the rare/common partition.
-
-    Options with a rare side are enumerated exactly by inverting the index
-    maps over the (few) rare positions. While every common value seen so far
-    lies in a single coset x0 ^ RareSet, a common ^ common option is always
-    rare, so the smallest common value outside the sparse set is a sound Mex
-    upper bound; the only work left is witnessing smaller rare candidates
-    among the dense pairs. If the coset observation ever breaks, the fill
-    degrades to full scans, keeping the output bit-identical to naive mode.
+    Every option family is a run of splits X_j + Y_{k-1-j}, read as a forward
+    view of X XOR a reversed view of Y, so no index arrays are built. Each
+    class feeds the next one at the same length (C_k into A_k, A_k into D_k),
+    so the mex bound is taken again before each class.
     """
-
-    def __init__(self, gA: np.ndarray, gC: np.ndarray, gD: np.ndarray, K: int) -> None:
-        self.arr = {"A": gA, "C": gC, "D": gD}
-        self.K = K
-        self.rare_flag = {n: np.zeros(K + 1, dtype=bool) for n in "ACD"}
-        self.rare_idx = {n: np.empty(K + 1, dtype=np.intp) for n in "ACD"}
-        self.n_rare = {n: 0 for n in "ACD"}
-        self.x0: int | None = None
-        self.coset_ok = True
-        self.rare_small = np.fromiter(
-            (v in _RARE for v in range(_SMALL)), dtype=bool, count=_SMALL
-        )
-
-    def note(self, name: str, k: int) -> None:
-        """Record arr[name][k] in the rare index and coset bookkeeping."""
-        v = int(self.arr[name][k])
-        if v in _RARE:
-            self.rare_flag[name][k] = True
-            self.rare_idx[name][self.n_rare[name]] = k
-            self.n_rare[name] += 1
-        elif self.coset_ok:
-            if self.x0 is None:
-                self.x0 = v
-            elif (v ^ self.x0) not in _RARE:
-                self.coset_ok = False
-
-    def _rare_slice(self, name: str, a: int, b: int) -> np.ndarray:
-        ri = self.rare_idx[name][: self.n_rare[name]]
-        lo = int(np.searchsorted(ri, a, side="left"))
-        hi = int(np.searchsorted(ri, b, side="right"))
-        return ri[lo:hi]
-
-    def _sparse_parts(
-        self, k: int, sets: list[tuple[str, str, int, int, int]]
-    ) -> list[np.ndarray]:
-        parts: list[np.ndarray] = []
-        for left, right, lo, hi, shape in sets:
-            L, R = self.arr[left], self.arr[right]
-            if shape == 1:
-                if hi - 2 >= max(lo - 2, 1):
-                    s = self._rare_slice(left, max(lo - 2, 1), hi - 2)  # i = r + 2
-                    if s.size:
-                        parts.append(L[s] ^ R[(k - 1) - s])
-                for i in (1, 2):  # rare index 0 on the left maps to both
-                    if lo <= i <= hi:
-                        parts.append(R[k + 1 - i : k + 2 - i])
-                if k + 1 - lo >= k + 1 - hi:
-                    s = self._rare_slice(right, k + 1 - hi, k + 1 - lo)  # i = k+1-r
-                    if s.size:
-                        parts.append(L[np.maximum((k - 1) - s, 0)] ^ R[s])
-            else:
-                s = self._rare_slice(left, lo, hi)  # i = r
-                if s.size:
-                    parts.append(L[s] ^ R[np.maximum((k - 1) - s, 0)])
-                if k - 1 - lo >= max(k - 1 - hi, 1):
-                    s = self._rare_slice(right, max(k - 1 - hi, 1), k - 1 - lo)  # i = k-1-r
-                    if s.size:
-                        parts.append(L[(k - 1) - s] ^ R[s])
-                for i in (k - 1, k):  # rare index 0 on the right maps to both
-                    if lo <= i <= hi:
-                        parts.append(L[i : i + 1])
-        return parts
-
-    def _witness(
-        self, k: int, sets: list[tuple[str, str, int, int, int]], wanted: np.ndarray
-    ) -> set[int]:
-        """Drop from wanted every value some common-common pair produces."""
-        alive = {int(w) for w in wanted}
-        for left, right, lo, hi, shape in sets:
-            if not alive or hi < lo:
-                continue
-            i = np.arange(lo, hi + 1, dtype=np.intp)
-            if shape == 1:
-                li, ri = np.maximum(i - 2, 0), (k + 1) - i
-            else:
-                li, ri = i, np.maximum((k - 1) - i, 0)
-            dense = ~(self.rare_flag[left][li] | self.rare_flag[right][ri])
-            if not dense.any():
-                continue
-            vals = self.arr[left][li[dense]] ^ self.arr[right][ri[dense]]
-            alive -= set(np.unique(vals).tolist())
-        return alive
-
-    def entry_dense(self, k: int, sets: list[tuple[str, str, int, int, int]]) -> int:
-        """Full scan over the same option descriptors; the degraded path."""
-        parts: list[np.ndarray] = []
-        for left, right, lo, hi, shape in sets:
-            if hi < lo:
-                continue
-            i = np.arange(lo, hi + 1, dtype=np.intp)
-            if shape == 1:
-                li, ri = np.maximum(i - 2, 0), (k + 1) - i
-            else:
-                li, ri = i, np.maximum((k - 1) - i, 0)
-            parts.append(self.arr[left][li] ^ self.arr[right][ri])
-        return _np_mex(np.concatenate(parts) if parts else np.empty(0, np.uint16))
-
-    def entry(self, k: int, sets: list[tuple[str, str, int, int, int]]) -> int:
-        seen = np.zeros(_SMALL, dtype=bool)
-        for vals in self._sparse_parts(k, sets):
-            seen[vals[vals < _SMALL]] = True
-        candidates = ~seen & ~self.rare_small
-        m_c = int(candidates.argmax())
-        if not candidates[m_c]:  # mex bookkeeping window overflowed
-            return self.entry_dense(k, sets)
-        wanted = np.flatnonzero(~seen[:m_c] & self.rare_small[:m_c])
-        if wanted.size:
-            alive = self._witness(k, sets, wanted)
-            if alive:
-                return min(alive)
-        return m_c
-
-
-def _fill_accelerated(gA: np.ndarray, gC: np.ndarray, gD: np.ndarray, start: int, K: int) -> None:
-    state = _AccelFill(gA, gC, gD, K)
-    for k in range(start):
-        for name in ("C", "A", "D"):
-            state.note(name, k)
+    n = gA.size
+    rA, rC, rD = gA[::-1], gC[::-1], gD[::-1]
+    top = max(int(gA[:start].max()), int(gC[:start].max()), int(gD[:start].max()))
     for k in range(start, K + 1):
-        sets = _class_sets(k)
-        for name in ("C", "A", "D"):  # A reads C_k, D reads A_k
-            v = state.entry(k, sets[name]) if state.coset_ok else state.entry_dense(k, sets[name])
-            state.arr[name][k] = v
-            state.note(name, k)
+        r = n - k
+        # C_k: Blue on v_i leaves A_{i-2} + C_{k+1-i} and Red on v_i leaves
+        # C_i + A_{k-1-i}; both are the splits A_j + C_{k-1-j}, 1 <= j <= k-3
+        gC[k] = _mex(top, _splits(gA, rC, r, 1, k - 3))
+        top = max(top, int(gC[k]))
+        # A_k: Blue leaves A_{i-2} + A_{k+1-i}; Red leaves C_i + D_{k-1-i},
+        # which is C_k alone for Red on v_k (k > 1)
+        gA[k] = _mex(
+            top,
+            _splits(gA, rA, r, 1, k - 2),
+            _splits(gC, rD, r, 2, k - 1),
+            gC[k : k + 1] if k > 1 else gC[:0],
+        )
+        top = max(top, int(gA[k]))
+        # D_k: Blue leaves D_{i-2} + A_{k+1-i} and Red leaves A_i + D_{k-1-i};
+        # both are the splits D_j + A_{k-1-j}, 0 <= j <= k-2, or A_k alone
+        # (D_0 is the empty path)
+        gD[k] = _mex(top, _splits(gD, rA, r, 0, k - 2), gA[k : k + 1])
+        top = max(top, int(gD[k]))
 
-
-# ---- fill dispatch -------------------------------------------------------------
 
 def _check_budget(K: int) -> None:
     need = 6 * (K + 1)  # three uint16 arrays
@@ -364,23 +216,21 @@ def _check_budget(K: int) -> None:
         )
 
 
-def compute_tables(K: int, mode: str = MODE_NAIVE) -> GrundyTable:
-    """Fill gA/gC/gD for all lengths <= K. Modes are bit-identical."""
+def compute_tables(K: int) -> GrundyTable:
+    """Fill gA/gC/gD for all lengths <= K."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    return _compute(None, K, mode)
+    return _compute(None, K)
 
 
-def extend_table(table: GrundyTable, K: int, mode: str = MODE_NAIVE) -> GrundyTable:
+def extend_table(table: GrundyTable, K: int) -> GrundyTable:
     """Continue a computed table to a larger bound; existing entries are kept."""
     if K <= table.K:
         return table
-    return _compute(table, K, mode)
+    return _compute(table, K)
 
 
-def _compute(base: GrundyTable | None, K: int, mode: str) -> GrundyTable:
-    if mode not in (MODE_NAIVE, MODE_ACCELERATED):
-        raise ValueError(f"unknown mode {mode!r}")
+def _compute(base: GrundyTable | None, K: int) -> GrundyTable:
     _check_budget(K)
     start = (base.K if base else 0) + 1
     gA = np.zeros(K + 1, dtype=np.uint16)
@@ -390,9 +240,8 @@ def _compute(base: GrundyTable | None, K: int, mode: str) -> GrundyTable:
         gA[: base.K + 1] = base.gA
         gC[: base.K + 1] = base.gC
         gD[: base.K + 1] = base.gD
-    fill = _fill_naive if mode == MODE_NAIVE else _fill_accelerated
-    fill(gA, gC, gD, start, K)
-    return GrundyTable(K=K, gA=gA, gC=gC, gD=gD, mode=mode)
+    _fill(gA, gC, gD, start, K)
+    return GrundyTable(K=K, gA=gA, gC=gC, gD=gD)
 
 
 # ---- enumeration and classification reports ---------------------------------------

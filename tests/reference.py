@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
+import numpy as np
+
 from coloring_games.graphs import Graph
 
 BLUE, RED = 1, 2
@@ -199,8 +201,54 @@ def scalar_tables(K: int) -> tuple[list[int], list[int], list[int]]:
     return a, c, d
 
 
-# every D length (in vertices) of value 0 up to 9000; none between 8084 and
-# 9000. The zeros up to 1600 are those of scalar_tables(1600); 3, 6, 11, 15
+def _np_mex(opts: np.ndarray) -> int:
+    if opts.size == 0:
+        return 0
+    bound = min(opts.size + 1, 1 << 16)
+    seen = np.zeros(bound + 1, dtype=bool)
+    seen[np.minimum(opts.astype(np.intp), bound)] = True  # cast: bound may exceed uint16
+    first = int(np.argmin(seen[:bound]))
+    if seen[first]:
+        raise OverflowError("Grundy value does not fit in 16 bits")
+    return first
+
+
+def naive_tables(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The recursions of scalar_tables, vectorized per length with index
+    arrays; fast enough to serve as the bit-identity reference to K=10^4."""
+    gA = np.zeros(K + 1, dtype=np.uint16)
+    gC = np.zeros(K + 1, dtype=np.uint16)
+    gD = np.zeros(K + 1, dtype=np.uint16)
+    for k in range(1, K + 1):
+        # C_k: Blue splits A_{i-2} + C_{k+1-i}; Red splits C_i + A_{k-i-1}
+        i1 = np.arange(3, k, dtype=np.intp)
+        i2 = np.arange(2, k - 1, dtype=np.intp)
+        gC[k] = _np_mex(
+            np.concatenate((gA[i1 - 2] ^ gC[k + 1 - i1], gC[i2] ^ gA[k - i2 - 1]))
+        )
+        # A_k: Blue splits A_{i-2} + A_{k+1-i}; Red splits C_i + D_{k-i-1}
+        i1 = np.arange(3, k + 1, dtype=np.intp)
+        i2 = np.arange(2, k + 1, dtype=np.intp)
+        gA[k] = _np_mex(
+            np.concatenate(
+                (gA[i1 - 2] ^ gA[k + 1 - i1], gC[i2] ^ gD[np.maximum(k - i2 - 1, 0)])
+            )
+        )
+        # D_k: Blue splits D_{i-2} + A_{k+1-i}; Red splits A_i + D_{k-i-1}
+        i1 = np.arange(1, k + 1, dtype=np.intp)
+        gD[k] = _np_mex(
+            np.concatenate(
+                (
+                    gD[np.maximum(i1 - 2, 0)] ^ gA[k + 1 - i1],
+                    gA[i1] ^ gD[np.maximum(k - i1 - 1, 0)],
+                )
+            )
+        )
+    return gA, gC, gD
+
+
+# every D length (in vertices) of value 0 up to 32768; none between 8084 and
+# 32768. The zeros up to 1600 are those of scalar_tables(1600); 3, 6, 11, 15
 # and 16 are also zeros of ref_grundy on the raw colorings.
 D_ZEROS = [
     3, 6, 11, 15, 16, 22, 27, 32, 38, 43, 49, 55, 59, 65, 66, 81, 85, 92,

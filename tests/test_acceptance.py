@@ -34,7 +34,7 @@ from coloring_games.rulesets import (
     outcome_by_involution,
 )
 
-from reference import D_ZEROS, scalar_tables
+from reference import D_ZEROS, naive_tables, scalar_tables
 
 K_FULL = 10_000
 
@@ -149,10 +149,10 @@ def test_criterion_06_rare_common_structure(table_full):
         assert set(report.rare_values) | set(report.common_values) == observed
         assert not (set(report.rare_values) & set(report.common_values))
         assert sum(report.value_counts.values()) == 3 * K_FULL - 1
-        fast = op.compute_tables(K_FULL, mode=op.MODE_ACCELERATED)
-        assert np.array_equal(fast.gA, table_full.gA)
-        assert np.array_equal(fast.gC, table_full.gC)
-        assert np.array_equal(fast.gD, table_full.gD)
+        gA, gC, gD = naive_tables(K_FULL)
+        assert np.array_equal(table_full.gA, gA)
+        assert np.array_equal(table_full.gC, gC)
+        assert np.array_equal(table_full.gD, gD)
 
 
 def _weak_cycle_start(n):

@@ -130,6 +130,12 @@ def test_grundy_seq_resume_matches_fresh(capsys, tmp_path):
     assert resumed == fresh
 
 
+def test_grundy_seq_modes_print_the_same(capsys):
+    _, naive = run(capsys, "grundy-seq", "--kmax", "300", "--mode", "naive")
+    _, accel = run(capsys, "grundy-seq", "--kmax", "300", "--mode", "accelerated")
+    assert naive == accel
+
+
 def test_p_positions_record(capsys):
     code, recs = run_json(capsys, "p-positions", "--kmax", "200", "--class", "D")
     assert code == EXIT_OK

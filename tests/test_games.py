@@ -28,7 +28,6 @@ from coloring_games.rulesets import (
     OrientedColoring,
     ProperColoring,
     SequentialColoring,
-    WeakColoring,
 )
 from reference import kayles_grundy, kayles_moves, ref_grundy
 from strategies import colored_graphs, graphs
@@ -181,17 +180,6 @@ def test_color_permutation_invariance(data, token):
     a = grundy(Position.start(g, k, ruleset, order=order, coloring=coloring))
     b = grundy(Position.start(g, k, ruleset, order=order, coloring=mapped))
     assert a == b
-
-
-def test_threads_match_single_thread():
-    cases = [
-        Position.start(build_family("path", 9), 2, ProperColoring()),
-        Position.start(build_family("cycle", 7), 3, ProperColoring()),
-        Position.start(build_family("directed_path", 8), 2, OrientedBlueRed()),
-        Position.start(build_family("path", 7), 2, WeakColoring()),
-    ]
-    for pos in cases:
-        assert grundy(pos, threads=4) == grundy(pos, threads=1)
 
 
 def test_distance_one_equals_proper():

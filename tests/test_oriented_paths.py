@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from coloring_games import games, oriented_paths as op
 from coloring_games.rulesets import BLUE, RED
 
-from reference import D_ZEROS, ref_grundy, scalar_tables
+from reference import D_ZEROS, naive_tables, ref_grundy, scalar_tables
 
 # landmark values, frozen from the k <= 12 engine cross-check plus the
 # recursion continued past it
@@ -135,28 +135,46 @@ def test_classification_report(table):
         assert table.value(name, idx) in rare
 
 
+def _assert_matches_reference(t):
+    gA, gC, gD = naive_tables(t.K)
+    assert t.gA.tolist() == gA.tolist()
+    assert t.gC.tolist() == gC.tolist()
+    assert t.gD.tolist() == gD.tolist()
+
+
 def test_accelerated_matches_naive():
-    naive = op.compute_tables(600)
-    accel = op.compute_tables(600, mode="accelerated")
-    assert naive.gA.tolist() == accel.gA.tolist()
-    assert naive.gC.tolist() == accel.gC.tolist()
-    assert naive.gD.tolist() == accel.gD.tolist()
+    _assert_matches_reference(op.compute_tables(600))
 
 
-def test_accelerated_extend_matches_naive_full(table):
-    ext = op.extend_table(table, 450, mode="accelerated")
-    assert ext.gA[:301].tolist() == table.gA.tolist()
-    full = op.compute_tables(450)
-    assert ext.gA.tolist() == full.gA.tolist()
-    assert ext.gC.tolist() == full.gC.tolist()
-    assert ext.gD.tolist() == full.gD.tolist()
+def test_accelerated_extend_matches_naive_full():
+    t120 = op.compute_tables(120)
+    t300 = op.extend_table(t120, 300)
+    ext = op.extend_table(t300, 450)
+    assert ext.gA[:121].tolist() == t120.gA.tolist()
+    _assert_matches_reference(t300)
+    _assert_matches_reference(ext)
 
 
 def test_bad_mode_and_bounds():
     with pytest.raises(ValueError):
-        op.compute_tables(10, mode="turbo")
-    with pytest.raises(ValueError):
         op.compute_tables(0)
+
+
+def test_mex_on_full_uint16_option_array():
+    # 65,536 uint16 options (2k options of D_k at k = 32768 in the naive
+    # recursion): a clamp to 65536 in uint16 overflows, so none may be needed
+    opts = np.arange(1 << 16, dtype=np.uint16)
+    with pytest.raises(OverflowError):
+        op._mex(int(opts.max()), opts)
+    opts[40000] = 7
+    assert op._mex(int(opts.max()), opts) == 40000
+    assert op._mex(1401, opts[:1000], np.zeros(1 << 16, dtype=np.uint16)) == 1000
+
+
+@pytest.mark.extended
+def test_d_zero_census_to_32768():
+    t = op.compute_tables(32768)
+    assert op.enumerate_p_positions(t, "D") == D_ZEROS
 
 
 def test_budget_guard(monkeypatch):
