@@ -37,13 +37,13 @@ def main() -> int:
         table = op.compute_tables(min(args.every, args.kmax))
         op.save_table(table, args.checkpoint)
 
-    t0 = time.perf_counter()
+    k0, t0 = table.K, time.perf_counter()
     try:
         while table.K < args.kmax:
             target = min(table.K + args.every, args.kmax)
             table = op.extend_table(table, target)
             op.save_table(table, args.checkpoint)
-            rate = table.K / (time.perf_counter() - t0 + 1e-9)
+            rate = (table.K - k0) / (time.perf_counter() - t0 + 1e-9)
             print(f"K={table.K} ({rate:.0f} rows/s)", file=sys.stderr)
     except MemoryBudgetExceeded as exc:
         print(f"stopped at K={table.K}: {exc}", file=sys.stderr)

@@ -11,10 +11,12 @@ Subcommands:
                closed-forms)
   tables       compute/extend/inspect/export binary table files
 
-Exit codes: 0 computed, 2 parse or usage error, 3 memory budget exceeded,
-4 verification failure. All output is deterministic for fixed flags; the
-random suites demand an explicit --seed. The transposition table honours the
-COLORING_GAMES_TT_BYTES environment variable.
+Exit codes: 0 computed, 2 parse or usage error, 3 memory budget exceeded or
+search recursion too deep for the interpreter's stack (for example
+oriented-br on dpath:2500), 4 verification failure. All output is
+deterministic for fixed flags; the random suites demand an explicit --seed.
+The transposition table honours the COLORING_GAMES_TT_BYTES environment
+variable.
 """
 
 from __future__ import annotations
@@ -264,8 +266,10 @@ def _parse_order(text: str, n: int) -> tuple[int, ...]:
         order = tuple(int(tok) for tok in text.replace(",", " ").split())
     except ValueError as exc:
         raise CliError(f"bad --order {text!r}: expected vertex ids") from exc
-    if sorted(order) != list(range(n)):
-        raise CliError("--order must be a permutation of all vertices")
+    try:
+        seq.check_order(n, order)
+    except ValueError as exc:
+        raise CliError("--order must be a permutation of all vertices") from exc
     return order
 
 
@@ -700,6 +704,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     except games.MemoryBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except RecursionError:
+        print("error: search recursion too deep for the interpreter's stack; "
+              "the position is too large for exhaustive search", file=sys.stderr)
         return EXIT_BUDGET
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

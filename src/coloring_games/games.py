@@ -125,6 +125,11 @@ def apply_move(position: Position, move: Move) -> Position:
         raise IllegalMoveError(f"vertex {move.vertex} already painted")
     if move not in legal_moves(position):
         raise IllegalMoveError(f"{move} is not legal here")
+    return _play(position, move)
+
+
+def _play(position: Position, move: Move) -> Position:
+    """The position after a move already known to be legal."""
     col = list(position.coloring)
     col[move.vertex] = move.color
     return Position(
@@ -345,6 +350,6 @@ def outcome(position: Position) -> str:
 def best_move(position: Position) -> Move | None:
     """A move to a Grundy-0 position, or None when the position is a loss."""
     for mv in legal_moves(position):
-        if grundy(apply_move(position, mv)) == 0:
+        if grundy(_play(position, mv)) == 0:
             return mv
     return None

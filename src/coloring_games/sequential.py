@@ -15,6 +15,10 @@ Turns are 0-based internally; the first player owns even turns.
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain, islice
+from typing import Sequence
+
 from .graphs import Graph
 
 SOURCE = "source"
@@ -26,110 +30,138 @@ OUTCOME_P = "P"
 
 ORACLE_CAP = 22
 
+# label codes per path position
+_CONSTRAINED, _SOURCE, _CLOSED = 0, 1, 2
+_NAMES = (CONSTRAINED, SOURCE, CLOSED)
 
-def path_walk(g: Graph) -> list[int]:
+_NOT_A_PATH = "graph is not a path (cycles and branches unsupported)"
+
+
+def path_walk(g: Graph) -> array:
     """Vertex ids in path order. Raises for anything that is not a path."""
     if g.directed:
         raise ValueError("sequential path analysis works on undirected paths")
-    if g.n == 1:
-        return [0]
-    deg = {v: len(g.adj[v]) for v in range(g.n)}
-    ends = [v for v, d in deg.items() if d == 1]
-    if len(ends) != 2 or any(d > 2 for d in deg.values()):
-        raise ValueError("graph is not a path (cycles and branches unsupported)")
-    walk = [min(ends)]
-    prev = -1
-    while len(walk) < g.n:
-        nxt = [u for u in g.adj[walk[-1]] if u != prev]
-        if not nxt:
+    n = g.n
+    if n == 1:
+        return array("q", [0])
+    # two neighbour slots per vertex, -1 when empty
+    nbr = array("q", [-1]) * (2 * n)
+    deg = bytearray(n)
+    for u, v in g.edges:
+        du, dv = deg[u], deg[v]
+        if du == 2 or dv == 2:
+            raise ValueError(_NOT_A_PATH)
+        nbr[2 * u + du] = v
+        nbr[2 * v + dv] = u
+        deg[u] = du + 1
+        deg[v] = dv + 1
+    if deg.count(1) != 2:
+        raise ValueError(_NOT_A_PATH)
+    walk = array("q", bytes(8 * n))
+    prev, cur = -1, deg.find(1)
+    for i in range(n):
+        if cur < 0:
             raise ValueError("graph is not a path (disconnected)")
-        prev = walk[-1]
-        walk.append(nxt[0])
+        walk[i] = cur
+        nxt = nbr[2 * cur]
+        if nxt == prev:
+            nxt = nbr[2 * cur + 1]
+        prev, cur = cur, nxt
     return walk
 
 
-def _check_order(n: int, order: tuple[int, ...]) -> None:
-    if sorted(order) != list(range(n)):
+def check_order(n: int, order: tuple[int, ...]) -> None:
+    """Raise ValueError unless order is a permutation of 0..n-1."""
+    if len(order) != n:
         raise ValueError("order must be a permutation of the vertices")
+    seen = bytearray(n)
+    for v in order:
+        if not 0 <= v < n or seen[v]:
+            raise ValueError("order must be a permutation of the vertices")
+        seen[v] = 1
+
+
+def _turns(walk: Sequence[int], order: tuple[int, ...]) -> array:
+    """Paint turn by path position."""
+    turn = array("q", bytes(8 * len(order)))  # by vertex id
+    for t, v in enumerate(order):
+        turn[v] = t
+    return array("q", map(turn.__getitem__, walk))
+
+
+def _labels(t_of: array) -> bytearray:
+    """Label code per path position, from the paint turns of its neighbours.
+
+    A missing neighbour reads as turn n, later than every real turn, so an
+    endpoint is a Source when painted before its one neighbour and never
+    Closed.
+    """
+    n = len(t_of)
+    before = chain((n,), t_of)
+    after = chain(islice(t_of, 1, None), (n,))
+    label = bytearray(n)  # _CONSTRAINED
+    for i, (a, t, b) in enumerate(zip(before, t_of, after)):
+        if t < a and t < b:
+            label[i] = _SOURCE
+        elif t > a and t > b:
+            label[i] = _CLOSED
+    return label
 
 
 def classify(g: Graph, order: tuple[int, ...]) -> dict[int, str]:
     """Source/Closed/Constrained label per vertex id."""
     walk = path_walk(g)
-    _check_order(g.n, order)
-    turn = {v: t for t, v in enumerate(order)}
-    labels: dict[int, str] = {}
-    for i, v in enumerate(walk):
-        nbr_turns = [turn[walk[j]] for j in (i - 1, i + 1) if 0 <= j < len(walk)]
-        if all(turn[v] < t for t in nbr_turns):
-            labels[v] = SOURCE
-        elif len(nbr_turns) == 2 and all(turn[v] > t for t in nbr_turns):
-            labels[v] = CLOSED
-        else:
-            labels[v] = CONSTRAINED
-    return labels
+    check_order(g.n, order)
+    return {v: _NAMES[c] for v, c in zip(walk, _labels(_turns(walk, order)))}
 
 
 def decide_path(order: tuple[int, ...]) -> str:
     """Outcome on the path 0-1-...-(n-1) painted in the given vertex order."""
     n = len(order)
-    _check_order(n, order)
-    return _decide(list(range(n)), order)
+    check_order(n, order)
+    return _decide(range(n), order)
 
 
 def decide_outcome(g: Graph, order: tuple[int, ...]) -> str:
     """Outcome of the forced-order game on a path graph; O(n)."""
     walk = path_walk(g)
-    _check_order(g.n, order)
+    check_order(g.n, order)
     return _decide(walk, order)
 
 
-def _decide(walk: list[int], order: tuple[int, ...]) -> str:
+def _decide(walk: Sequence[int], order: tuple[int, ...]) -> str:
     n = len(walk)
-    turn = {v: t for t, v in enumerate(order)}
-    pos = {v: i for i, v in enumerate(walk)}
+    t_of = _turns(walk, order)
+    at = array("q", bytes(8 * n))  # path position by paint turn
+    for i, t in enumerate(t_of):
+        at[t] = i
+    label = _labels(t_of)
 
-    t_of = [turn[v] for v in walk]  # paint turn by path position
-    label: list[str] = []
-    for i in range(n):
-        nbrs = [j for j in (i - 1, i + 1) if 0 <= j < n]
-        if all(t_of[i] < t_of[j] for j in nbrs):
-            label.append(SOURCE)
-        elif len(nbrs) == 2 and all(t_of[i] > t_of[j] for j in nbrs):
-            label.append(CLOSED)
-        else:
-            label.append(CONSTRAINED)
-
-    # splice out the constrained vertices; left/right are path positions
-    left = list(range(-1, n - 1))
-    right = list(range(1, n + 1))
-    alive = [lab != CONSTRAINED for lab in label]
-    for i in range(n):
-        if alive[i]:
-            continue
-        li, ri = left[i], right[i]
-        if li >= 0:
-            right[li] = ri
-        if ri < n:
-            left[ri] = li
+    # left/right are path positions of the neighbours in the skeleton
+    left = array("q", range(-1, n - 1))
+    right = array("q", range(1, n + 1))
 
     def unlink(i: int) -> None:
-        alive[i] = False
         li, ri = left[i], right[i]
         if li >= 0:
             right[li] = ri
         if ri < n:
             left[ri] = li
 
-    # visit closed vertices in paint order; the order array gives it for free
-    for t in range(n):
-        i = pos[order[t]]
-        if label[i] != CLOSED or not alive[i]:
+    # splice out the constrained vertices
+    for i, c in enumerate(label):
+        if c == _CONSTRAINED:
+            unlink(i)
+
+    # visit closed vertices in paint order; each is reached once, at its own
+    # turn, and only sources leave the skeleton beside it, so no alive flag
+    for t, i in enumerate(at):
+        if label[i] != _CLOSED:
             continue
         li, ri = left[i], right[i]
         # the reduced path alternates Source/Closed with Source ends, so a
         # live closed vertex always sits between two live sources
-        assert 0 <= li and ri < n and label[li] == label[ri] == SOURCE
+        assert 0 <= li and ri < n and label[li] == label[ri] == _SOURCE
         hi = li if t_of[li] > t_of[ri] else ri
         if t_of[hi] % 2 == t % 2:
             unlink(i)  # its owner also controls the later source: saved
@@ -146,7 +178,7 @@ def brute_force_outcome(g: Graph, order: tuple[int, ...]) -> str:
     if g.n > ORACLE_CAP:
         raise ValueError(f"brute force oracle is capped at {ORACLE_CAP} vertices")
     walk = path_walk(g)
-    _check_order(g.n, order)
+    check_order(g.n, order)
     pos = {v: i for i, v in enumerate(walk)}
     colors = [0] * g.n  # by path position; 0 = unpainted
 

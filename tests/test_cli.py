@@ -181,8 +181,18 @@ def test_sequential_usage_errors(capsys):
     assert run(capsys, "sequential", "--graph", "path:5")[0] == EXIT_USAGE
     assert run(capsys, "sequential", "--graph", "cycle:5",
                "--order", "random", "--seed", "1")[0] == EXIT_USAGE
-    assert run(capsys, "sequential", "--graph", "path:5",
-               "--order", "0 1 2")[0] == EXIT_USAGE
+    for order in ("0 1 2", "0 1 2 3 3", "0 1 2 3 5", "-1 1 2 3 4"):
+        assert main(["sequential", "--graph", "path:5", "--order", order]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: --order must be a permutation of all vertices\n")
+
+
+def test_deep_search_exits_3_without_traceback(capsys):
+    code = main(["solve", "--ruleset", "oriented-br", "--graph", "dpath:2500"])
+    err = capsys.readouterr().err
+    assert code == EXIT_BUDGET
+    assert "Traceback" not in err and "RecursionError" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_reduce_text_round_trip(capsys):

@@ -202,6 +202,20 @@ def test_best_move_wins_and_losses_return_none():
     assert grundy(p_pos) == 0 and best_move(p_pos) is None
 
 
+def test_best_move_derives_moves_once_and_keeps_order(monkeypatch):
+    from coloring_games import games
+
+    # path 7, k=2: 14 legal moves, the first winning one is the 7th
+    pos = Position.start(build_family("path", 7), 2, ProperColoring())
+    expect = next(mv for mv in legal_moves(pos) if grundy(apply_move(pos, mv)) == 0)
+    assert expect != legal_moves(pos)[0]
+    calls = []
+    real = games.legal_moves
+    monkeypatch.setattr(games, "legal_moves", lambda p: calls.append(p) or real(p))
+    assert best_move(pos) == expect
+    assert calls == [pos]
+
+
 # ---- memory budget ---------------------------------------------------------------
 
 def test_transposition_budget_enforced(monkeypatch):

@@ -1,6 +1,7 @@
 """Forced-order path game: the elimination decision against play-out oracles."""
 
 import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -135,6 +136,18 @@ def test_rejects_non_paths():
         sq.decide_outcome(two_bits, (0, 1, 2, 3))
 
 
+@pytest.mark.parametrize("g", [
+    make_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6)]),  # plus a cycle
+    make_graph(4, [(0, 1), (1, 2)]),  # plus an isolated vertex
+    make_graph(0, []),
+], ids=["path+cycle", "path+isolated", "empty"])
+def test_rejects_paths_with_extra_components(g):
+    with pytest.raises(ValueError):
+        sq.path_walk(g)
+    with pytest.raises(ValueError):
+        sq.decide_outcome(g, tuple(range(g.n)))
+
+
 def test_rejects_bad_orders():
     g = build_family("path", 4)
     with pytest.raises(ValueError):
@@ -149,6 +162,51 @@ def test_oracle_size_cap():
     n = sq.ORACLE_CAP + 1
     with pytest.raises(ValueError):
         sq.brute_force_outcome(build_family("path", n), tuple(range(n)))
+
+
+def test_scrambled_long_path_matches_decide_path():
+    n = 2_000
+    rng = random.Random(17)
+    ids = rng.sample(range(n), n)  # path position -> vertex id
+    g = make_graph(n, [(ids[i], ids[i + 1]) for i in range(n - 1)])
+    walk = list(sq.path_walk(g))
+    assert walk in (ids, ids[::-1])
+    for _ in range(20):
+        o = tuple(rng.sample(range(n), n))  # paint order of path positions
+        assert sq.decide_outcome(g, tuple(ids[i] for i in o)) == sq.decide_path(o)
+
+
+def test_classify_reads_neighbour_turns():
+    rng = random.Random(23)
+    for n in (1, 2, 3, 4, 9, 40):
+        ids = rng.sample(range(n), n)
+        g = make_graph(n, [(ids[i], ids[i + 1]) for i in range(n - 1)])
+        for _ in range(20):
+            o = tuple(rng.sample(range(n), n))
+            turn = {v: t for t, v in enumerate(o)}
+            labels = sq.classify(g, o)
+            for i, v in enumerate(ids):
+                nbr = [turn[ids[j]] for j in (i - 1, i + 1) if 0 <= j < n]
+                if all(turn[v] < t for t in nbr):
+                    expect = sq.SOURCE
+                elif len(nbr) == 2 and all(turn[v] > t for t in nbr):
+                    expect = sq.CLOSED
+                else:
+                    expect = sq.CONSTRAINED
+                assert labels[v] == expect, (n, o, v)
+
+
+def test_decide_outcome_memory_per_vertex():
+    n = 200_000
+    g = build_family("path", n)
+    order = tuple(random.Random(4).sample(range(n), n))
+    tracemalloc.start()
+    try:
+        sq.decide_outcome(g, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 64, peak / n  # flat arrays; dicts and lists took 337
 
 
 def test_arbitrary_vertex_labels():
