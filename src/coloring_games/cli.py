@@ -45,10 +45,13 @@ from .rulesets import (
     OUTCOME_P,
     OUTCOME_UNKNOWN,
     DistanceColoring,
+    OrientedBlueRed,
     ProperColoring,
     RULESET_TOKENS,
+    WeakColoring,
     closed_form_outcome,
     outcome_by_involution,
+    translate_for_solving,
 )
 
 EXIT_OK = 0
@@ -142,10 +145,8 @@ def cmd_solve(args, out: TextIO) -> int:
             method = "closed-form"
 
     if outcome == OUTCOME_UNKNOWN and args.method in ("auto", "involution") and uncolored:
-        from .rulesets import translate_for_solving
-
         solved_rs, solved_g = translate_for_solving(ruleset, g)
-        if isinstance(solved_rs, ProperColoring) and order is None:
+        if isinstance(solved_rs, ProperColoring):
             outcome = outcome_by_involution(solved_g, k)
             if outcome != OUTCOME_UNKNOWN:
                 method = "involution"
@@ -465,8 +466,6 @@ def _suite_reductions(args) -> list[dict]:
 
 
 def _suite_closed_forms(args) -> list[dict]:
-    from .rulesets import OrientedBlueRed, WeakColoring
-
     checks = []
 
     def engine(g, k, ruleset):

@@ -1,11 +1,21 @@
 """Position model and the memoized Sprague-Grundy solver.
 
-Positions are immutable. The solver memoizes on canonical keys: colors are
-relabeled by first appearance for color-symmetric rulesets, and positions
-split into independent parts when the ruleset allows it (components of the
-uncolored subgraph for purely local rules, whole-graph components for the
-weak rule, nothing for rules with global state). Distance games are solved
-as proper games on the power graph.
+Positions are immutable. One recursion solves every ruleset. A position
+splits into independent parts when the ruleset allows it: components of the
+uncolored subgraph for purely local rules (re-split after every move), the
+whole-graph components for the weak rule, and one part holding every vertex
+for rules with global state. A part's value is the mex over its legal moves
+of the nim-sum of the parts the move leaves. The table key is the part plus
+the colors that can affect it, relabeled by first appearance for
+color-symmetric rulesets: the painted boundary of an uncolored component, or
+the part's own colors. Legal moves come from the ruleset's move_ok, through
+one generator shared with legal_moves. Distance games are solved as proper
+games on the power graph.
+
+Each solver counts the bytes of its own table against COLORING_GAMES_TT_BYTES,
+read when the solver is made. When the cached solvers together would pass it,
+the tables of the other solvers are dropped first; MemoryBudgetExceeded is
+raised only when the current table alone is over.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from typing import Iterable, Sequence
 
 from . import rulesets as rs
 from .graphs import Graph
-from .rulesets import Ruleset, check_compatible, is_legal_coloring, move_ok
+from .rulesets import Ruleset, is_legal_coloring
 
 Nimber = int
 Coloring = tuple  # tuple[int | None, ...]
@@ -75,7 +85,6 @@ class Position:
     def __post_init__(self) -> None:
         if len(self.coloring) != self.graph.n:
             raise IllegalColoringError("coloring length must equal vertex count")
-        check_compatible(self.ruleset, self.graph, self.k, self.order)
         if not is_legal_coloring(self.ruleset, self.graph, self.k, self.coloring, self.order):
             raise IllegalColoringError(
                 f"coloring {self.coloring} is illegal under {self.ruleset.token}"
@@ -98,23 +107,34 @@ class Position:
         return sum(1 for c in self.coloring if c is not None)
 
 
+def _moves(
+    ruleset: Ruleset,
+    graph: Graph,
+    k: int,
+    order: tuple[int, ...] | None,
+    colors: list[int],
+    part: Sequence[int],
+    painted: int,
+) -> list[tuple[int, int]]:
+    """Legal (vertex, color) moves on the uncolored vertices of part; with a
+    visit order only the next vertex in it may be painted."""
+    if order is not None:
+        verts: Sequence[int] = order[painted:painted + 1]
+    else:
+        verts = [v for v in part if not colors[v]]
+    ok = ruleset.move_ok
+    return [(v, c) for v in verts for c in range(1, k + 1) if ok(graph, colors, v, c)]
+
+
 def legal_moves(position: Position) -> list[Move]:
     """All (vertex, color) moves legal from this position, sorted."""
     ruleset, graph = rs.translate_for_solving(position.ruleset, position.graph)
     colors = [0 if c is None else c for c in position.coloring]
-    if position.order is not None:
-        m = position.painted_count
-        if m >= graph.n:
-            return []
-        verts: Iterable[int] = (position.order[m],)
-    else:
-        verts = (v for v in range(graph.n) if colors[v] == 0)
-    out = []
-    for v in verts:
-        for c in range(1, position.k + 1):
-            if move_ok(ruleset, graph, position.k, colors, v, c):
-                out.append(Move(v, c))
-    return out
+    return [
+        Move(v, c)
+        for v, c in _moves(ruleset, graph, position.k, position.order, colors,
+                           range(graph.n), position.painted_count)
+    ]
 
 
 def apply_move(position: Position, move: Move) -> Position:
@@ -157,25 +177,6 @@ def byte_budget() -> int:
     return val
 
 
-class _Budget:
-    """Shared byte accounting for all transposition tables in the process."""
-
-    def __init__(self) -> None:
-        self.used = 0
-
-    def charge(self, key: tuple) -> None:
-        # rough estimate: dict slot + tuple overhead + 8 bytes per element
-        self.used += 120 + 8 * len(key)
-        if self.used > byte_budget():
-            raise MemoryBudgetExceeded(
-                f"transposition tables exceed {TT_BYTES_ENV}="
-                f"{byte_budget()} bytes; raise the budget or shrink the instance"
-            )
-
-
-_BUDGET = _Budget()
-
-
 class _Solver:
     def __init__(
         self, graph: Graph, k: int, ruleset: Ruleset, order: tuple[int, ...] | None
@@ -185,10 +186,14 @@ class _Solver:
         self.order = order
         self.adj = self.graph.adj
         self.symmetric = self.ruleset.color_symmetric
-        self.decomp = self.ruleset.decomposition
+        self.live = self.ruleset.decomposition == rs.DECOMP_LIVE
+        if self.ruleset.decomposition == rs.DECOMP_GRAPH:
+            self.parts = sorted(tuple(sorted(c)) for c in self.graph.components())
+        else:
+            self.parts = [tuple(range(self.graph.n))]
         self.table: dict[tuple, int] = {}
-        if self.decomp == rs.DECOMP_GRAPH:
-            self.comps = sorted(tuple(sorted(c)) for c in self.graph.components())
+        self.budget = byte_budget()
+        self.bytes = 0
 
     # -- keys --
 
@@ -207,9 +212,8 @@ class _Solver:
             out.append(m)
         return tuple(out)
 
-    # -- decomposition helpers --
-
     def _split(self, verts: Iterable[int], dropped: int = -1) -> list[tuple[int, ...]]:
+        """Connected components of verts (minus dropped), each sorted."""
         remaining = set(verts)
         remaining.discard(dropped)
         comps = []
@@ -228,96 +232,66 @@ class _Solver:
             comps.append(tuple(sorted(comp)))
         return comps
 
-    # -- recursion over live components (proper, oriented blue-red) --
+    # -- the recursion --
 
-    def _solve_live(self, colors: list[int], comp: tuple[int, ...]) -> int:
-        boundary = sorted(
-            {u for v in comp for u in self.adj[v] if colors[u]}
-        )
-        key = (comp, tuple(boundary), self._canon(tuple(colors[u] for u in boundary)))
-        hit = self.table.get(key)
-        if hit is not None:
-            return hit
-        opts = set()
-        for v in comp:
-            for c in range(1, self.k + 1):
-                if move_ok(self.ruleset, self.graph, self.k, colors, v, c):
-                    colors[v] = c
-                    val = 0
-                    for part in self._split(comp, dropped=v):
-                        val ^= self._solve_live(colors, part)
-                    opts.add(val)
-                    colors[v] = 0
-        result = mex(opts)
-        _BUDGET.charge(key)
-        self.table[key] = result
-        return result
-
-    # -- recursion inside a fixed graph component (weak) --
-
-    def _solve_comp(self, colors: list[int], ci: int) -> int:
-        verts = self.comps[ci]
-        key = (ci, self._canon(tuple(colors[v] for v in verts)))
-        hit = self.table.get(key)
-        if hit is not None:
-            return hit
-        opts = set()
-        for v in verts:
-            if colors[v]:
-                continue
-            for c in range(1, self.k + 1):
-                if move_ok(self.ruleset, self.graph, self.k, colors, v, c):
-                    colors[v] = c
-                    opts.add(self._solve_comp(colors, ci))
-                    colors[v] = 0
-        result = mex(opts)
-        _BUDGET.charge(key)
-        self.table[key] = result
-        return result
-
-    # -- monolithic recursion (oriented pair rule, sequential order) --
-
-    def _solve_mono(self, colors: list[int], painted: int) -> int:
-        key = self._canon(tuple(colors))
-        hit = self.table.get(key)
-        if hit is not None:
-            return hit
-        opts = set()
-        if self.order is not None:
-            verts: Iterable[int] = (
-                (self.order[painted],) if painted < self.graph.n else ()
+    def _solve(self, colors: list[int], part: tuple[int, ...], painted: int) -> int:
+        # painted is the number of painted vertices; only a visit order reads
+        # it, and an ordered game is one part, so it counts every vertex
+        if self.live:
+            # every neighbor outside a live component is painted, so the
+            # component fixes its boundary and only the boundary colors vary
+            seen: Iterable[int] = sorted(
+                {u for v in part for u in self.adj[v] if colors[u]}
             )
         else:
-            verts = (v for v in range(self.graph.n) if colors[v] == 0)
-        for v in verts:
-            for c in range(1, self.k + 1):
-                if move_ok(self.ruleset, self.graph, self.k, colors, v, c):
-                    colors[v] = c
-                    opts.add(self._solve_mono(colors, painted + 1))
-                    colors[v] = 0
+            seen = part
+        key = (part, self._canon(tuple(colors[u] for u in seen)))
+        hit = self.table.get(key)
+        if hit is not None:
+            return hit
+        opts = set()
+        for v, c in _moves(self.ruleset, self.graph, self.k, self.order,
+                           colors, part, painted):
+            colors[v] = c
+            val = 0
+            for rest in self._split(part, dropped=v) if self.live else (part,):
+                val ^= self._solve(colors, rest, painted + 1)
+            opts.add(val)
+            colors[v] = 0
         result = mex(opts)
-        _BUDGET.charge(key)
+        self._charge(key)
         self.table[key] = result
         return result
 
-    # -- entry points --
+    def _charge(self, key: tuple) -> None:
+        global _used
+        # rough estimate: dict slot + key tuples + 8 bytes per color
+        cost = 120 + 8 * len(key[1])
+        self.bytes += cost
+        _used += cost
+        if _used > self.budget:
+            for skey in [s for s, solver in _SOLVERS.items() if solver is not self]:
+                _used -= _SOLVERS.pop(skey).bytes
+            if self.bytes > self.budget:
+                raise MemoryBudgetExceeded(
+                    f"transposition table exceeds {TT_BYTES_ENV}="
+                    f"{self.budget} bytes; raise the budget or shrink the instance"
+                )
 
     def value(self, colors: list[int]) -> int:
-        if self.decomp == rs.DECOMP_LIVE:
-            live = [v for v in range(self.graph.n) if colors[v] == 0]
-            total = 0
-            for comp in self._split(live):
-                total ^= self._solve_live(colors, comp)
-            return total
-        if self.decomp == rs.DECOMP_GRAPH:
-            total = 0
-            for ci in range(len(self.comps)):
-                total ^= self._solve_comp(colors, ci)
-            return total
-        return self._solve_mono(colors, sum(1 for c in colors if c))
+        painted = sum(1 for c in colors if c)
+        if self.live:
+            parts = self._split(v for v in range(self.graph.n) if not colors[v])
+        else:
+            parts = self.parts
+        total = 0
+        for part in parts:
+            total ^= self._solve(colors, part, painted)
+        return total
 
 
 _SOLVERS: dict[tuple, _Solver] = {}
+_used = 0  # bytes charged by the tables of the solvers in _SOLVERS
 
 
 def _solver_for(position: Position) -> _Solver:
@@ -332,8 +306,9 @@ def _solver_for(position: Position) -> _Solver:
 
 def clear_solver_cache() -> None:
     """Drop all transposition tables and reset the byte budget accounting."""
+    global _used
     _SOLVERS.clear()
-    _BUDGET.used = 0
+    _used = 0
 
 
 def grundy(position: Position) -> Nimber:

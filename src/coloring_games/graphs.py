@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -48,49 +49,34 @@ class Graph:
             if not self.directed and u > v:
                 raise ValueError("undirected edges must be stored as (min, max)")
         object.__setattr__(self, "_hash", hash((self.n, self.directed, self.edges)))
-        object.__setattr__(self, "_adj", None)
-        object.__setattr__(self, "_out", None)
-        object.__setattr__(self, "_in", None)
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
 
     # ---- adjacency ----------------------------------------------------
 
-    @property
+    @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
         """Neighbors ignoring direction (union of in and out for digraphs)."""
-        cached = self._adj  # type: ignore[attr-defined]
-        if cached is None:
-            lists: list[list[int]] = [[] for _ in range(self.n)]
-            for u, v in self.edges:
-                lists[u].append(v)
-                lists[v].append(u)
-            cached = tuple(tuple(sorted(set(l))) for l in lists)
-            object.__setattr__(self, "_adj", cached)
-        return cached
+        lists: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            lists[u].append(v)
+            lists[v].append(u)
+        return tuple(tuple(sorted(set(l))) for l in lists)
 
-    @property
+    @cached_property
     def out_adj(self) -> tuple[tuple[int, ...], ...]:
-        cached = self._out  # type: ignore[attr-defined]
-        if cached is None:
-            lists: list[list[int]] = [[] for _ in range(self.n)]
-            for u, v in self.edges:
-                lists[u].append(v)
-            cached = tuple(tuple(sorted(l)) for l in lists)
-            object.__setattr__(self, "_out", cached)
-        return cached
+        lists: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            lists[u].append(v)
+        return tuple(tuple(sorted(l)) for l in lists)
 
-    @property
+    @cached_property
     def in_adj(self) -> tuple[tuple[int, ...], ...]:
-        cached = self._in  # type: ignore[attr-defined]
-        if cached is None:
-            lists: list[list[int]] = [[] for _ in range(self.n)]
-            for u, v in self.edges:
-                lists[v].append(u)
-            cached = tuple(tuple(sorted(l)) for l in lists)
-            object.__setattr__(self, "_in", cached)
-        return cached
+        lists: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            lists[v].append(u)
+        return tuple(tuple(sorted(l)) for l in lists)
 
     def has_edge(self, u: int, v: int) -> bool:
         if self.directed:
@@ -129,12 +115,14 @@ def make_graph(
     family: tuple[str, tuple[int, ...]] | None = None,
 ) -> Graph:
     """Normalize an edge list (dedup, canonical order) and build a Graph."""
-    es: set[tuple[int, int]] = set()
-    for u, v in edges:
+
+    def normal(u: int, v: int) -> tuple[int, int]:
         if u == v:
             raise ValueError(f"self-loop on vertex {u}")
-        es.add((u, v) if directed else (min(u, v), max(u, v)))
-    return Graph(n=n, directed=directed, edges=frozenset(es), family=family)
+        return (u, v) if directed or u < v else (v, u)
+
+    es = frozenset(normal(u, v) for u, v in edges)
+    return Graph(n=n, directed=directed, edges=es, family=family)
 
 
 # ---- named families ----------------------------------------------------

@@ -4,9 +4,13 @@ A ruleset decides which colorings are legal. Players alternately paint one
 uncolored vertex so that the coloring stays legal; the first player without a
 move loses. Colors are 1..k; in Blue/Red games Blue=1 and Red=2.
 
-Predicates come in two forms: is_legal_coloring checks a whole coloring
-against the textual definition, move_ok answers "may vertex v take color c
-now" assuming the current coloring is already legal (what the solver needs).
+Each ruleset states its rule once, as its move_ok(g, colors, v, c) method:
+may uncolored vertex v take color c, given a legal coloring in which 0 marks
+an uncolored vertex. Only the constraints touching v are checked. Distance
+games have no method of their own; translate_for_solving turns them into
+proper games on the power graph. is_legal_coloring checks a whole partial
+coloring with the same methods: every painted vertex must be able to take its
+color with the rest of the coloring as it stands.
 """
 
 from __future__ import annotations
@@ -49,6 +53,9 @@ class ProperColoring:
     decomposition: ClassVar[str | None] = DECOMP_LIVE
     needs_order: ClassVar[bool] = False
 
+    def move_ok(self, g: Graph, colors: list[int], v: int, c: int) -> bool:
+        return all(colors[u] != c for u in g.adj[v])
+
 
 @dataclass(frozen=True)
 class OrientedColoring:
@@ -64,6 +71,26 @@ class OrientedColoring:
     decomposition: ClassVar[str | None] = DECOMP_NONE
     needs_order: ClassVar[bool] = False
 
+    def move_ok(self, g: Graph, colors: list[int], v: int, c: int) -> bool:
+        new_pairs: list[tuple[int, int]] = []
+        for w in g.out_adj[v]:
+            if colors[w]:
+                if colors[w] == c:
+                    return False
+                new_pairs.append((c, colors[w]))
+        for u in g.in_adj[v]:
+            if colors[u]:
+                if colors[u] == c:
+                    return False
+                new_pairs.append((colors[u], c))
+        if not new_pairs:
+            return True
+        existing = {
+            (colors[x], colors[y]) for x, y in g.edges if colors[x] and colors[y]
+        }
+        existing.update(new_pairs)
+        return all((b, a) not in existing for a, b in new_pairs)
+
 
 @dataclass(frozen=True)
 class OrientedBlueRed:
@@ -76,6 +103,15 @@ class OrientedBlueRed:
     color_symmetric: ClassVar[bool] = False
     decomposition: ClassVar[str | None] = DECOMP_LIVE
     needs_order: ClassVar[bool] = False
+
+    def move_ok(self, g: Graph, colors: list[int], v: int, c: int) -> bool:
+        if c == BLUE:
+            return all(colors[u] == 0 for u in g.in_adj[v]) and all(
+                colors[w] in (0, RED) for w in g.out_adj[v]
+            )
+        return all(colors[w] == 0 for w in g.out_adj[v]) and all(
+            colors[u] in (0, BLUE) for u in g.in_adj[v]
+        )
 
 
 @dataclass(frozen=True)
@@ -92,6 +128,18 @@ class WeakColoring:
     # shared painted neighbor, so only whole-graph components are independent
     decomposition: ClassVar[str | None] = DECOMP_GRAPH
     needs_order: ClassVar[bool] = False
+
+    def move_ok(self, g: Graph, colors: list[int], v: int, c: int) -> bool:
+        same = [u for u in g.adj[v] if colors[u] == c]
+        if not same:
+            return True
+        opp = 3 - c
+        if not any(colors[w] == opp for w in g.adj[v]):
+            return False
+        for u in same:
+            if not any(colors[w] == opp for w in g.adj[u]):
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -124,6 +172,9 @@ class SequentialColoring:
     color_symmetric: ClassVar[bool] = True
     decomposition: ClassVar[str | None] = DECOMP_NONE  # the shared turn order is global state
     needs_order: ClassVar[bool] = True
+
+    # the visit order is checked by is_legal_coloring and the move generator
+    move_ok = ProperColoring.move_ok
 
 
 Ruleset = (
@@ -177,7 +228,7 @@ def translate_for_solving(ruleset: Ruleset, g: Graph) -> tuple[Ruleset, Graph]:
     return ruleset, g
 
 
-# ---- full-coloring legality ---------------------------------------------
+# ---- whole-coloring legality ---------------------------------------------
 
 def is_legal_coloring(
     ruleset: Ruleset,
@@ -186,109 +237,30 @@ def is_legal_coloring(
     coloring: Sequence[int | None],
     order: tuple[int, ...] | None = None,
 ) -> bool:
-    """Evaluate the ruleset's textual definition on a whole partial coloring."""
+    """True when every color is in 1..k, the painted vertices form a prefix
+    of the visit order (sequential), and every painted vertex could take its
+    color with the rest of the coloring as it stands."""
     check_compatible(ruleset, g, k, order)
     if len(coloring) != g.n:
         raise ValueError("coloring length must equal vertex count")
     for c in coloring:
         if c is not None and not 1 <= c <= k:
             return False
+    if order is not None:
+        painted = sum(1 for c in coloring if c is not None)
+        if any(coloring[v] is None for v in order[:painted]):
+            return False
 
-    if isinstance(ruleset, ProperColoring):
-        return _proper_ok(g, coloring)
-    if isinstance(ruleset, DistanceColoring):
-        return _proper_ok(_power(g, ruleset.d), coloring)
-    if isinstance(ruleset, OrientedBlueRed):
-        for u, v in g.edges:
-            if coloring[u] is not None and coloring[v] is not None:
-                if not (coloring[u] == BLUE and coloring[v] == RED):
-                    return False
-        return True
-    if isinstance(ruleset, OrientedColoring):
-        pairs: set[tuple[int, int]] = set()
-        for u, v in g.edges:
-            cu, cv = coloring[u], coloring[v]
-            if cu is None or cv is None:
-                continue
-            if cu == cv:
+    ruleset, g = translate_for_solving(ruleset, g)
+    colors = [0 if c is None else c for c in coloring]
+    for v, c in enumerate(coloring):
+        if c is not None:
+            colors[v] = 0
+            ok = ruleset.move_ok(g, colors, v, c)
+            colors[v] = c
+            if not ok:
                 return False
-            pairs.add((cu, cv))
-        return all((b, a) not in pairs for a, b in pairs)
-    if isinstance(ruleset, WeakColoring):
-        for u, v in g.edges:
-            cu, cv = coloring[u], coloring[v]
-            if cu is not None and cu == cv:
-                opp = 3 - cu
-                if not any(coloring[w] == opp for w in g.adj[u]):
-                    return False
-                if not any(coloring[w] == opp for w in g.adj[v]):
-                    return False
-        return True
-    if isinstance(ruleset, SequentialColoring):
-        assert order is not None
-        painted = [v for v in range(g.n) if coloring[v] is not None]
-        if set(painted) != set(order[: len(painted)]):
-            return False
-        return _proper_ok(g, coloring)
-    raise TypeError(f"unknown ruleset {ruleset!r}")
-
-
-def _proper_ok(g: Graph, coloring: Sequence[int | None]) -> bool:
-    for u, v in g.edges:
-        if coloring[u] is not None and coloring[u] == coloring[v]:
-            return False
     return True
-
-
-# ---- incremental move legality -------------------------------------------
-# colors is an int list with 0 = uncolored; the current coloring is assumed
-# legal, so only constraints touching v need checking. Distance rulesets never
-# reach these (the solver translates them to proper on the power graph first).
-
-def move_ok(ruleset: Ruleset, g: Graph, k: int, colors: list[int], v: int, c: int) -> bool:
-    if isinstance(ruleset, (ProperColoring, SequentialColoring)):
-        return all(colors[u] != c for u in g.adj[v])
-    if isinstance(ruleset, OrientedBlueRed):
-        if c == BLUE:
-            return all(colors[u] == 0 for u in g.in_adj[v]) and all(
-                colors[w] in (0, RED) for w in g.out_adj[v]
-            )
-        return all(colors[w] == 0 for w in g.out_adj[v]) and all(
-            colors[u] in (0, BLUE) for u in g.in_adj[v]
-        )
-    if isinstance(ruleset, WeakColoring):
-        same = [u for u in g.adj[v] if colors[u] == c]
-        if not same:
-            return True
-        opp = 3 - c
-        if not any(colors[w] == opp for w in g.adj[v]):
-            return False
-        for u in same:
-            if not any(colors[w] == opp for w in g.adj[u]):
-                return False
-        return True
-    if isinstance(ruleset, OrientedColoring):
-        new_pairs: list[tuple[int, int]] = []
-        for w in g.out_adj[v]:
-            if colors[w]:
-                if colors[w] == c:
-                    return False
-                new_pairs.append((c, colors[w]))
-        for u in g.in_adj[v]:
-            if colors[u]:
-                if colors[u] == c:
-                    return False
-                new_pairs.append((colors[u], c))
-        if not new_pairs:
-            return True
-        existing = {
-            (colors[x], colors[y]) for x, y in g.edges if colors[x] and colors[y]
-        }
-        existing.update(new_pairs)
-        return all((b, a) not in existing for a, b in new_pairs)
-    if isinstance(ruleset, DistanceColoring):
-        return all(colors[u] != c for u in _power(g, ruleset.d).adj[v])
-    raise TypeError(f"unknown ruleset {ruleset!r}")
 
 
 # ---- outcome shortcuts -----------------------------------------------------

@@ -28,6 +28,7 @@ from coloring_games.rulesets import (
     OrientedColoring,
     ProperColoring,
     SequentialColoring,
+    WeakColoring,
 )
 from reference import kayles_grundy, kayles_moves, ref_grundy
 from strategies import colored_graphs, graphs
@@ -224,6 +225,21 @@ def test_transposition_budget_enforced(monkeypatch):
     try:
         with pytest.raises(MemoryBudgetExceeded):
             grundy(Position.start(build_family("path", 41), 3, ProperColoring()))
+    finally:
+        clear_solver_cache()
+
+
+def test_budget_drops_other_tables_before_it_fires(monkeypatch):
+    clear_solver_cache()
+    monkeypatch.setenv(TT_BYTES_ENV, "2000000")
+    weak = WeakColoring()
+    try:
+        # 0.16 to 1.07 MB of table each, 3.0 MB together
+        for fam, n in (("path", 8), ("path", 9), ("path", 10), ("cycle", 9), ("cycle", 10)):
+            assert grundy(Position.start(build_family(fam, n), 2, weak)) == n % 2
+        with pytest.raises(MemoryBudgetExceeded):  # about 2.8 MB in one table
+            grundy(Position.start(build_family("path", 11), 2, weak))
+        assert grundy(Position.start(build_family("path", 3), 2, ProperColoring())) == 1
     finally:
         clear_solver_cache()
 

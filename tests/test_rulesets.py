@@ -1,5 +1,7 @@
 """Legality predicates, move legality, and outcome shortcuts."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,6 @@ from coloring_games.rulesets import (
     check_compatible,
     closed_form_outcome,
     is_legal_coloring,
-    move_ok,
     outcome_by_involution,
     translate_for_solving,
 )
@@ -153,7 +154,7 @@ def test_legality_matches_reference(data, token):
 @settings(max_examples=80)
 def test_move_ok_matches_full_recheck(data, token):
     g, k, coloring, order = data.draw(colored_graphs(token))
-    ruleset = _ruleset(token)
+    ruleset, solved_g = translate_for_solving(_ruleset(token), g)
     colors = [0 if c is None else c for c in coloring]
     painted = sum(1 for c in colors if c)
     if token == "sequential":
@@ -164,9 +165,58 @@ def test_move_ok_matches_full_recheck(data, token):
         for c in range(1, k + 1):
             after = list(coloring)
             after[v] = c
-            assert move_ok(ruleset, g, k, colors, v, c) == ref_legal(
+            assert ruleset.move_ok(solved_g, colors, v, c) == ref_legal(
                 token, g, k, after, order
             ), (g.edges, coloring, v, c)
+
+
+def _all_graphs(n, directed):
+    """Every labelled graph on n vertices; digraphs have no antiparallel arcs."""
+    pairs = list(itertools.combinations(range(n), 2))
+    choices = [(None, (u, v), (v, u)) if directed else (None, (u, v)) for u, v in pairs]
+    for pick in itertools.product(*choices):
+        yield make_graph(n, [e for e in pick if e], directed=directed)
+
+
+# k = 1..3 for proper and distance, so the palette 1..3 also meets colors out
+# of range; the fixed k for blue-red and weak; sequential's color rule is
+# proper's, so it runs at k = 2 and spends the time on every visit order
+EXHAUSTIVE_KS = {"proper": (1, 2, 3), "distance": (1, 2, 3), "oriented": (3,),
+                 "oriented-br": (2,), "weak": (2,), "sequential": (2,)}
+
+
+@pytest.mark.parametrize("token", TOKENS)
+def test_legality_exhaustive_against_reference(token):
+    """is_legal_coloring and every move_ok against ref_legal on every
+    labelled graph with n <= 4 and every coloring in the palette."""
+    checked = moves = 0
+    palette = (None, *range(1, max(EXHAUSTIVE_KS[token]) + 1))
+    for n in range(5):
+        orders = list(itertools.permutations(range(n))) if token == "sequential" else [None]
+        cols = list(itertools.product(palette, repeat=n))
+        for g in _all_graphs(n, token in ("oriented", "oriented-br")):
+            ruleset, solved_g = translate_for_solving(_ruleset(token), g)
+            for k, order in itertools.product(EXHAUSTIVE_KS[token], orders):
+                ref = {col: ref_legal(token, g, k, col, order) for col in cols}
+                for col, legal in ref.items():
+                    checked += 1
+                    assert is_legal_coloring(_ruleset(token), g, k, col, order) == legal, (
+                        g.edges, col)
+                    if not legal:
+                        continue
+                    colors = [0 if c is None else c for c in col]
+                    painted = n - col.count(None)
+                    if order is None:
+                        verts = [v for v in range(n) if col[v] is None]
+                    else:
+                        verts = order[painted:painted + 1]
+                    for v, c in itertools.product(verts, range(1, k + 1)):
+                        after = list(col)
+                        after[v] = c
+                        moves += 1
+                        assert ruleset.move_ok(solved_g, colors, v, c) == ref[tuple(after)], (
+                            g.edges, col, v, c)
+    assert checked > 1_000 and moves > 1_000
 
 
 # ---- involution shortcut ---------------------------------------------------------
