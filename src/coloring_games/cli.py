@@ -289,6 +289,7 @@ def cmd_sequential(args, out: TextIO) -> int:
         perm = list(range(g.n))
         random.Random(args.seed).shuffle(perm)
         order = tuple(perm)
+        del perm  # one copy of a million-entry order is enough
     else:
         order = _parse_order(args.order, g.n)
 

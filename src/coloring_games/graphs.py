@@ -1,17 +1,25 @@
 """Graph model, named graph families, involution search, and text serialization.
 
-Vertices are 0-based integers 0..n-1. Undirected edges are stored as
-(min, max) pairs, directed arcs as ordered (tail, head) pairs. Graphs are
-immutable and hashable so they can serve as transposition-table keys.
+Vertices are 0-based integers 0..n-1. A graph keeps its edges as sorted CSR
+(compressed sparse row) rows in array('q'): targets[offsets[v]:offsets[v+1]]
+lists v's row in ascending order. An undirected graph has one such pair, in
+which every edge sits in both endpoints' rows; a digraph has its out rows in
+offsets/targets and its in rows in in_offsets/in_targets. The edge set of
+(min, max) pairs or (tail, head) arcs, the adjacency tuples and the degrees
+are derived from the rows. Graphs are immutable and compare and hash by
+value, so they can serve as transposition-table keys.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
+from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from operator import add, mul, sub
+from typing import Iterable, Iterator, Sequence
 
 
 class UnknownFamilyError(ValueError):
@@ -26,83 +34,249 @@ class InvolutionSearchBudget(RuntimeError):
     """Exhaustive involution search would exceed its budget; existence unknown."""
 
 
-@dataclass(frozen=True)
+# ---- CSR rows ------------------------------------------------------------
+
+def _rows(n: int, keys: Sequence[int], vals: Iterable[int]) -> tuple[array, array]:
+    """Counting sort of (key, val) pairs into rows: row x lists, in input
+    order, the vals paired with key x. keys is read twice."""
+    count = [0] * n
+    for x in keys:
+        count[x] += 1
+    offsets = array("q", itertools.accumulate(count, initial=0))
+    del count
+    fill = offsets[:-1]
+    targets = array("q", [0]) * offsets[-1]
+    for x, y in zip(keys, vals):
+        p = fill[x]
+        targets[p] = y
+        fill[x] = p + 1
+    return offsets, targets
+
+
+def _row_ids(offsets: array) -> Iterator[int]:
+    """Each row's index, once per entry of the row."""
+    sizes = map(sub, itertools.islice(offsets, 1, None), offsets)
+    return itertools.chain.from_iterable(map(itertools.repeat, itertools.count(), sizes))
+
+
+def _row_tuples(offsets: array, targets: array) -> tuple[tuple[int, ...], ...]:
+    """Every row as a tuple."""
+    return tuple(
+        tuple(targets[lo:hi]) for lo, hi in zip(offsets, itertools.islice(offsets, 1, None))
+    )
+
+
+def _transpose(n: int, offsets: array, targets: array) -> tuple[array, array]:
+    """Rows of the reversed relation, each in ascending order."""
+    return _rows(n, targets, _row_ids(offsets))
+
+
+def _csr(
+    n: int, directed: bool, edges: Iterable[tuple[int, int]], canonical: bool
+) -> tuple[array, array, array | None, array | None]:
+    """Sorted rows without repeats: (offsets, targets, in_offsets, in_targets).
+
+    The in rows are None for an undirected graph. Undirected pairs are
+    turned to (min, max), or rejected when canonical is set.
+    """
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    ends = array("q")  # u0, v0, u1, v1, ...
+    push = ends.append
+    ordered = True  # pairs strictly increasing: sorted and without repeats
+    pu = pv = -1
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop on vertex {u}")
+        if not directed and u > v:
+            if canonical:
+                raise ValueError("undirected edges must be stored as (min, max)")
+            u, v = v, u
+        if u < pu or u == pu and v <= pv:
+            ordered = False
+        pu, pv = u, v
+        try:
+            push(u)
+            push(v)
+        except OverflowError:  # beyond 64 bits, so beyond any n
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}") from None
+    if ends and (min(ends) < 0 or max(ends) >= n):
+        it = iter(ends)
+        u, v = next((u, v) for u, v in zip(it, it) if not (0 <= u < n and 0 <= v < n))
+        raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+
+    if not ordered:
+        # sort the pairs and drop repeats, as one int key u * n + v per pair
+        tails = itertools.islice(ends, 0, None, 2)
+        heads = itertools.islice(ends, 1, None, 2)
+        keys = sorted(set(map(add, map(mul, tails, itertools.repeat(n)), heads)))
+        ends = array("q", itertools.chain.from_iterable(map(divmod, keys, itertools.repeat(n))))
+        del keys
+
+    # sorted pairs fill every row in ascending order
+    if directed:
+        out = _rows(n, ends[::2], itertools.islice(ends, 1, None, 2))
+        return (*out, *_transpose(n, *out))
+    swapped = zip(itertools.islice(ends, 1, None, 2), itertools.islice(ends, 0, None, 2))
+    return (*_rows(n, ends, itertools.chain.from_iterable(swapped)), None, None)
+
+
+# ---- graphs --------------------------------------------------------------
+
 class Graph:
-    """Immutable simple graph (no loops, no multi-edges)."""
+    """Immutable simple graph (no loops, no multi-edges) on sorted CSR rows.
+
+    offsets/targets hold the neighbour rows of an undirected graph and the
+    out rows of a digraph; in_offsets/in_targets hold a digraph's in rows and
+    are None for an undirected one. The arrays are read-only by contract.
+    Equality and hash look at n, directed and the rows, never at family.
+    """
 
     n: int
     directed: bool
-    edges: frozenset[tuple[int, int]]
     # family tag ("path", (5,)) set by build_family; identity only, not compared
-    family: tuple[str, tuple[int, ...]] | None = field(
-        default=None, compare=False, repr=False
-    )
+    family: tuple[str, tuple[int, ...]] | None
+    offsets: array
+    targets: array
+    in_offsets: array | None
+    in_targets: array | None
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
-            if u == v:
-                raise ValueError(f"self-loop on vertex {u}")
-            if not self.directed and u > v:
-                raise ValueError("undirected edges must be stored as (min, max)")
-        object.__setattr__(self, "_hash", hash((self.n, self.directed, self.edges)))
+    def __init__(
+        self,
+        n: int,
+        directed: bool,
+        edges: Iterable[tuple[int, int]],
+        family: tuple[str, tuple[int, ...]] | None = None,
+    ) -> None:
+        self._fill(n, directed, family, *_csr(n, directed, edges, canonical=True))
+
+    def _fill(
+        self,
+        n: int,
+        directed: bool,
+        family: tuple[str, tuple[int, ...]] | None,
+        offsets: array,
+        targets: array,
+        in_offsets: array | None,
+        in_targets: array | None,
+    ) -> None:
+        # __setattr__ refuses every assignment, so fill the instance dict
+        self.__dict__.update(
+            n=n,
+            directed=directed,
+            family=family,
+            offsets=offsets,
+            targets=targets,
+            in_offsets=in_offsets,
+            in_targets=in_targets,
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to Graph.{name}: graphs are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete Graph.{name}: graphs are immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.directed == other.directed
+            and self.offsets == other.offsets
+            and self.targets == other.targets
+        )
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
 
-    # ---- adjacency ----------------------------------------------------
+    @cached_property
+    def _hash(self) -> int:
+        # one digest of the rows, taken on first use; in rows follow from out rows
+        return hash((self.n, self.directed, self.offsets.tobytes(), self.targets.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n}, directed={self.directed}, edges={self.edges!r})"
+
+    # ---- derived views -------------------------------------------------
+
+    def _pairs(self) -> Iterator[tuple[int, int]]:
+        """Edges in ascending order: (min, max) pairs or (tail, head) arcs."""
+        pairs = zip(_row_ids(self.offsets), self.targets)
+        if self.directed:
+            return pairs
+        return ((u, v) for u, v in pairs if u < v)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edge set, built on first use."""
+        return frozenset(self._pairs())
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
         """Neighbors ignoring direction (union of in and out for digraphs)."""
-        lists: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            lists[u].append(v)
-            lists[v].append(u)
-        return tuple(tuple(sorted(set(l))) for l in lists)
+        if self.directed:
+            return tuple(
+                tuple(sorted({*o, *i})) for o, i in zip(self.out_adj, self.in_adj)
+            )
+        return _row_tuples(self.offsets, self.targets)
 
     @cached_property
     def out_adj(self) -> tuple[tuple[int, ...], ...]:
-        lists: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            lists[u].append(v)
-        return tuple(tuple(sorted(l)) for l in lists)
+        """Arc heads per tail; for an undirected graph, the neighbors above v."""
+        if self.directed:
+            return _row_tuples(self.offsets, self.targets)
+        off, tgt = self.offsets, self.targets
+        return tuple(
+            tuple(tgt[bisect_left(tgt, v, off[v], off[v + 1]) : off[v + 1]])
+            for v in range(self.n)
+        )
 
     @cached_property
     def in_adj(self) -> tuple[tuple[int, ...], ...]:
-        lists: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            lists[v].append(u)
-        return tuple(tuple(sorted(l)) for l in lists)
+        """Arc tails per head; for an undirected graph, the neighbors below v."""
+        if self.directed:
+            return _row_tuples(self.in_offsets, self.in_targets)
+        off, tgt = self.offsets, self.targets
+        return tuple(
+            tuple(tgt[off[v] : bisect_left(tgt, v, off[v], off[v + 1])])
+            for v in range(self.n)
+        )
 
     def has_edge(self, u: int, v: int) -> bool:
-        if self.directed:
-            return (u, v) in self.edges
-        return (min(u, v), max(u, v)) in self.edges
+        """Edge {u, v}, or arc (u, v) in a digraph: a bisect in u's row."""
+        if not 0 <= u < self.n:
+            return False
+        lo, hi = self.offsets[u], self.offsets[u + 1]
+        i = bisect_left(self.targets, v, lo, hi)
+        return i < hi and self.targets[i] == v
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        if self.directed:
+            return len(self.adj[v])
+        return self.offsets[v + 1] - self.offsets[v]
 
     def components(self) -> list[frozenset[int]]:
         """Connected components (weak components for digraphs)."""
-        seen = [False] * self.n
+        rows = [(self.offsets, self.targets)]
+        if self.directed:
+            rows.append((self.in_offsets, self.in_targets))
+        seen = bytearray(self.n)
         comps: list[frozenset[int]] = []
         for s in range(self.n):
             if seen[s]:
                 continue
             comp = []
             stack = [s]
-            seen[s] = True
+            seen[s] = 1
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for u in self.adj[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        stack.append(u)
+                for off, tgt in rows:
+                    for u in tgt[off[v] : off[v + 1]]:
+                        if not seen[u]:
+                            seen[u] = 1
+                            stack.append(u)
             comps.append(frozenset(comp))
         return comps
 
@@ -114,15 +288,12 @@ def make_graph(
     directed: bool = False,
     family: tuple[str, tuple[int, ...]] | None = None,
 ) -> Graph:
-    """Normalize an edge list (dedup, canonical order) and build a Graph."""
-
-    def normal(u: int, v: int) -> tuple[int, int]:
-        if u == v:
-            raise ValueError(f"self-loop on vertex {u}")
-        return (u, v) if directed or u < v else (v, u)
-
-    es = frozenset(normal(u, v) for u, v in edges)
-    return Graph(n=n, directed=directed, edges=es, family=family)
+    """Build a Graph from an edge iterable, turning undirected pairs to
+    (min, max) and dropping repeats. Raises ValueError on a self-loop or an
+    endpoint outside 0..n-1."""
+    g = object.__new__(Graph)
+    g._fill(n, directed, family, *_csr(n, directed, edges, canonical=False))
+    return g
 
 
 # ---- named families ----------------------------------------------------
@@ -155,7 +326,7 @@ def build_family(name: str, *params: int) -> Graph:
 
     if name == "path":
         (n,) = params
-        return make_graph(n, ((i, i + 1) for i in range(n - 1)), family=tag)
+        return make_graph(n, zip(range(n - 1), range(1, n)), family=tag)
     if name == "cycle":
         (n,) = params
         if n < 3:
@@ -185,7 +356,7 @@ def build_family(name: str, *params: int) -> Graph:
         return make_graph(n, edges, family=tag)
     if name == "directed_path":
         (n,) = params
-        return make_graph(n, ((i, i + 1) for i in range(n - 1)), directed=True, family=tag)
+        return make_graph(n, zip(range(n - 1), range(1, n)), directed=True, family=tag)
     if name == "directed_cycle":
         (n,) = params
         if n < 2:
@@ -615,7 +786,7 @@ def format_graph_text(doc: GraphDocument) -> str:
     ]
     if doc.k is not None:
         lines.append(f"k {doc.k}")
-    for u, v in sorted(g.edges):
+    for u, v in g._pairs():
         lines.append(f"edge {u} {v}")
     if doc.coloring is not None:
         for v, c in enumerate(doc.coloring):

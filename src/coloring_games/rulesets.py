@@ -16,7 +16,7 @@ color with the rest of the coloring as it stands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import ClassVar, Sequence
 
 from .graphs import (
@@ -71,25 +71,39 @@ class OrientedColoring:
     decomposition: ClassVar[str | None] = DECOMP_NONE
     needs_order: ClassVar[bool] = False
 
-    def move_ok(self, g: Graph, colors: list[int], v: int, c: int) -> bool:
-        new_pairs: list[tuple[int, int]] = []
+    def used_pairs(self, g: Graph, colors: list[int]) -> set[tuple[int, int]]:
+        """Color pairs on the arcs whose ends are both painted."""
+        return {(colors[x], colors[y]) for x, y in g.edges if colors[x] and colors[y]}
+
+    def move_ok(
+        self,
+        g: Graph,
+        colors: list[int],
+        v: int,
+        c: int,
+        used: set[tuple[int, int]] | None = None,
+    ) -> bool:
+        """used, when the caller has it, is used_pairs of the coloring with v
+        painted c, so that a whole coloring is checked on one set."""
+        rev = []  # v's new pairs, reversed
         for w in g.out_adj[v]:
-            if colors[w]:
-                if colors[w] == c:
+            h = colors[w]
+            if h:
+                if h == c:
                     return False
-                new_pairs.append((c, colors[w]))
+                rev.append((h, c))
         for u in g.in_adj[v]:
-            if colors[u]:
-                if colors[u] == c:
+            t = colors[u]
+            if t:
+                if t == c:
                     return False
-                new_pairs.append((colors[u], c))
-        if not new_pairs:
+                rev.append((c, t))
+        if not rev:
             return True
-        existing = {
-            (colors[x], colors[y]) for x, y in g.edges if colors[x] and colors[y]
-        }
-        existing.update(new_pairs)
-        return all((b, a) not in existing for a, b in new_pairs)
+        if used is None:
+            used = self.used_pairs(g, colors)
+            used.update((b, a) for a, b in rev)
+        return used.isdisjoint(rev)
 
 
 @dataclass(frozen=True)
@@ -253,10 +267,14 @@ def is_legal_coloring(
 
     ruleset, g = translate_for_solving(ruleset, g)
     colors = [0 if c is None else c for c in coloring]
+    move_ok = ruleset.move_ok
+    if isinstance(ruleset, OrientedColoring):
+        # every painted vertex is checked against one set of arc color pairs
+        move_ok = partial(move_ok, used=ruleset.used_pairs(g, colors))
     for v, c in enumerate(coloring):
         if c is not None:
             colors[v] = 0
-            ok = ruleset.move_ok(g, colors, v, c)
+            ok = move_ok(g, colors, v, c)
             colors[v] = c
             if not ok:
                 return False

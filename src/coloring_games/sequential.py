@@ -16,7 +16,8 @@ Turns are 0-based internally; the first player owns even turns.
 from __future__ import annotations
 
 from array import array
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from operator import sub
 from typing import Sequence
 
 from .graphs import Graph
@@ -38,34 +39,28 @@ _NOT_A_PATH = "graph is not a path (cycles and branches unsupported)"
 
 
 def path_walk(g: Graph) -> array:
-    """Vertex ids in path order. Raises for anything that is not a path."""
+    """Vertex ids in path order, read from the graph's rows. Raises for
+    anything that is not a path."""
     if g.directed:
         raise ValueError("sequential path analysis works on undirected paths")
     n = g.n
     if n == 1:
         return array("q", [0])
-    # two neighbour slots per vertex, -1 when empty
-    nbr = array("q", [-1]) * (2 * n)
-    deg = bytearray(n)
-    for u, v in g.edges:
-        du, dv = deg[u], deg[v]
-        if du == 2 or dv == 2:
-            raise ValueError(_NOT_A_PATH)
-        nbr[2 * u + du] = v
-        nbr[2 * v + dv] = u
-        deg[u] = du + 1
-        deg[v] = dv + 1
-    if deg.count(1) != 2:
+    off, nbr = g.offsets, g.targets
+    # degrees capped at 3, which is enough to reject a branch
+    deg = bytearray(map(min, map(sub, islice(off, 1, None), off), repeat(3)))
+    if 3 in deg or deg.count(1) != 2:
         raise ValueError(_NOT_A_PATH)
-    walk = array("q", bytes(8 * n))
+    walk = array("q", [0]) * n
     prev, cur = -1, deg.find(1)
     for i in range(n):
         if cur < 0:
             raise ValueError("graph is not a path (disconnected)")
         walk[i] = cur
-        nxt = nbr[2 * cur]
+        j = off[cur]
+        nxt = nbr[j]
         if nxt == prev:
-            nxt = nbr[2 * cur + 1]
+            nxt = nbr[j + 1] if deg[cur] == 2 else -1
         prev, cur = cur, nxt
     return walk
 
@@ -119,19 +114,21 @@ def decide_path(order: tuple[int, ...]) -> str:
     """Outcome on the path 0-1-...-(n-1) painted in the given vertex order."""
     n = len(order)
     check_order(n, order)
-    return _decide(range(n), order)
+    return _decide(_turns(range(n), order))
 
 
 def decide_outcome(g: Graph, order: tuple[int, ...]) -> str:
     """Outcome of the forced-order game on a path graph; O(n)."""
     walk = path_walk(g)
     check_order(g.n, order)
-    return _decide(walk, order)
-
-
-def _decide(walk: Sequence[int], order: tuple[int, ...]) -> str:
-    n = len(walk)
     t_of = _turns(walk, order)
+    del walk  # the sweep reads only the turns
+    return _decide(t_of)
+
+
+def _decide(t_of: array) -> str:
+    """Outcome from the paint turn of each path position."""
+    n = len(t_of)
     at = array("q", bytes(8 * n))  # path position by paint turn
     for i, t in enumerate(t_of):
         at[t] = i

@@ -278,3 +278,46 @@ def kayles_grundy(g: Graph, picked: frozenset[int] = frozenset(), _memo=None) ->
     r = mex(vals)
     _memo[picked] = r
     return r
+
+
+# ---- plain graph model ------------------------------------------------------
+
+class RefGraph:
+    """The graph contract on a plain frozenset of pairs, with every view
+    recomputed from the set on each call."""
+
+    def __init__(self, n: int, directed: bool, pairs) -> None:
+        edges = set()
+        for u, v in pairs:
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"bad edge ({u}, {v})")
+            edges.add((u, v) if directed or u < v else (v, u))
+        self.n, self.directed, self.edges = n, directed, frozenset(edges)
+
+    def out_adj(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(sorted(b for a, b in self.edges if a == v)) for v in range(self.n))
+
+    def in_adj(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(sorted(a for a, b in self.edges if b == v)) for v in range(self.n))
+
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(sorted(set(o) | set(i))) for o, i in zip(self.out_adj(), self.in_adj())
+        )
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return (u, v) in self.edges or (not self.directed and (v, u) in self.edges)
+
+    def components(self) -> set[frozenset[int]]:
+        comps, left = set(), set(range(self.n))
+        adj = self.adj()
+        while left:
+            comp, todo = set(), [min(left)]
+            while todo:
+                v = todo.pop()
+                if v not in comp:
+                    comp.add(v)
+                    todo.extend(adj[v])
+            comps.add(frozenset(comp))
+            left -= comp
+        return comps

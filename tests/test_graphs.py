@@ -25,6 +25,7 @@ from coloring_games.graphs import (
     parse_graph_text,
     power_graph,
 )
+from reference import RefGraph
 from strategies import graphs
 
 
@@ -58,6 +59,76 @@ def test_directed_adjacency_split():
 def test_components():
     g = make_graph(5, [(0, 1), (3, 4)])
     assert sorted(sorted(c) for c in g.components()) == [[0, 1], [2], [3, 4]]
+
+
+@st.composite
+def edge_lists(draw, max_n: int = 7):
+    """n, directedness and an edge list with repeats, reversed pairs,
+    digraph 2-cycles and isolated vertices; sometimes sorted."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    directed = draw(st.booleans())
+    pairs = []
+    if n >= 2:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1]
+        )
+        pairs = draw(st.lists(pair, max_size=3 * n))
+        if draw(st.booleans()):
+            pairs.sort()
+    return n, directed, pairs
+
+
+@settings(max_examples=300)
+@given(edge_lists(), st.randoms(use_true_random=False))
+def test_graph_contract_against_frozenset_model(case, rnd):
+    n, directed, pairs = case
+    g = make_graph(n, pairs, directed=directed)
+    ref = RefGraph(n, directed, pairs)
+    assert (g.n, g.directed, g.edges) == (ref.n, ref.directed, ref.edges)
+    assert g.adj == ref.adj()
+    assert g.out_adj == ref.out_adj()
+    assert g.in_adj == ref.in_adj()
+    assert [g.degree(v) for v in range(n)] == [len(a) for a in ref.adj()]
+    for u in range(-1, n + 1):
+        for v in range(-1, n + 1):
+            assert g.has_edge(u, v) == ref.has_edge(u, v), (u, v)
+    assert set(g.components()) == ref.components()
+    assert sorted(v for c in g.components() for v in c) == list(range(n))
+
+    # the same edge set in another order, with undirected pairs turned
+    # around at random, gives an equal graph with an equal hash
+    again = list(pairs)
+    rnd.shuffle(again)
+    if not directed:
+        again = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in again]
+    h = make_graph(n, again, directed=directed)
+    assert h == g and hash(h) == hash(g)
+    canonical = Graph(n=n, directed=directed, edges=ref.edges)
+    assert canonical == g and hash(canonical) == hash(g)
+
+    # dropping an edge, or flipping the kind of graph, breaks equality
+    if ref.edges:
+        fewer = sorted(ref.edges)[1:]
+        assert make_graph(n, fewer, directed=directed) != g
+    assert make_graph(n, ref.edges, directed=not directed) != g
+
+
+def test_graph_rejects_huge_and_negative_endpoints():
+    for bad in [(0, 2**70), (-1, 0), (0, -(2**70))]:
+        with pytest.raises(ValueError, match="out of range"):
+            make_graph(2, [bad])
+    with pytest.raises(ValueError, match="nonnegative"):
+        make_graph(-1, [])
+    with pytest.raises(GraphFormatError, match="out of range"):
+        parse_graph_text(f"graph undirected\nvertices 2\nedge 0 {2**70}\n")
+
+
+def test_graph_is_immutable():
+    g = build_family("path", 3)
+    with pytest.raises(AttributeError):
+        g.n = 4
+    with pytest.raises(AttributeError):
+        del g.targets
 
 
 # ---- families ----------------------------------------------------------------

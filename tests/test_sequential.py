@@ -196,6 +196,21 @@ def test_classify_reads_neighbour_turns():
                 assert labels[v] == expect, (n, o, v)
 
 
+def test_path_graph_memory_per_vertex():
+    n = 200_000
+    tracemalloc.start()
+    try:
+        g = build_family("path", n)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n == n
+    # CSR rows keep 8 B of offsets and 16 B of targets per vertex; a
+    # frozenset of edge tuples kept about 160
+    assert retained / n <= 40, retained / n
+    assert peak / n <= 64, peak / n
+
+
 def test_decide_outcome_memory_per_vertex():
     n = 200_000
     g = build_family("path", n)
