@@ -30,24 +30,21 @@ def main() -> int:
     ap.add_argument("--every", type=int, default=50_000, help="chunk size")
     args = ap.parse_args()
 
-    if os.path.exists(args.checkpoint):
-        table = op.load_table(args.checkpoint)
-        print(f"resuming from K={table.K}", file=sys.stderr)
-    else:
-        table = op.compute_tables(min(args.every, args.kmax))
-        op.save_table(table, args.checkpoint)
-
-    k0, t0 = table.K, time.perf_counter()
+    # the first table is the one loaded from the checkpoint or the first
+    # chunk; each later line gives the rate of its own chunk
+    table, t = None, time.perf_counter()
     try:
-        while table.K < args.kmax:
-            target = min(table.K + args.every, args.kmax)
-            table = op.extend_table(table, target)
-            op.save_table(table, args.checkpoint)
-            rate = (table.K - k0) / (time.perf_counter() - t0 + 1e-9)
-            print(f"K={table.K} ({rate:.0f} rows/s)", file=sys.stderr)
+        for chunk in op.grow_table(args.kmax, args.checkpoint, args.every):
+            now = time.perf_counter()
+            rate = ""
+            if table is not None:
+                rate = f" ({(chunk.K - table.K) / (now - t):.0f} rows/s)"
+            print(f"K={chunk.K}{rate}", file=sys.stderr)
+            table, t = chunk, now
     except MemoryBudgetExceeded as exc:
-        print(f"stopped at K={table.K}: {exc}", file=sys.stderr)
-        print(f"checkpoint retained: {args.checkpoint}", file=sys.stderr)
+        print(f"stopped at K={table.K if table is not None else 0}: {exc}", file=sys.stderr)
+        if table is not None:
+            print(f"checkpoint retained: {args.checkpoint}", file=sys.stderr)
         return 3
 
     zeros = op.enumerate_p_positions(table, op.CLASS_D)

@@ -15,19 +15,20 @@ Exit codes: 0 computed, 2 parse or usage error, 3 memory budget exceeded or
 search recursion too deep for the interpreter's stack (for example
 oriented-br on dpath:2500), 4 verification failure. All output is
 deterministic for fixed flags; the random suites demand an explicit --seed.
-The transposition table honours the COLORING_GAMES_TT_BYTES environment
-variable.
+The COLORING_GAMES_TT_BYTES environment variable caps the bytes of each
+graph, checked before it is built, and of the solver and class tables.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
 import random
 import sys
-from typing import TextIO
+from typing import ContextManager, TextIO
 
 from . import games, oriented_paths as op, reductions, sequential as seq
 from .games import Position
@@ -35,6 +36,7 @@ from .graphs import (
     Graph,
     GraphDocument,
     build_family,
+    check_order,
     connected_graph_census,
     format_graph_text,
     load_graph_file,
@@ -76,6 +78,11 @@ def _emit(record: dict, fmt: str, out: TextIO) -> None:
         elif isinstance(val, dict):
             val = " ".join(f"{k}={v}" for k, v in val.items())
         out.write(f"{key}: {val}\n")
+
+
+def _destination(path: str | None, out: TextIO) -> ContextManager[TextIO]:
+    """The file at path, opened for writing, or out when no path is given."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(out)
 
 
 # ---- shared input plumbing ------------------------------------------------
@@ -186,26 +193,6 @@ def _table_slice(table: op.GrundyTable, kmax: int) -> op.GrundyTable:
     )
 
 
-def _compute_with_checkpoint(kmax: int, checkpoint: str | None,
-                             step: int) -> op.GrundyTable:
-    """Grow the table, persisting after every chunk so a budget abort
-    still leaves a loadable file behind."""
-    table: op.GrundyTable | None = None
-    if checkpoint and os.path.exists(checkpoint):
-        table = op.load_table(checkpoint)
-    if not checkpoint:
-        if table is None:
-            return op.compute_tables(kmax)
-        return op.extend_table(table, kmax)
-    if table is None:
-        table = op.compute_tables(min(step, kmax))
-        op.save_table(table, checkpoint)
-    while table.K < kmax:
-        table = op.extend_table(table, min(table.K + step, kmax))
-        op.save_table(table, checkpoint)
-    return table
-
-
 def _summary(table: op.GrundyTable, kmax: int) -> dict:
     view = _table_slice(table, kmax)
     report = op.classify_rare_common(view)
@@ -218,16 +205,19 @@ def _summary(table: op.GrundyTable, kmax: int) -> dict:
 
 def cmd_grundy_seq(args, out: TextIO) -> int:
     try:
-        table = _compute_with_checkpoint(args.kmax, args.checkpoint,
-                                         args.checkpoint_every)
+        if args.checkpoint:
+            for table in op.grow_table(args.kmax, args.checkpoint,
+                                       args.checkpoint_every):
+                pass  # each chunk is saved before the next one starts
+        else:
+            table = op.compute_tables(args.kmax)
     except games.MemoryBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         if args.checkpoint and os.path.exists(args.checkpoint):
             print(f"checkpoint retained: {args.checkpoint}", file=sys.stderr)
         return EXIT_BUDGET
 
-    dest = open(args.out, "w", encoding="utf-8") if args.out else out
-    try:
+    with _destination(args.out, out) as dest:
         summary = _summary(table, args.kmax)
         if args.format == "json":
             for k in range(1, args.kmax + 1):
@@ -241,9 +231,6 @@ def cmd_grundy_seq(args, out: TextIO) -> int:
             dest.write("# summary "
                        + " ".join(f"{key}={val}" for key, val in summary.items())
                        + "\n")
-    finally:
-        if args.out:
-            dest.close()
     return EXIT_OK
 
 
@@ -268,7 +255,7 @@ def _parse_order(text: str, n: int) -> tuple[int, ...]:
     except ValueError as exc:
         raise CliError(f"bad --order {text!r}: expected vertex ids") from exc
     try:
-        seq.check_order(n, order)
+        check_order(n, order)
     except ValueError as exc:
         raise CliError("--order must be a permutation of all vertices") from exc
     return order
@@ -303,8 +290,6 @@ def cmd_sequential(args, out: TextIO) -> int:
     }
     code = EXIT_OK
     if args.check:
-        if g.n > seq.ORACLE_CAP:
-            raise CliError(f"--check needs n <= {seq.ORACLE_CAP}")
         oracle = seq.brute_force_outcome(g, order)
         record["check"] = "ok" if oracle == outcome else f"mismatch (oracle {oracle})"
         if oracle != outcome:
@@ -342,8 +327,6 @@ def cmd_reduce(args, out: TextIO) -> int:
     code = EXIT_OK
     verdict = None
     if args.verify:
-        if g.n > reductions.VERIFY_CAP:
-            raise CliError(f"--verify needs at most {reductions.VERIFY_CAP} vertices")
         report = reductions.verify_equivalence(
             Position.start(g, 1, ProperColoring()), inst)
         verdict = report
@@ -367,13 +350,9 @@ def cmd_reduce(args, out: TextIO) -> int:
                 record["reason"] = verdict.reason
         _emit(record, "json", out)
     else:
-        dest = open(args.out, "w", encoding="utf-8") if args.out else out
-        try:
+        with _destination(args.out, out) as dest:
             dest.write(text)
             dest.write(map_lines)
-        finally:
-            if args.out:
-                dest.close()
         if verdict is not None:
             line = "verified equivalent" if verdict.equivalent else \
                 f"NOT equivalent: {verdict.reason}"
@@ -417,8 +396,6 @@ def _suite_sequential(args) -> list[dict]:
     else:
         if args.seed is None:
             raise CliError("sampled sequential verification requires --seed")
-        if n > seq.ORACLE_CAP:
-            raise CliError(f"the brute-force oracle is capped at n={seq.ORACLE_CAP}")
         rng = random.Random(args.seed)
         samples = args.samples
         g = build_family("path", n)
@@ -438,8 +415,6 @@ def _suite_sequential(args) -> list[dict]:
 
 def _suite_reductions(args) -> list[dict]:
     n = args.n or 4
-    if n > reductions.VERIFY_CAP:
-        raise CliError(f"reduction verification is capped at n={reductions.VERIFY_CAP}")
     variants = [
         ("proper k=2", lambda g: reductions.reduce_to_proper_k(g, 2)),
         ("proper k=3", lambda g: reductions.reduce_to_proper_k(g, 3)),
@@ -576,6 +551,14 @@ def cmd_tables(args, out: TextIO) -> int:
 
 # ---- argument parsing -------------------------------------------------------
 
+def _positive(text: str) -> int:
+    """argparse type for size flags: an integer >= 1."""
+    with contextlib.suppress(ValueError):
+        if int(text) >= 1:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="output as key/value text or JSON lines")
@@ -618,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
     p.add_argument("--checkpoint", metavar="PATH",
                    help="binary table file to resume from and persist to")
-    p.add_argument("--checkpoint-every", type=int, default=4096, metavar="N",
+    p.add_argument("--checkpoint-every", type=_positive, default=4096, metavar="N",
                    help="chunk size between checkpoint saves")
     _add_format(p)
     p.set_defaults(func=cmd_grundy_seq)
@@ -655,11 +638,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an oracle-equivalence suite")
     p.add_argument("suite", choices=sorted(_SUITES))
-    p.add_argument("--n", type=int, help="size bound where the suite takes one")
-    p.add_argument("--kmax", type=int, help="length bound for the recursion suite")
+    p.add_argument("--n", type=_positive, help="size bound where the suite takes one")
+    p.add_argument("--kmax", type=_positive, help="length bound for the recursion suite")
     p.add_argument("--exhaustive", action="store_true",
                    help="all permutations instead of samples (sequential suite)")
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--samples", type=_positive, default=2000)
     p.add_argument("--seed", type=int)
     _add_format(p)
     p.set_defaults(func=cmd_verify)

@@ -20,19 +20,15 @@ raised only when the current table alone is over.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import rulesets as rs
-from .graphs import Graph
+from .graphs import TT_BYTES_ENV, Graph, MemoryBudgetExceeded, byte_budget
 from .rulesets import Ruleset, is_legal_coloring
 
 Nimber = int
 Coloring = tuple  # tuple[int | None, ...]
-
-TT_BYTES_ENV = "COLORING_GAMES_TT_BYTES"
-_DEFAULT_TT_BYTES = 1 << 30
 
 
 class IllegalColoringError(ValueError):
@@ -41,10 +37,6 @@ class IllegalColoringError(ValueError):
 
 class IllegalMoveError(ValueError):
     """Move is not legal in this position."""
-
-
-class MemoryBudgetExceeded(RuntimeError):
-    """Transposition table grew past the configured byte budget."""
 
 
 def mex(values: Iterable[int]) -> int:
@@ -139,10 +131,6 @@ def legal_moves(position: Position) -> list[Move]:
 
 def apply_move(position: Position, move: Move) -> Position:
     """Play a move, returning the resulting position."""
-    if not 0 <= move.vertex < position.graph.n:
-        raise IllegalMoveError(f"vertex {move.vertex} out of range")
-    if position.coloring[move.vertex] is not None:
-        raise IllegalMoveError(f"vertex {move.vertex} already painted")
     if move not in legal_moves(position):
         raise IllegalMoveError(f"{move} is not legal here")
     return _play(position, move)
@@ -162,20 +150,6 @@ def _play(position: Position, move: Move) -> Position:
 
 
 # ---- solver ----------------------------------------------------------------
-
-def byte_budget() -> int:
-    """Memory cap for solver tables, from COLORING_GAMES_TT_BYTES (default 1 GiB)."""
-    raw = os.environ.get(TT_BYTES_ENV)
-    if raw is None:
-        return _DEFAULT_TT_BYTES
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ValueError(f"{TT_BYTES_ENV} must be an integer, got {raw!r}") from None
-    if val <= 0:
-        raise ValueError(f"{TT_BYTES_ENV} must be positive")
-    return val
-
 
 class _Solver:
     def __init__(

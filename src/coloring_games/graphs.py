@@ -8,11 +8,18 @@ offsets/targets and its in rows in in_offsets/in_targets. The edge set of
 (min, max) pairs or (tail, head) arcs, the adjacency tuples and the degrees
 are derived from the rows. Graphs are immutable and compare and hash by
 value, so they can serve as transposition-table keys.
+
+Two input checks live here, the lowest module, so that every caller shares
+them: check_order for visit orders, and the byte budget read from
+COLORING_GAMES_TT_BYTES, which a graph's sizes are checked against before it
+is built and which the solver and class tables also count against.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import os
 from array import array
 from bisect import bisect_left
 from collections import deque
@@ -32,6 +39,51 @@ class GraphFormatError(ValueError):
 
 class InvolutionSearchBudget(RuntimeError):
     """Exhaustive involution search would exceed its budget; existence unknown."""
+
+
+class MemoryBudgetExceeded(RuntimeError):
+    """A graph, solver table or class table would pass the configured byte budget."""
+
+
+# ---- byte budget -----------------------------------------------------------
+
+TT_BYTES_ENV = "COLORING_GAMES_TT_BYTES"
+_DEFAULT_TT_BYTES = 1 << 30
+
+
+def byte_budget() -> int:
+    """Memory cap for graphs and tables, from COLORING_GAMES_TT_BYTES (default 1 GiB)."""
+    raw = os.environ.get(TT_BYTES_ENV)
+    if raw is None:
+        return _DEFAULT_TT_BYTES
+    try:
+        val = int(raw)
+    except ValueError:
+        raise ValueError(f"{TT_BYTES_ENV} must be an integer, got {raw!r}") from None
+    if val <= 0:
+        raise ValueError(f"{TT_BYTES_ENV} must be positive")
+    return val
+
+
+def _check_graph_budget(n: int, m: int, directed: bool, what: str) -> None:
+    """Refuse, before building it, a graph on at least n vertices and m edges
+    whose rows plus the endpoint buffer they are sorted from pass the budget."""
+    need = 8 * ((1 + directed) * (n + 1) + 4 * m)
+    if need > byte_budget():
+        raise MemoryBudgetExceeded(
+            f"{what} needs at least {need} bytes, over the configured budget"
+        )
+
+
+def check_order(n: int, order: Sequence[int]) -> None:
+    """Raise ValueError unless order is a permutation of 0..n-1."""
+    if len(order) != n:
+        raise ValueError("order must list every vertex exactly once")
+    seen = bytearray(n)
+    for v in order:
+        if not 0 <= v < n or seen[v]:
+            raise ValueError("order must list every vertex exactly once")
+        seen[v] = 1
 
 
 # ---- CSR rows ------------------------------------------------------------
@@ -104,6 +156,8 @@ def _csr(
         it = iter(ends)
         u, v = next((u, v) for u, v in zip(it, it) if not (0 <= u < n and 0 <= v < n))
         raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+    m = len(ends) // 2
+    _check_graph_budget(n, m, directed, f"a graph with {n} vertices and {m} edges")
 
     if not ordered:
         # sort the pairs and drop repeats, as one int key u * n + v per pair
@@ -322,47 +376,40 @@ def build_family(name: str, *params: int) -> Graph:
         raise ValueError(f"family {name!r} needs parameters")
     if any(p <= 0 for p in params):
         raise ValueError(f"family parameters must be positive, got {params}")
+    if name != "grid" and len(params) != 1:
+        raise ValueError(f"family {name!r} takes one parameter, got {len(params)}")
     tag = (name, tuple(params))
 
-    if name == "path":
-        (n,) = params
-        return make_graph(n, zip(range(n - 1), range(1, n)), family=tag)
-    if name == "cycle":
-        (n,) = params
-        if n < 3:
-            raise ValueError("undirected cycles need n >= 3")
-        return make_graph(n, ((i, (i + 1) % n) for i in range(n)), family=tag)
+    # each family gives its sizes and a lazy edge stream, and the sizes are
+    # checked before any edge is made; the exponent families stop counting at
+    # 2**64 vertices, past every budget, rather than build a huge integer
+    p = params[0]
+    directed = name.startswith("directed")
     if name == "grid":
-        dims = params
-        coords = list(itertools.product(*(range(d) for d in dims)))
-        index = {c: i for i, c in enumerate(coords)}
-        edges = []
-        for c in coords:
-            for axis in range(len(dims)):
-                if c[axis] + 1 < dims[axis]:
-                    d = list(c)
-                    d[axis] += 1
-                    edges.append((index[c], index[tuple(d)]))
-        return make_graph(len(coords), edges, family=tag)
-    if name == "hypercube":
-        (d,) = params
-        n = 1 << d
-        edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b)]
-        return make_graph(n, edges, family=tag)
-    if name == "complete_binary_tree":
-        (depth,) = params
-        n = (1 << (depth + 1)) - 1
-        edges = [((v - 1) // 2, v) for v in range(1, n)]
-        return make_graph(n, edges, family=tag)
-    if name == "directed_path":
-        (n,) = params
-        return make_graph(n, zip(range(n - 1), range(1, n)), directed=True, family=tag)
-    if name == "directed_cycle":
-        (n,) = params
-        if n < 2:
-            raise ValueError("directed cycles need n >= 2")
-        return make_graph(n, ((i, (i + 1) % n) for i in range(n)), directed=True, family=tag)
-    raise AssertionError("unreachable")
+        n = math.prod(params)
+        m = sum(n // d * (d - 1) for d in params)
+        # row-major ids: axis a steps by the product of the later dims
+        steps = [(math.prod(params[a + 1 :]), d) for a, d in enumerate(params)][::-1]
+        edges = ((v, v + s) for v in range(n) for s, d in steps if v // s % d < d - 1)
+    elif name == "hypercube":
+        n = 1 << min(p, 64)
+        m = min(p, 64) * n // 2
+        edges = ((v, v ^ (1 << b)) for v in range(n) for b in range(p) if v < v ^ (1 << b))
+    elif name == "complete_binary_tree":
+        n = (1 << min(p, 64) + 1) - 1
+        m = n - 1
+        edges = (((v - 1) // 2, v) for v in range(1, n))
+    elif name.endswith("cycle"):
+        n = m = p
+        if n < 3 - directed:
+            kind = "directed" if directed else "undirected"
+            raise ValueError(f"{kind} cycles need n >= {3 - directed}")
+        edges = ((i, (i + 1) % n) for i in range(n))
+    else:
+        n, m = p, p - 1
+        edges = zip(range(n - 1), range(1, n))
+    _check_graph_budget(n, m, directed, f"{name}:{','.join(map(str, params))}")
+    return make_graph(n, edges, directed=directed, family=tag)
 
 
 def parse_family_spec(spec: str) -> Graph:
@@ -510,14 +557,11 @@ class Involution:
 
 def is_automorphism(g: Graph, mapping: Sequence[int]) -> bool:
     """Check that mapping preserves the edge set (direction included)."""
-    if sorted(mapping) != list(range(g.n)):
+    try:
+        check_order(g.n, mapping)
+    except ValueError:
         return False
-    if g.directed:
-        return all((mapping[u], mapping[v]) in g.edges for u, v in g.edges)
-    return all(
-        (min(mapping[u], mapping[v]), max(mapping[u], mapping[v])) in g.edges
-        for u, v in g.edges
-    )
+    return all(g.has_edge(mapping[u], mapping[v]) for u, v in g._pairs())
 
 
 def _mode_ok(g: Graph, mapping: Sequence[int], mode: str) -> bool:
@@ -568,21 +612,21 @@ def _family_candidates(g: Graph) -> list[list[int]]:
     return out
 
 
-def find_involution(
-    g: Graph,
-    mode: str,
-    *,
-    exhaustive_cap: int = 24,
-    node_budget: int = 2_000_000,
-) -> Involution | None:
+# graphs above EXHAUSTIVE_CAP vertices are searched only through their
+# family reflections; the backtracking search stops after NODE_BUDGET nodes
+EXHAUSTIVE_CAP = 24
+NODE_BUDGET = 2_000_000
+
+
+def find_involution(g: Graph, mode: str) -> Involution | None:
     """Search for an involutive automorphism with the given fixed-point shape.
 
     mode is SINGLE_FIXED_POINT (exactly one fixed vertex, and v is never
     adjacent to its image, so a pairing strategy can always answer on the
     partner) or FIXED_POINT_FREE. Returns None only when nonexistence is
     proven; raises InvolutionSearchBudget when the search is cut short
-    (n above exhaustive_cap with no recognized family reflection, or the
-    backtracking node budget runs out).
+    (n above EXHAUSTIVE_CAP with no recognized family reflection, or the
+    backtracking search passes NODE_BUDGET nodes).
     """
     if mode not in _INVOLUTION_MODES:
         raise ValueError(f"unknown involution mode {mode!r}")
@@ -598,9 +642,9 @@ def find_involution(
         if is_automorphism(g, cand) and _mode_ok(g, cand, mode):
             return Involution.from_mapping(cand)
 
-    if g.n > exhaustive_cap:
+    if g.n > EXHAUSTIVE_CAP:
         raise InvolutionSearchBudget(
-            f"n={g.n} exceeds exhaustive cap {exhaustive_cap} and no canonical "
+            f"n={g.n} exceeds exhaustive cap {EXHAUSTIVE_CAP} and no canonical "
             "reflection applies"
         )
 
@@ -613,30 +657,22 @@ def find_involution(
     deg = [g.degree(v) for v in range(n)]
     nodes = 0
 
-    out_adj = g.out_adj if g.directed else None
-    in_adj = g.in_adj if g.directed else None
+    out_adj, in_adj = g.out_adj, g.in_adj
 
     def consistent(v: int) -> bool:
-        # all edges between v and matched vertices must map to edges
-        if g.directed:
-            for w in out_adj[v]:  # type: ignore[index]
-                if mapping[w] >= 0 and (mapping[v], mapping[w]) not in g.edges:
-                    return False
-            for w in in_adj[v]:  # type: ignore[index]
-                if mapping[w] >= 0 and (mapping[w], mapping[v]) not in g.edges:
-                    return False
-        else:
-            for w in g.adj[v]:
-                if mapping[w] >= 0 and not g.has_edge(mapping[v], mapping[w]):
-                    return False
-        return True
+        # all edges between v and matched vertices must map to edges; for an
+        # undirected graph out_adj and in_adj split v's neighbours in two
+        m = mapping[v]
+        return all(mapping[w] < 0 or g.has_edge(m, mapping[w]) for w in out_adj[v]) and all(
+            mapping[u] < 0 or g.has_edge(mapping[u], m) for u in in_adj[v]
+        )
 
     def rec(fixed_left: int) -> bool:
         nonlocal nodes
         nodes += 1
-        if nodes > node_budget:
+        if nodes > NODE_BUDGET:
             raise InvolutionSearchBudget(
-                f"involution search exceeded {node_budget} nodes on n={n}"
+                f"involution search exceeded {NODE_BUDGET} nodes on n={n}"
             )
         v = next((i for i in range(n) if mapping[i] < 0), -1)
         if v < 0:
@@ -683,9 +719,9 @@ class GraphDocument:
                 if c is not None and c < 1:
                     raise ValueError("colors are 1-based positive integers")
                 if c is not None and self.k is not None and c > self.k:
-                    raise ValueError(f"color {c} exceeds k={self.k}")
-        if self.order is not None and sorted(self.order) != list(range(n)):
-            raise ValueError("order must be a permutation of all vertices")
+                    raise ValueError(f"color {c} exceeds declared k={self.k}")
+        if self.order is not None:
+            check_order(n, self.order)
 
 
 def parse_graph_text(text: str) -> GraphDocument:
@@ -740,8 +776,6 @@ def parse_graph_text(text: str) -> GraphDocument:
                 raise fail("color arguments must be integers") from None
             if v in colors:
                 raise fail(f"duplicate color for vertex {v}")
-            if c < 1:
-                raise fail("colors are 1-based")
             colors[v] = c
         elif key == "k":
             if len(args) != 1 or not args[0].isdigit():
@@ -761,20 +795,16 @@ def parse_graph_text(text: str) -> GraphDocument:
         raise GraphFormatError("missing 'graph directed|undirected' line")
     if n is None:
         raise GraphFormatError("missing 'vertices <n>' line")
+    # the graph and the document check the rest; their ValueErrors are
+    # format errors here
     try:
         g = make_graph(n, edges, directed=directed)
+        if any(not 0 <= v < n for v in colors):
+            raise ValueError("color line names a vertex out of range")
+        coloring = tuple(colors.get(v) for v in range(n)) if colors else None
+        return GraphDocument(graph=g, k=k, coloring=coloring, order=order)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from exc
-    if any(not 0 <= v < n for v in colors):
-        raise GraphFormatError("color line names a vertex out of range")
-    if k is not None and any(c > k for c in colors.values()):
-        raise GraphFormatError("color exceeds declared k")
-    coloring = None
-    if colors:
-        coloring = tuple(colors.get(v) for v in range(n))
-    if order is not None and sorted(order) != list(range(n)):
-        raise GraphFormatError("order must list every vertex exactly once")
-    return GraphDocument(graph=g, k=k, coloring=coloring, order=order)
 
 
 def format_graph_text(doc: GraphDocument) -> str:

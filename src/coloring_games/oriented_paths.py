@@ -17,14 +17,15 @@ split for a computed table.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, TextIO
+from typing import BinaryIO, Iterator, TextIO
 
 import numpy as np
 
-from .games import MemoryBudgetExceeded, Move, Position, byte_budget
-from .graphs import build_family
+from .games import Move, Position
+from .graphs import MemoryBudgetExceeded, build_family, byte_budget
 from .rulesets import BLUE, RED, OrientedBlueRed
 
 CLASS_A = "A"
@@ -242,6 +243,25 @@ def _compute(base: GrundyTable | None, K: int) -> GrundyTable:
         gD[: base.K + 1] = base.gD
     _fill(gA, gC, gD, start, K)
     return GrundyTable(K=K, gA=gA, gC=gC, gD=gD)
+
+
+def grow_table(kmax: int, path: str, every: int) -> Iterator[GrundyTable]:
+    """Grow the tables to kmax in chunks of every lengths, resuming from the
+    table file at path when it exists and saving it after each chunk, so an
+    interrupted or budget-stopped run leaves a loadable file. Yields the
+    loaded table or first chunk, then the table after each save."""
+    if every < 1:
+        raise ValueError("chunk size must be >= 1")
+    if os.path.exists(path):
+        table = load_table(path)
+    else:
+        table = compute_tables(min(every, kmax))
+        save_table(table, path)
+    yield table
+    while table.K < kmax:
+        table = extend_table(table, min(table.K + every, kmax))
+        save_table(table, path)
+        yield table
 
 
 # ---- enumeration and classification reports ---------------------------------------

@@ -191,18 +191,20 @@ def verify_equivalence(original: Position, reduced: ReducedInstance) -> Equivale
             missing = set(orig_moves) - set(red_moves)
             return fail(f"move sets differ (extra {sorted(extra)}, missing {sorted(missing)})")
 
+        # the moves came from legal_moves, so _play needs no second legality pass
         for v, (orig_mv,) in orig_moves.items():
-            orig_next = games.apply_move(orig, orig_mv)
+            orig_next = games._play(orig, orig_mv)
             want = games.grundy(orig_next)
-            for red_mv in red_moves[v]:
-                red_next = games.apply_move(red, red_mv)
-                if games.grundy(red_next) != want:
+            red_next = [games._play(red, red_mv) for red_mv in red_moves[v]]
+            for red_mv, child in zip(red_moves[v], red_next):
+                got = games.grundy(child)
+                if got != want:
                     return fail(
                         f"move on vertex {v} color {red_mv.color} reaches grundy "
-                        f"{games.grundy(red_next)}, original reaches {want}"
+                        f"{got}, original reaches {want}"
                     )
             # all color choices are interchangeable; follow the first
-            if (orig_next.coloring, games.apply_move(red, red_moves[v][0]).coloring) not in seen:
-                stack.append((orig_next, games.apply_move(red, red_moves[v][0])))
+            if (orig_next.coloring, red_next[0].coloring) not in seen:
+                stack.append((orig_next, red_next[0]))
 
     return EquivalenceReport(True, None, pairs, g0, g1)

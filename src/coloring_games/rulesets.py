@@ -24,6 +24,7 @@ from .graphs import (
     SINGLE_FIXED_POINT,
     Graph,
     InvolutionSearchBudget,
+    check_order,
     find_involution,
     power_graph,
     underlying_graph,
@@ -226,8 +227,11 @@ def check_compatible(
         raise RulesetMismatchError(f"{ruleset.token} needs a visit order")
     if not ruleset.needs_order and order is not None:
         raise RulesetMismatchError(f"{ruleset.token} takes no visit order")
-    if order is not None and sorted(order) != list(range(g.n)):
-        raise RulesetMismatchError("order must be a permutation of the vertices")
+    if order is not None:
+        try:
+            check_order(g.n, order)
+        except ValueError as exc:
+            raise RulesetMismatchError(str(exc)) from None
 
 
 @lru_cache(maxsize=256)
@@ -288,9 +292,7 @@ OUTCOME_P = "P"
 OUTCOME_UNKNOWN = "unknown"
 
 
-def outcome_by_involution(
-    g: Graph, k: int, *, exhaustive_cap: int = 24, node_budget: int = 2_000_000
-) -> str:
+def outcome_by_involution(g: Graph, k: int) -> str:
     """Outcome of the uncolored proper-k game from involution pairing.
 
     A single-fixed-point involution whose pairs are never adjacent gives the
@@ -302,17 +304,13 @@ def outcome_by_involution(
     """
     g = underlying_graph(g)
     try:
-        if find_involution(
-            g, SINGLE_FIXED_POINT, exhaustive_cap=exhaustive_cap, node_budget=node_budget
-        ):
+        if find_involution(g, SINGLE_FIXED_POINT):
             return OUTCOME_N
     except InvolutionSearchBudget:
         pass
     if k == 2:
         try:
-            if find_involution(
-                g, FIXED_POINT_FREE, exhaustive_cap=exhaustive_cap, node_budget=node_budget
-            ):
+            if find_involution(g, FIXED_POINT_FREE):
                 return OUTCOME_P
         except InvolutionSearchBudget:
             pass

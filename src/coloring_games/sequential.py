@@ -20,7 +20,7 @@ from itertools import chain, islice, repeat
 from operator import sub
 from typing import Sequence
 
-from .graphs import Graph
+from .graphs import Graph, check_order
 
 SOURCE = "source"
 CLOSED = "closed"
@@ -63,17 +63,6 @@ def path_walk(g: Graph) -> array:
             nxt = nbr[j + 1] if deg[cur] == 2 else -1
         prev, cur = cur, nxt
     return walk
-
-
-def check_order(n: int, order: tuple[int, ...]) -> None:
-    """Raise ValueError unless order is a permutation of 0..n-1."""
-    if len(order) != n:
-        raise ValueError("order must be a permutation of the vertices")
-    seen = bytearray(n)
-    for v in order:
-        if not 0 <= v < n or seen[v]:
-            raise ValueError("order must be a permutation of the vertices")
-        seen[v] = 1
 
 
 def _turns(walk: Sequence[int], order: tuple[int, ...]) -> array:

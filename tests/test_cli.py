@@ -181,6 +181,9 @@ def test_sequential_usage_errors(capsys):
     assert run(capsys, "sequential", "--graph", "path:5")[0] == EXIT_USAGE
     assert run(capsys, "sequential", "--graph", "cycle:5",
                "--order", "random", "--seed", "1")[0] == EXIT_USAGE
+    # the oracle's own cap
+    assert run(capsys, "sequential", "--graph", "path:23", "--order", "random",
+               "--seed", "1", "--check")[0] == EXIT_USAGE
     for order in ("0 1 2", "0 1 2 3 3", "0 1 2 3 5", "-1 1 2 3 4"):
         assert main(["sequential", "--graph", "path:5", "--order", order]) == EXIT_USAGE
         assert capsys.readouterr().err == (
@@ -252,6 +255,9 @@ def test_verify_failure_exits_4(capsys, monkeypatch):
 
 def test_verify_sampled_needs_seed(capsys):
     assert run(capsys, "verify", "sequential", "--n", "9")[0] == EXIT_USAGE
+    # the oracle and census caps
+    assert run(capsys, "verify", "sequential", "--n", "23", "--seed", "1")[0] == EXIT_USAGE
+    assert run(capsys, "verify", "reductions", "--n", "7")[0] == EXIT_USAGE
     code, recs = run_json(capsys, "verify", "sequential", "--n", "9",
                           "--seed", "1", "--samples", "50")
     assert code == EXIT_OK
@@ -290,6 +296,42 @@ def test_argparse_usage_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag,argv", [
+    ("--n", ["verify", "sequential", "--n", "0", "--exhaustive"]),
+    ("--kmax", ["verify", "recursion", "--kmax", "0"]),
+    ("--samples", ["verify", "sequential", "--n", "5", "--seed", "1", "--samples", "-1"]),
+    ("--checkpoint-every", ["grundy-seq", "--kmax", "10", "--checkpoint", "c.bin",
+                            "--checkpoint-every", "0"]),
+])
+def test_size_flags_must_be_positive(capsys, monkeypatch, tmp_path, flag, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert f"argument {flag}: expected a positive integer" in capsys.readouterr().err
+
+
+def test_oversized_graphs_exit_3_before_building(capsys, monkeypatch, tmp_path):
+    def one_line_exit(argv, code):
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    huge = tmp_path / "huge.txt"
+    huge.write_text("graph undirected\nvertices 99999999999999999999\n")
+    one_line_exit(["solve", "--ruleset", "proper", "--k", "2", "--file", str(huge)], EXIT_BUDGET)
+    err = one_line_exit(["solve", "--ruleset", "proper", "--k", "2",
+                         "--graph", "path:3,4"], EXIT_USAGE)
+    assert "'path' takes one parameter" in err
+    # each needs over 100 kB of rows and has a closed form, so only the
+    # graph's own check can exit 3
+    monkeypatch.setenv(TT_BYTES_ENV, "100000")
+    for spec in ("path:5000", "hypercube:12", "grid:100,100"):
+        one_line_exit(["solve", "--ruleset", "proper", "--k", "2", "--graph", spec],
+                      EXIT_BUDGET)
 
 
 def test_console_script_entry_point():

@@ -221,10 +221,12 @@ def test_best_move_derives_moves_once_and_keeps_order(monkeypatch):
 
 def test_transposition_budget_enforced(monkeypatch):
     clear_solver_cache()
+    # built before the budget is set, which the graph alone would pass
+    pos = Position.start(build_family("path", 41), 3, ProperColoring())
     monkeypatch.setenv(TT_BYTES_ENV, "600")
     try:
         with pytest.raises(MemoryBudgetExceeded):
-            grundy(Position.start(build_family("path", 41), 3, ProperColoring()))
+            grundy(pos)
     finally:
         clear_solver_cache()
 

@@ -332,7 +332,7 @@ def test_involution_budget_raises_beyond_cap():
     # big untagged graph, no family shortcut: refuse rather than guess
     g = make_graph(30, [(i, i + 1) for i in range(29)])
     with pytest.raises(InvolutionSearchBudget):
-        find_involution(g, FIXED_POINT_FREE, exhaustive_cap=24)
+        find_involution(g, FIXED_POINT_FREE)
     # the same graph with its family tag is answered by the reflection
     assert find_involution(build_family("path", 30), FIXED_POINT_FREE) is not None
 

@@ -235,7 +235,7 @@ def test_outcome_by_involution_spots():
 
 def test_outcome_by_involution_budget_is_unknown():
     g = make_graph(30, [(i, i + 1) for i in range(29)])  # no family tag
-    assert outcome_by_involution(g, 2, exhaustive_cap=10) == OUTCOME_UNKNOWN
+    assert outcome_by_involution(g, 2) == OUTCOME_UNKNOWN
 
 
 # ---- closed forms ----------------------------------------------------------------
