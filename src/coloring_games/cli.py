@@ -193,8 +193,7 @@ def _table_slice(table: op.GrundyTable, kmax: int) -> op.GrundyTable:
     )
 
 
-def _summary(table: op.GrundyTable, kmax: int) -> dict:
-    view = _table_slice(table, kmax)
+def _summary(view: op.GrundyTable) -> dict:
     report = op.classify_rare_common(view)
     return {
         "d_p_positions": len(op.enumerate_p_positions(view, op.CLASS_D)),
@@ -217,8 +216,9 @@ def cmd_grundy_seq(args, out: TextIO) -> int:
             print(f"checkpoint retained: {args.checkpoint}", file=sys.stderr)
         return EXIT_BUDGET
 
+    view = _table_slice(table, args.kmax)
     with _destination(args.out, out) as dest:
-        summary = _summary(table, args.kmax)
+        summary = _summary(view)
         if args.format == "json":
             for k in range(1, args.kmax + 1):
                 dest.write(json.dumps(
@@ -226,8 +226,7 @@ def cmd_grundy_seq(args, out: TextIO) -> int:
                      "gD": int(table.gD[k])}, sort_keys=True) + "\n")
             dest.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
         else:
-            for k in range(1, args.kmax + 1):
-                dest.write(f"{k},{table.gA[k]},{table.gC[k]},{table.gD[k]}\n")
+            op.export_csv(view, dest)
             dest.write("# summary "
                        + " ".join(f"{key}={val}" for key, val in summary.items())
                        + "\n")

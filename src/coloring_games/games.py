@@ -8,9 +8,11 @@ for rules with global state. A part's value is the mex over its legal moves
 of the nim-sum of the parts the move leaves. The table key is the part plus
 the colors that can affect it, relabeled by first appearance for
 color-symmetric rulesets: the painted boundary of an uncolored component, or
-the part's own colors. Legal moves come from the ruleset's move_ok, through
-one generator shared with legal_moves. Distance games are solved as proper
-games on the power graph.
+the part's own colors. One move loop, shared with legal_moves, gives the
+legal moves: it binds the ruleset's rule to the coloring once per call
+(rulesets.move_rule) and, with a visit order, offers only the first
+uncolored vertex of the order. Distance games are solved as proper games on
+the power graph.
 
 Each solver counts the bytes of its own table against COLORING_GAMES_TT_BYTES,
 read when the solver is made. When the cached solvers together would pass it,
@@ -20,7 +22,7 @@ raised only when the current table alone is over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from . import rulesets as rs
@@ -106,15 +108,14 @@ def _moves(
     order: tuple[int, ...] | None,
     colors: list[int],
     part: Sequence[int],
-    painted: int,
 ) -> list[tuple[int, int]]:
     """Legal (vertex, color) moves on the uncolored vertices of part; with a
-    visit order only the next vertex in it may be painted."""
+    visit order only the first uncolored vertex of the order may be painted."""
     if order is not None:
-        verts: Sequence[int] = order[painted:painted + 1]
+        verts = [v for v in order if not colors[v]][:1]
     else:
         verts = [v for v in part if not colors[v]]
-    ok = ruleset.move_ok
+    ok = rs.move_rule(ruleset, graph, colors)
     return [(v, c) for v in verts for c in range(1, k + 1) if ok(graph, colors, v, c)]
 
 
@@ -124,8 +125,7 @@ def legal_moves(position: Position) -> list[Move]:
     colors = [0 if c is None else c for c in position.coloring]
     return [
         Move(v, c)
-        for v, c in _moves(ruleset, graph, position.k, position.order, colors,
-                           range(graph.n), position.painted_count)
+        for v, c in _moves(ruleset, graph, position.k, position.order, colors, range(graph.n))
     ]
 
 
@@ -140,13 +140,7 @@ def _play(position: Position, move: Move) -> Position:
     """The position after a move already known to be legal."""
     col = list(position.coloring)
     col[move.vertex] = move.color
-    return Position(
-        graph=position.graph,
-        k=position.k,
-        ruleset=position.ruleset,
-        coloring=tuple(col),
-        order=position.order,
-    )
+    return replace(position, coloring=tuple(col))
 
 
 # ---- solver ----------------------------------------------------------------
@@ -208,9 +202,7 @@ class _Solver:
 
     # -- the recursion --
 
-    def _solve(self, colors: list[int], part: tuple[int, ...], painted: int) -> int:
-        # painted is the number of painted vertices; only a visit order reads
-        # it, and an ordered game is one part, so it counts every vertex
+    def _solve(self, colors: list[int], part: tuple[int, ...]) -> int:
         if self.live:
             # every neighbor outside a live component is painted, so the
             # component fixes its boundary and only the boundary colors vary
@@ -224,12 +216,11 @@ class _Solver:
         if hit is not None:
             return hit
         opts = set()
-        for v, c in _moves(self.ruleset, self.graph, self.k, self.order,
-                           colors, part, painted):
+        for v, c in _moves(self.ruleset, self.graph, self.k, self.order, colors, part):
             colors[v] = c
             val = 0
             for rest in self._split(part, dropped=v) if self.live else (part,):
-                val ^= self._solve(colors, rest, painted + 1)
+                val ^= self._solve(colors, rest)
             opts.add(val)
             colors[v] = 0
         result = mex(opts)
@@ -253,14 +244,13 @@ class _Solver:
                 )
 
     def value(self, colors: list[int]) -> int:
-        painted = sum(1 for c in colors if c)
         if self.live:
             parts = self._split(v for v in range(self.graph.n) if not colors[v])
         else:
             parts = self.parts
         total = 0
         for part in parts:
-            total ^= self._solve(colors, part, painted)
+            total ^= self._solve(colors, part)
         return total
 
 

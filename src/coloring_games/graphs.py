@@ -464,23 +464,26 @@ def power_graph(g: Graph, d: int) -> Graph:
     """
     if d < 1:
         raise ValueError("power exponent must be >= 1")
-    edges = set()
-    for s in range(g.n):
-        # bounded BFS out to depth d
-        dist = {s: 0}
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            if dist[v] == d:
-                continue
-            for u in g.adj[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    q.append(u)
-        for v in dist:
-            if v != s:
-                edges.add((min(s, v), max(s, v)))
-    return make_graph(g.n, edges)
+
+    def pairs() -> Iterator[tuple[int, int]]:
+        # each source's pairs (s, v), v > s, in ascending order: make_graph
+        # then checks the budget on its endpoint buffer and needs no sort
+        for s in range(g.n):
+            # bounded BFS out to depth d
+            dist = {s: 0}
+            q = deque([s])
+            while q:
+                v = q.popleft()
+                if dist[v] == d:
+                    continue
+                for u in g.adj[v]:
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        q.append(u)
+            for v in sorted(v for v in dist if v > s):
+                yield s, v
+
+    return make_graph(g.n, pairs())
 
 
 def connected_graph_census(n: int) -> list[Graph]:

@@ -23,6 +23,7 @@ from .rulesets import (
     OrientedBlueRed,
     OrientedColoring,
     ProperColoring,
+    Ruleset,
 )
 
 VERIFY_CAP = 6
@@ -58,6 +59,22 @@ def _require_undirected(g: Graph) -> None:
         raise ValueError("reductions start from undirected Kayles instances")
 
 
+def _pinned_leaves(g: Graph, k: int, ruleset: Ruleset, directed: bool) -> ReducedInstance:
+    """Vertex v becomes hub v*k, joined to its neighbours' hubs lower id to
+    higher id (g.edges pairs are (min, max)), plus leaves v*k+i painted i for
+    i = 1..k-1, each joined from the hub."""
+    edges = [(u * k, w * k) for u, w in g.edges]
+    coloring: list[int | None] = [None] * (g.n * k)
+    for v in range(g.n):
+        for i in range(1, k):
+            edges.append((v * k, v * k + i))
+            coloring[v * k + i] = i
+    pos = Position.start(
+        make_graph(g.n * k, edges, directed=directed), k, ruleset, coloring=coloring
+    )
+    return ReducedInstance(pos, {v: v * k for v in range(g.n)})
+
+
 def reduce_to_proper_k(g: Graph, k: int) -> ReducedInstance:
     """Attach k-1 painted leaves to each vertex, pinning its color.
 
@@ -70,14 +87,7 @@ def reduce_to_proper_k(g: Graph, k: int) -> ReducedInstance:
     if k == 1:
         pos = Position.start(g, 1, ProperColoring())
         return ReducedInstance(pos, {v: v for v in range(g.n)})
-    edges = [(u * k, w * k) for u, w in g.edges]
-    coloring: list[int | None] = [None] * (g.n * k)
-    for v in range(g.n):
-        for i in range(1, k):
-            edges.append((v * k, v * k + i))
-            coloring[v * k + i] = i
-    pos = Position.start(make_graph(g.n * k, edges), k, ProperColoring(), coloring=coloring)
-    return ReducedInstance(pos, {v: v * k for v in range(g.n)})
+    return _pinned_leaves(g, k, ProperColoring(), directed=False)
 
 
 def reduce_to_oriented_k(g: Graph, k: int) -> ReducedInstance:
@@ -88,16 +98,7 @@ def reduce_to_oriented_k(g: Graph, k: int) -> ReducedInstance:
     _require_undirected(g)
     if k < 2:
         raise ValueError("the oriented reduction needs k >= 2")
-    arcs = [(min(u, w) * k, max(u, w) * k) for u, w in g.edges]
-    coloring: list[int | None] = [None] * (g.n * k)
-    for v in range(g.n):
-        for i in range(1, k):
-            arcs.append((v * k, v * k + i))
-            coloring[v * k + i] = i
-    pos = Position.start(
-        make_graph(g.n * k, arcs, directed=True), k, OrientedColoring(), coloring=coloring
-    )
-    return ReducedInstance(pos, {v: v * k for v in range(g.n)})
+    return _pinned_leaves(g, k, OrientedColoring(), directed=True)
 
 
 def reduce_to_oriented_br(g: Graph) -> ReducedInstance:

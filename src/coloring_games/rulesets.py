@@ -4,12 +4,14 @@ A ruleset decides which colorings are legal. Players alternately paint one
 uncolored vertex so that the coloring stays legal; the first player without a
 move loses. Colors are 1..k; in Blue/Red games Blue=1 and Red=2.
 
-Each ruleset states its rule once, as its move_ok(g, colors, v, c) method:
-may uncolored vertex v take color c, given a legal coloring in which 0 marks
-an uncolored vertex. Only the constraints touching v are checked. Distance
+Each ruleset states its rule once, as its move_ok method: may uncolored
+vertex v take color c, given a legal coloring in which 0 marks an uncolored
+vertex. Only the constraints touching v are checked. move_rule binds that
+method to one coloring, once, as the (g, colors, v, c) callable every caller
+uses; the oriented rule's set of used color pairs is built there. Distance
 games have no method of their own; translate_for_solving turns them into
 proper games on the power graph. is_legal_coloring checks a whole partial
-coloring with the same methods: every painted vertex must be able to take its
+coloring with the same rule: every painted vertex must be able to take its
 color with the rest of the coloring as it stands.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import ClassVar, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from .graphs import (
     FIXED_POINT_FREE,
@@ -77,34 +79,26 @@ class OrientedColoring:
         return {(colors[x], colors[y]) for x, y in g.edges if colors[x] and colors[y]}
 
     def move_ok(
-        self,
-        g: Graph,
-        colors: list[int],
-        v: int,
-        c: int,
-        used: set[tuple[int, int]] | None = None,
+        self, g: Graph, colors: list[int], v: int, c: int, used: set[tuple[int, int]]
     ) -> bool:
-        """used, when the caller has it, is used_pairs of the coloring with v
-        painted c, so that a whole coloring is checked on one set."""
-        rev = []  # v's new pairs, reversed
+        """used is the coloring's used_pairs, bound once per coloring by
+        move_rule; it may hold v's own arcs with v painted c. Those arcs
+        clash only with each other, when an in-neighbour and an out-neighbour
+        share a color t and the move makes both (t, c) and (c, t), so that
+        clash is rejected here rather than looked up."""
+        heads = set()
         for w in g.out_adj[v]:
             h = colors[w]
             if h:
-                if h == c:
+                if h == c or (h, c) in used:
                     return False
-                rev.append((h, c))
+                heads.add(h)
         for u in g.in_adj[v]:
             t = colors[u]
             if t:
-                if t == c:
+                if t == c or t in heads or (c, t) in used:
                     return False
-                rev.append((c, t))
-        if not rev:
-            return True
-        if used is None:
-            used = self.used_pairs(g, colors)
-            used.update((b, a) for a, b in rev)
-        return used.isdisjoint(rev)
+        return True
 
 
 @dataclass(frozen=True)
@@ -246,6 +240,19 @@ def translate_for_solving(ruleset: Ruleset, g: Graph) -> tuple[Ruleset, Graph]:
     return ruleset, g
 
 
+def move_rule(
+    ruleset: Ruleset, g: Graph, colors: list[int]
+) -> Callable[[Graph, list[int], int, int], bool]:
+    """The ruleset's move_ok(g, colors, v, c) bound to this coloring, for a
+    ruleset and graph already through translate_for_solving. Oriented's gets
+    the coloring's used pairs, built once here, so the callable answers for
+    this coloring only; clearing the vertex asked about is the one change
+    it allows."""
+    if isinstance(ruleset, OrientedColoring):
+        return partial(ruleset.move_ok, used=ruleset.used_pairs(g, colors))
+    return ruleset.move_ok
+
+
 # ---- whole-coloring legality ---------------------------------------------
 
 def is_legal_coloring(
@@ -271,10 +278,7 @@ def is_legal_coloring(
 
     ruleset, g = translate_for_solving(ruleset, g)
     colors = [0 if c is None else c for c in coloring]
-    move_ok = ruleset.move_ok
-    if isinstance(ruleset, OrientedColoring):
-        # every painted vertex is checked against one set of arc color pairs
-        move_ok = partial(move_ok, used=ruleset.used_pairs(g, colors))
+    move_ok = move_rule(ruleset, g, colors)
     for v, c in enumerate(coloring):
         if c is not None:
             colors[v] = 0

@@ -92,6 +92,13 @@ def test_legal_move_examples():
     )
     assert {m.vertex for m in legal_moves(seq)} == {1}
 
+    # the next vertex is the first uncolored one of the order
+    later = Position.start(
+        build_family("path", 3), 2, SequentialColoring(), order=(1, 0, 2),
+        coloring=(None, 1, None),
+    )
+    assert legal_moves(later) == [Move(0, 2)]
+
 
 def test_apply_move_and_errors():
     p = Position.start(build_family("path", 3), 2, ProperColoring())
@@ -167,6 +174,15 @@ def test_oriented_game_is_not_component_local():
     assert (a, b) == (1, 1)
     assert u == 1 != nim_sum(a, b)
     assert u == ref_grundy("oriented", union, 2, (1, None, None, 1))
+
+
+def test_oriented_move_between_equal_colors_is_refused():
+    """On 0 -> 1 -> 2 with both ends painted 1, vertex 1 painted c would make
+    both (1, c) and (c, 1), so it has no legal color."""
+    pos = Position.start(build_family("directed_path", 3), 3, OrientedColoring(),
+                         coloring=(1, None, 1))
+    assert all(m.vertex != 1 for m in legal_moves(pos))
+    assert grundy(pos) == ref_grundy("oriented", pos.graph, 3, pos.coloring)
 
 
 # ---- symmetry and determinism ------------------------------------------------------

@@ -1,6 +1,7 @@
 """Graph model, families, power graphs, involutions, and the text format."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,8 @@ from coloring_games.graphs import (
     GraphFormatError,
     Involution,
     InvolutionSearchBudget,
+    MemoryBudgetExceeded,
+    TT_BYTES_ENV,
     UnknownFamilyError,
     bfs_distances,
     build_family,
@@ -236,6 +239,22 @@ def test_power_graph_against_distance_oracle(g, d):
 def test_power_one_is_identity_and_powers_compose(g):
     assert power_graph(g, 1).edges == g.edges
     assert power_graph(power_graph(g, 2), 2).edges == power_graph(g, 4).edges
+
+
+def test_power_graph_refused_before_its_rows_are_built(monkeypatch):
+    """The 8th power of path:20000 has about 160,000 edges; under a 1 MB
+    budget it is refused from its endpoint buffer, without a set of pairs."""
+    g = build_family("path", 20000)
+    g.adj  # the source's rows are not the power graph's cost
+    monkeypatch.setenv(TT_BYTES_ENV, str(1 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetExceeded):
+            power_graph(g, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
 
 
 # ---- involutions ---------------------------------------------------------------

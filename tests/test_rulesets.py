@@ -25,6 +25,7 @@ from coloring_games.rulesets import (
     check_compatible,
     closed_form_outcome,
     is_legal_coloring,
+    move_rule,
     outcome_by_involution,
     translate_for_solving,
 )
@@ -161,11 +162,12 @@ def test_move_ok_matches_full_recheck(data, token):
         verts = [order[painted]] if painted < g.n else []
     else:
         verts = [v for v in range(g.n) if colors[v] == 0]
+    move_ok = move_rule(ruleset, solved_g, colors)
     for v in verts:
         for c in range(1, k + 1):
             after = list(coloring)
             after[v] = c
-            assert ruleset.move_ok(solved_g, colors, v, c) == ref_legal(
+            assert move_ok(solved_g, colors, v, c) == ref_legal(
                 token, g, k, after, order
             ), (g.edges, coloring, v, c)
 
@@ -187,7 +189,7 @@ EXHAUSTIVE_KS = {"proper": (1, 2, 3), "distance": (1, 2, 3), "oriented": (3,),
 
 @pytest.mark.parametrize("token", TOKENS)
 def test_legality_exhaustive_against_reference(token):
-    """is_legal_coloring and every move_ok against ref_legal on every
+    """is_legal_coloring and every move rule against ref_legal on every
     labelled graph with n <= 4 and every coloring in the palette."""
     checked = moves = 0
     palette = (None, *range(1, max(EXHAUSTIVE_KS[token]) + 1))
@@ -210,11 +212,12 @@ def test_legality_exhaustive_against_reference(token):
                         verts = [v for v in range(n) if col[v] is None]
                     else:
                         verts = order[painted:painted + 1]
+                    move_ok = move_rule(ruleset, solved_g, colors)
                     for v, c in itertools.product(verts, range(1, k + 1)):
                         after = list(col)
                         after[v] = c
                         moves += 1
-                        assert ruleset.move_ok(solved_g, colors, v, c) == ref[tuple(after)], (
+                        assert move_ok(solved_g, colors, v, c) == ref[tuple(after)], (
                             g.edges, col, v, c)
     assert checked > 1_000 and moves > 1_000
 
