@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -68,14 +69,23 @@ class CliError(Exception):
 
 # ---- output ---------------------------------------------------------------
 
+# list items per write in text output, so a million-entry order is never
+# joined into one string
+_CHUNK = 4096
+
+
 def _emit(record: dict, fmt: str, out: TextIO) -> None:
     if fmt == "json":
         out.write(json.dumps(record, sort_keys=True) + "\n")
         return
     for key, val in record.items():
         if isinstance(val, (list, tuple)):
-            val = " ".join(str(x) for x in val)
-        elif isinstance(val, dict):
+            out.write(f"{key}: ")
+            for i in range(0, len(val), _CHUNK):
+                out.write((" " if i else "") + " ".join(map(str, val[i : i + _CHUNK])))
+            out.write("\n")
+            continue
+        if isinstance(val, dict):
             val = " ".join(f"{k}={v}" for k, v in val.items())
         out.write(f"{key}: {val}\n")
 
@@ -272,10 +282,8 @@ def cmd_sequential(args, out: TextIO) -> int:
     elif args.order == "random":
         if args.seed is None:
             raise CliError("--order random requires --seed")
-        perm = list(range(g.n))
-        random.Random(args.seed).shuffle(perm)
-        order = tuple(perm)
-        del perm  # one copy of a million-entry order is enough
+        order = list(range(g.n))
+        random.Random(args.seed).shuffle(order)
     else:
         order = _parse_order(args.order, g.n)
 
@@ -283,7 +291,7 @@ def cmd_sequential(args, out: TextIO) -> int:
     record = {
         "graph": source,
         "n": g.n,
-        "order": list(order),
+        "order": order,
         "outcome": outcome,
         "winner": "first" if outcome == OUTCOME_N else "second",
     }
@@ -576,7 +584,10 @@ def _add_graph_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--file", metavar="PATH", help="graph text file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves no state in
+    it, and argparse looks up stdout and stderr when it writes."""
     parser = argparse.ArgumentParser(
         prog="coloring-games",
         description="Impartial graph coloring games: solving, path-class "

@@ -12,6 +12,10 @@ The fill reads every option family as slice views of the stored arrays and
 is O(K^2) in time. Observed values split into "rare" ones, members of a
 small XOR-closed set, and "common" ones; classify_rare_common reports that
 split for a computed table.
+
+The tables are numpy arrays, but numpy is imported on the first fill, load
+or report, not with this module: the engine, the searches and the CLI's other
+commands never pay for it.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator, TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, BinaryIO, Iterator, TextIO
 
 from .games import Move, Position
 from .graphs import MemoryBudgetExceeded, build_family, byte_budget
 from .rulesets import BLUE, RED, OrientedBlueRed
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CLASS_A = "A"
 CLASS_B = "B"
@@ -85,7 +90,7 @@ class GrundyTable:
 
     def __post_init__(self) -> None:
         for arr in (self.gA, self.gC, self.gD):
-            if arr.dtype != np.uint16 or arr.shape != (self.K + 1,):
+            if arr.dtype != "uint16" or arr.shape != (self.K + 1,):
                 raise ValueError("table arrays must be uint16 of length K+1")
 
     def value(self, klass: str, length: int) -> int:
@@ -157,11 +162,16 @@ def class_move_options(
 
 # ---- fill ----------------------------------------------------------------------
 
-def _mex(top: int, *families: np.ndarray) -> int:
+def _mex(seen: np.ndarray, top: int, *families: np.ndarray) -> int:
     """Least value in no option family, where every option is a XOR of table
-    values <= top, so every option lies below 1 << top.bit_length()."""
+    values <= top, so every option lies below 1 << top.bit_length().
+
+    seen is bool scratch space of at least 2**16 + 1 entries, enough for any
+    top that fits in 16 bits; one fill passes the same array to every call.
+    """
     bound = 1 << top.bit_length()
-    seen = np.zeros(bound + 1, dtype=bool)  # the mex is at most bound
+    seen = seen[: bound + 1]  # the mex is at most bound
+    seen[:] = False
     for opts in families:
         seen[opts] = True
     first = int(seen.argmin())
@@ -184,6 +194,9 @@ def _fill(gA: np.ndarray, gC: np.ndarray, gD: np.ndarray, start: int, K: int) ->
     class feeds the next one at the same length (C_k into A_k, A_k into D_k),
     so the mex bound is taken again before each class.
     """
+    import numpy as np
+
+    seen = np.zeros((1 << 16) + 1, dtype=bool)
     n = gA.size
     rA, rC, rD = gA[::-1], gC[::-1], gD[::-1]
     top = max(int(gA[:start].max()), int(gC[:start].max()), int(gD[:start].max()))
@@ -191,11 +204,12 @@ def _fill(gA: np.ndarray, gC: np.ndarray, gD: np.ndarray, start: int, K: int) ->
         r = n - k
         # C_k: Blue on v_i leaves A_{i-2} + C_{k+1-i} and Red on v_i leaves
         # C_i + A_{k-1-i}; both are the splits A_j + C_{k-1-j}, 1 <= j <= k-3
-        gC[k] = _mex(top, _splits(gA, rC, r, 1, k - 3))
+        gC[k] = _mex(seen, top, _splits(gA, rC, r, 1, k - 3))
         top = max(top, int(gC[k]))
         # A_k: Blue leaves A_{i-2} + A_{k+1-i}; Red leaves C_i + D_{k-1-i},
         # which is C_k alone for Red on v_k (k > 1)
         gA[k] = _mex(
+            seen,
             top,
             _splits(gA, rA, r, 1, k - 2),
             _splits(gC, rD, r, 2, k - 1),
@@ -205,7 +219,7 @@ def _fill(gA: np.ndarray, gC: np.ndarray, gD: np.ndarray, start: int, K: int) ->
         # D_k: Blue leaves D_{i-2} + A_{k+1-i} and Red leaves A_i + D_{k-1-i};
         # both are the splits D_j + A_{k-1-j}, 0 <= j <= k-2, or A_k alone
         # (D_0 is the empty path)
-        gD[k] = _mex(top, _splits(gD, rA, r, 0, k - 2), gA[k : k + 1])
+        gD[k] = _mex(seen, top, _splits(gD, rA, r, 0, k - 2), gA[k : k + 1])
         top = max(top, int(gD[k]))
 
 
@@ -232,6 +246,8 @@ def extend_table(table: GrundyTable, K: int) -> GrundyTable:
 
 
 def _compute(base: GrundyTable | None, K: int) -> GrundyTable:
+    import numpy as np
+
     _check_budget(K)
     start = (base.K if base else 0) + 1
     gA = np.zeros(K + 1, dtype=np.uint16)
@@ -291,6 +307,8 @@ class RareCommonReport:
 
 
 def classify_rare_common(table: GrundyTable) -> RareCommonReport:
+    import numpy as np
+
     counts: dict[int, int] = {}
     largest: dict[str, int] = {}
     for name, arr, lo in ((CLASS_A, table.gA, 1), (CLASS_C, table.gC, 2), (CLASS_D, table.gD, 1)):
@@ -358,6 +376,8 @@ def save_table(table: GrundyTable, dest: str | BinaryIO) -> None:
 
 
 def load_table(src: str | BinaryIO) -> GrundyTable:
+    import numpy as np
+
     if isinstance(src, str):
         with open(src, "rb") as fh:
             raw = fh.read()

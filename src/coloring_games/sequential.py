@@ -65,7 +65,7 @@ def path_walk(g: Graph) -> array:
     return walk
 
 
-def _turns(walk: Sequence[int], order: tuple[int, ...]) -> array:
+def _turns(walk: Sequence[int], order: Sequence[int]) -> array:
     """Paint turn by path position."""
     turn = array("q", bytes(8 * len(order)))  # by vertex id
     for t, v in enumerate(order):
@@ -106,7 +106,7 @@ def decide_path(order: tuple[int, ...]) -> str:
     return _decide(_turns(range(n), order))
 
 
-def decide_outcome(g: Graph, order: tuple[int, ...]) -> str:
+def decide_outcome(g: Graph, order: Sequence[int]) -> str:
     """Outcome of the forced-order game on a path graph; O(n)."""
     walk = path_walk(g)
     check_order(g.n, order)
@@ -159,7 +159,7 @@ def _decide(t_of: array) -> str:
     return OUTCOME_N if n % 2 else OUTCOME_P
 
 
-def brute_force_outcome(g: Graph, order: tuple[int, ...]) -> str:
+def brute_force_outcome(g: Graph, order: Sequence[int]) -> str:
     """Exhaustive play-out oracle, independent of the elimination algorithm."""
     if g.n > ORACLE_CAP:
         raise ValueError(f"brute force oracle is capped at {ORACLE_CAP} vertices")

@@ -1,12 +1,29 @@
 """End-to-end command line behavior: records, exit codes, file round trips."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from coloring_games.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from coloring_games.cli import (
+    EXIT_BUDGET,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY,
+    _emit,
+    build_parser,
+    main,
+)
 from coloring_games.games import TT_BYTES_ENV
 from coloring_games.graphs import parse_graph_text
+
+from reference import naive_tables
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -335,11 +352,72 @@ def test_oversized_graphs_exit_3_before_building(capsys, monkeypatch, tmp_path):
 
 
 def test_console_script_entry_point():
-    import subprocess
-    import sys
     proc = subprocess.run(
         [sys.executable, "-m", "coloring_games.cli", "grundy-seq", "--kmax", "3"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "1,0,0,1"
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run the interpreter in a new process with the package on its path."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    proc = fresh_python("-c", "import sys, coloring_games.cli; "
+                              "print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_commands_off_the_tables_run_without_numpy():
+    # a None entry makes every import of numpy raise ImportError
+    proc = fresh_python("-c", """
+import sys
+sys.modules["numpy"] = None
+from coloring_games.cli import main
+codes = [main(argv) for argv in (
+    ["solve", "--ruleset", "proper", "--k", "2", "--graph", "grid:3,3"],
+    ["sequential", "--graph", "path:9", "--order", "random", "--seed", "1"],
+    ["reduce", "--from", "kayles", "--to", "proper", "--k", "2",
+     "--graph", "path:3", "--verify"],
+)]
+print(codes)
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0]"
+    assert "verified equivalent" in proc.stderr
+
+
+def test_grundy_seq_loads_numpy_for_the_fill():
+    proc = fresh_python("-m", "coloring_games.cli", "grundy-seq", "--kmax", "50")
+    assert proc.returncode == 0, proc.stderr
+    rows = [tuple(map(int, line.split(","))) for line in proc.stdout.splitlines()[:-1]]
+    gA, gC, gD = naive_tables(50)
+    assert rows == [(k, gA[k], gC[k], gD[k]) for k in range(1, 51)]
+
+
+def test_cached_parser_carries_nothing_between_calls(capsys):
+    assert build_parser() is build_parser()
+    argv = ("solve", "--ruleset", "proper", "--k", "2", "--graph", "cycle:8")
+    _, recs = run_json(capsys, *argv, "--method", "search")
+    assert recs[0]["method"] == "search"
+    _, recs = run_json(capsys, *argv)
+    assert recs[0]["method"] == "closed-form"  # auto tries the closed form first
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--ruleset", "bogus", "--graph", "path:3"])
+    assert exc.value.code == EXIT_USAGE
+    code, out = run(capsys, *argv)
+    assert code == EXIT_OK and "method: closed-form" in out
+
+
+@pytest.mark.parametrize("val", [list(range(10_000)), (5, 3, 4), []])
+def test_text_lists_print_as_one_join(val):
+    # 10,000 items cross the write chunk boundary
+    out = io.StringIO()
+    _emit({"key": val, "n": 1}, "text", out)
+    assert out.getvalue() == "key: " + " ".join(str(x) for x in val) + "\nn: 1\n"
