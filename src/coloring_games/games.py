@@ -5,24 +5,31 @@ splits into independent parts when the ruleset allows it: components of the
 uncolored subgraph for purely local rules (re-split after every move), the
 whole-graph components for the weak rule, and one part holding every vertex
 for rules with global state. A part's value is the mex over its legal moves
-of the nim-sum of the parts the move leaves. The table key is the part plus
-the colors that can affect it, relabeled by first appearance for
-color-symmetric rulesets: the painted boundary of an uncolored component, or
-the part's own colors. One move loop, shared with legal_moves, gives the
-legal moves: it binds the ruleset's rule to the coloring once per call
-(rulesets.move_rule) and, with a visit order, offers only the first
-uncolored vertex of the order. Distance games are solved as proper games on
-the power graph.
+of the nim-sum of the parts the move leaves. A part is an int vertex mask
+(bit v for vertex v), split by a flood fill over per-vertex neighbour masks.
+The table key is one int: the part's lowest vertex and span, its mask
+shifted down to bit 0, and the colors that can affect the part, packed in
+base k+1 in ascending vertex order and relabeled by first appearance for
+color-symmetric rulesets. Those colors are the painted boundary of an
+uncolored component, or else the part's own colors; the part fixes how many
+there are, so keys never collide.
+One move loop, shared with legal_moves, gives the legal moves: it binds the
+ruleset's rule to the coloring once per call (rulesets.move_rule) and, with a
+visit order, offers only the first uncolored vertex of the order. Distance
+games are solved as proper games on the power graph.
 
 Each solver counts the bytes of its own table against COLORING_GAMES_TT_BYTES,
-read when the solver is made. When the cached solvers together would pass it,
-the tables of the other solvers are dropped first; MemoryBudgetExceeded is
-raised only when the current table alone is over.
+read when the solver is made: per entry, the key's size plus a dict slot.
+When the cached solvers together would pass it, the tables of the other
+solvers are dropped first; MemoryBudgetExceeded is raised only when the
+current table alone is over.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Iterable, Sequence
 
 from . import rulesets as rs
@@ -145,6 +152,30 @@ def _play(position: Position, move: Move) -> Position:
 
 # ---- solver ----------------------------------------------------------------
 
+def _mask(n: int, verts: Iterable[int]) -> int:
+    """The n-bit vertex mask of verts, from one string of binary digits."""
+    digits = bytearray(b"0" * n)
+    for v in verts:
+        digits[n - 1 - v] = 49  # ord("1")
+    return int(digits or b"0", 2)
+
+
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digits to 0/1 flags
+
+
+class _NeighbourMasks(dict):
+    """Vertex -> mask of its neighbours, made on first use: a mask is as wide
+    as its highest vertex, so a search that never reaches most vertices of a
+    large graph must not build them all."""
+
+    def __init__(self, adj: tuple[tuple[int, ...], ...]) -> None:
+        self.adj = adj
+
+    def __missing__(self, v: int) -> int:
+        m = self[v] = sum(1 << u for u in self.adj[v])
+        return m
+
+
 class _Solver:
     def __init__(
         self, graph: Graph, k: int, ruleset: Ruleset, order: tuple[int, ...] | None
@@ -152,74 +183,109 @@ class _Solver:
         self.ruleset, self.graph = rs.translate_for_solving(ruleset, graph)
         self.k = k
         self.order = order
-        self.adj = self.graph.adj
+        n = self.n = self.graph.n
+        self.field = n.bit_length()  # bits that hold a vertex number or a count of them
+        self.ids = list(range(n))  # one int object per vertex, shared by all vertex lists
+        self.nbr = _NeighbourMasks(self.graph.adj)
         self.symmetric = self.ruleset.color_symmetric
         self.live = self.ruleset.decomposition == rs.DECOMP_LIVE
         if self.ruleset.decomposition == rs.DECOMP_GRAPH:
-            self.parts = sorted(tuple(sorted(c)) for c in self.graph.components())
+            fixed = sorted(tuple(sorted(c)) for c in self.graph.components())
         else:
-            self.parts = [tuple(range(self.graph.n))]
-        self.table: dict[tuple, int] = {}
+            fixed = [self.ids]
+        # the parts of a ruleset that does not split on the coloring:
+        # mask -> its vertices, ascending
+        self.parts = {_mask(n, verts): verts for verts in fixed if verts}
+        self.table: dict[int, int] = {}
         self.budget = byte_budget()
         self.bytes = 0
 
-    # -- keys --
+    def _verts(self, mask: int) -> list[int]:
+        """The vertices of mask, ascending, picked from its binary digits by
+        C-level iteration from its lowest vertex on, so a wide mask costs no
+        big-int step per vertex and a narrow one far from vertex 0 no scan
+        of the vertices below it."""
+        if not mask:
+            return []
+        lo = (mask & -mask).bit_length() - 1
+        digits = f"{mask >> lo:b}".encode().translate(_DIGIT_FLAGS)[::-1]
+        return list(compress(self.ids[lo:lo + len(digits)], digits))
 
-    def _canon(self, colors: tuple[int, ...]) -> tuple[int, ...]:
-        if not self.symmetric:
-            return colors
-        perm: dict[int, int] = {}
-        out = []
-        for c in colors:
-            if c == 0:
-                out.append(0)
-                continue
-            m = perm.get(c)
-            if m is None:
-                m = perm[c] = len(perm) + 1
-            out.append(m)
-        return tuple(out)
-
-    def _split(self, verts: Iterable[int], dropped: int = -1) -> list[tuple[int, ...]]:
-        """Connected components of verts (minus dropped), each sorted."""
-        remaining = set(verts)
-        remaining.discard(dropped)
+    def _split(self, rest: int, seeds: int) -> list[int]:
+        """Connected components of the vertex mask rest, given that each one
+        holds a vertex of seeds. A flood fill grows from the lowest seed by
+        neighbour masks; it stops once it holds every seed left, since all
+        of rest is then one component."""
+        nbr = self.nbr
         comps = []
-        while remaining:
-            start = min(remaining)
-            comp = [start]
-            remaining.remove(start)
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for u in self.adj[x]:
-                    if u in remaining:
-                        remaining.remove(u)
-                        comp.append(u)
-                        stack.append(u)
-            comps.append(tuple(sorted(comp)))
+        while seeds & (seeds - 1):  # two seeds or more
+            edge = seeds & -seeds  # the vertices the fill reached last
+            left = rest ^ edge  # the vertices it has not reached
+            seeds ^= edge
+            while edge and seeds:
+                grow = 0
+                while edge:
+                    low = edge & -edge
+                    grow |= nbr[low.bit_length() - 1]
+                    edge ^= low
+                edge = grow & left
+                left ^= edge
+                seeds &= left
+            if not seeds:
+                break
+            comps.append(rest ^ left)
+            rest = left
+        if rest:
+            comps.append(rest)
         return comps
 
     # -- the recursion --
 
-    def _solve(self, colors: list[int], part: tuple[int, ...]) -> int:
+    def _key(self, colors: list[int], part: int) -> int:
+        """One int for the part and the colors that can affect it. From the
+        low end: the part's lowest vertex lo and its span w in fields of
+        n.bit_length() bits, the part's mask shifted down by lo (w bits),
+        and the colors in ascending vertex order, packed in base k+1 and
+        relabeled by first appearance when the ruleset is color-symmetric.
+        The colors are the painted boundary of a live part, which the part
+        fixes, or else the part's own colors, so the part fixes how many
+        there are. The key is as wide as the part's span, not as the graph."""
         if self.live:
             # every neighbor outside a live component is painted, so the
             # component fixes its boundary and only the boundary colors vary
-            seen: Iterable[int] = sorted(
-                {u for v in part for u in self.adj[v] if colors[u]}
-            )
+            nbr = self.nbr
+            reach = 0
+            for v in self._verts(part):
+                reach |= nbr[v]
+            seen = self._verts(reach & ~part)
         else:
-            seen = part
-        key = (part, self._canon(tuple(colors[u] for u in seen)))
+            seen = self.parts[part]
+        base = self.k + 1
+        packed = 0
+        if self.symmetric:
+            relabel = {0: 0}
+            for u in seen:
+                packed = packed * base + relabel.setdefault(colors[u], len(relabel))
+        else:
+            for u in seen:
+                packed = packed * base + colors[u]
+        lo = (part & -part).bit_length() - 1
+        rel = part >> lo
+        w = rel.bit_length()
+        return lo | w << self.field | (rel | packed << w) << 2 * self.field
+
+    def _solve(self, colors: list[int], part: int) -> int:
+        key = self._key(colors, part)
         hit = self.table.get(key)
         if hit is not None:
             return hit
         opts = set()
-        for v, c in _moves(self.ruleset, self.graph, self.k, self.order, colors, part):
+        for v, c in _moves(self.ruleset, self.graph, self.k, self.order, colors,
+                           self._verts(part)):
             colors[v] = c
             val = 0
-            for rest in self._split(part, dropped=v) if self.live else (part,):
+            rests = self._split(part ^ 1 << v, self.nbr[v] & part) if self.live else (part,)
+            for rest in rests:
                 val ^= self._solve(colors, rest)
             opts.add(val)
             colors[v] = 0
@@ -228,10 +294,9 @@ class _Solver:
         self.table[key] = result
         return result
 
-    def _charge(self, key: tuple) -> None:
+    def _charge(self, key: int) -> None:
         global _used
-        # rough estimate: dict slot + key tuples + 8 bytes per color
-        cost = 120 + 8 * len(key[1])
+        cost = sys.getsizeof(key) + _SLOT_BYTES
         self.bytes += cost
         _used += cost
         if _used > self.budget:
@@ -245,7 +310,8 @@ class _Solver:
 
     def value(self, colors: list[int]) -> int:
         if self.live:
-            parts = self._split(v for v in range(self.graph.n) if not colors[v])
+            free = _mask(self.n, (v for v in range(self.n) if not colors[v]))
+            parts = self._split(free, free)
         else:
             parts = self.parts
         total = 0
@@ -255,6 +321,7 @@ class _Solver:
 
 
 _SOLVERS: dict[tuple, _Solver] = {}
+_SLOT_BYTES = 48  # a table entry besides its key: the dict's entry and index at average fill
 _used = 0  # bytes charged by the tables of the solvers in _SOLVERS
 
 

@@ -57,7 +57,7 @@ class ProperColoring:
     needs_order: ClassVar[bool] = False
 
     def move_ok(self, g: Graph, colors: list[int], v: int, c: int) -> bool:
-        return all(colors[u] != c for u in g.adj[v])
+        return c not in map(colors.__getitem__, g.adj[v])
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """Position model and solver, double-checked against the reference walker."""
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coloring_games import games
 from coloring_games.games import (
     IllegalColoringError,
     IllegalMoveError,
@@ -220,8 +224,6 @@ def test_best_move_wins_and_losses_return_none():
 
 
 def test_best_move_derives_moves_once_and_keeps_order(monkeypatch):
-    from coloring_games import games
-
     # path 7, k=2: 14 legal moves, the first winning one is the 7th
     pos = Position.start(build_family("path", 7), 2, ProperColoring())
     expect = next(mv for mv in legal_moves(pos) if grundy(apply_move(pos, mv)) == 0)
@@ -249,17 +251,82 @@ def test_transposition_budget_enforced(monkeypatch):
 
 def test_budget_drops_other_tables_before_it_fires(monkeypatch):
     clear_solver_cache()
-    monkeypatch.setenv(TT_BYTES_ENV, "2000000")
+    monkeypatch.setenv(TT_BYTES_ENV, "750000")
     weak = WeakColoring()
     try:
-        # 0.16 to 1.07 MB of table each, 3.0 MB together
+        # 0.06 to 0.41 MB of table each, 1.16 MB together
         for fam, n in (("path", 8), ("path", 9), ("path", 10), ("cycle", 9), ("cycle", 10)):
             assert grundy(Position.start(build_family(fam, n), 2, weak)) == n % 2
-        with pytest.raises(MemoryBudgetExceeded):  # about 2.8 MB in one table
+        with pytest.raises(MemoryBudgetExceeded):  # about 1.02 MB in one table
             grundy(Position.start(build_family("path", 11), 2, weak))
         assert grundy(Position.start(build_family("path", 3), 2, ProperColoring())) == 1
     finally:
         clear_solver_cache()
+
+
+@pytest.mark.parametrize("ruleset, k, graph", [
+    (WeakColoring(), 2, ("cycle", 9)),
+    (ProperColoring(), 3, ("grid", 2, 4)),
+    (DistanceColoring(2), 2, ("path", 11)),
+], ids=["weak cycle:9", "proper k=3 grid:2,4", "distance-2 path:11"])
+def test_charged_bytes_match_table_memory(ruleset, k, graph):
+    """The budget's per-entry charge is within 0.5-2x of what the table
+    really holds (tracemalloc, after a collection empties the free lists);
+    measured at 0.88-1.1x."""
+    clear_solver_cache()
+    pos = Position.start(build_family(*graph), k, ruleset)
+    solver = games._solver_for(pos)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grundy(pos)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        clear_solver_cache()
+    assert 0.5 * grown <= solver.bytes <= 2 * grown
+
+
+# Grundy value and table size per solver path, recorded with the earlier
+# tuple-keyed table: fewer entries would mean colliding keys, more would mean
+# lost sharing between positions that should have one key.
+@pytest.mark.parametrize("ruleset, k, graph, order, value, entries", [
+    (ProperColoring(), 3, ("grid", 2, 4), None, 0, 349),
+    (DistanceColoring(2), 2, ("path", 11), None, 0, 1419),
+    (OrientedBlueRed(), 2, ("directed_path", 20), None, 6, 761),
+    (WeakColoring(), 2, ("cycle", 9), None, 1, 1990),
+    (OrientedColoring(), 3, ("directed_cycle", 7), None, 0, 358),
+    (SequentialColoring(), 2, ("path", 8), (3, 0, 7, 5, 1, 6, 2, 4), 0, 31),
+], ids=["live proper", "live distance", "live oriented-br", "weak graph parts",
+        "oriented no split", "sequential order"])
+def test_table_keys_keep_values_and_entry_counts(ruleset, k, graph, order, value, entries):
+    clear_solver_cache()
+    pos = Position.start(build_family(*graph), k, ruleset, order=order)
+    try:
+        assert grundy(pos) == value
+        assert len(games._solver_for(pos).table) == entries
+    finally:
+        clear_solver_cache()
+
+
+def test_key_size_follows_the_part_not_the_graph():
+    # the same ten free vertices, alone past one painted vertex and at the
+    # end of a long painted path: same table, keys of about the same size
+    per_entry = []
+    for n in (12, 3000):
+        clear_solver_cache()
+        coloring = [1 + v % 2 for v in range(n - 10)] + [None] * 10
+        pos = Position.start(build_family("path", n), 2, ProperColoring(), coloring=coloring)
+        try:
+            assert grundy(pos) == 10
+            solver = games._solver_for(pos)
+            assert len(solver.table) == 100
+            per_entry.append(solver.bytes / len(solver.table))
+        finally:
+            clear_solver_cache()
+    assert per_entry[1] <= per_entry[0] + 8
 
 
 def test_budget_env_validation(monkeypatch):
