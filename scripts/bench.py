@@ -2,7 +2,7 @@
 
 Solves the six uncolored positions of the benchmark's search-cold workload
 with games.grundy, each from empty caches, and records per instance:
-- wall_s: best of --repeats untraced solves;
+- wall_s: best of REPEATS untraced solves;
 - grundy and tt_entries: the value and the size of the solver's table;
 - charged_bytes: what the solver counted against COLORING_GAMES_TT_BYTES;
 - tracemalloc_bytes: what the solve left allocated (the table and the
@@ -22,37 +22,35 @@ import sys
 import time
 import tracemalloc
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmark")]
 
-from coloring_games import games, rulesets
-from coloring_games.graphs import parse_family_spec
+from coloring_games import cli, games, rulesets
+from workloads import SearchCold
 
-# name, ruleset, k, graph spec: the search-cold set of benchmark/workloads.py
-INSTANCES = [
-    ("distance-2 path:15", rulesets.DistanceColoring(2), 2, "path:15"),
-    ("proper k=3 grid:3,4", rulesets.ProperColoring(), 3, "grid:3,4"),
-    ("proper k=1 path:60", rulesets.ProperColoring(), 1, "path:60"),
-    ("oriented-br dpath:40", rulesets.OrientedBlueRed(), 2, "dpath:40"),
-    ("weak cycle:11", rulesets.WeakColoring(), 2, "cycle:11"),
-    ("oriented k=3 dcycle:10", rulesets.OrientedColoring(), 3, "dcycle:10"),
-]
+REPEATS = 3  # untraced solves per instance
 
 
-def cold_position(ruleset, k: int, spec: str) -> games.Position:
+def cold_position(argv: list[str]) -> games.Position:
+    """The uncolored position that `solve` with these options reads, with
+    the solver and power-graph caches emptied."""
     games.clear_solver_cache()
     rulesets._power.cache_clear()
-    return games.Position.start(parse_family_spec(spec), k, ruleset)
+    args = cli.build_parser().parse_args(["solve", *argv])
+    graph, _source, doc = cli._load_graph(args)
+    ruleset = cli._build_ruleset(args)
+    return games.Position.start(graph, cli._resolve_k(args, doc, ruleset), ruleset)
 
 
-def measure(ruleset, k: int, spec: str, repeats: int) -> dict:
+def measure(argv: list[str]) -> dict:
     wall = float("inf")
-    for _ in range(repeats):
-        pos = cold_position(ruleset, k, spec)
+    for _ in range(REPEATS):
+        pos = cold_position(argv)
         t0 = time.perf_counter()
         games.grundy(pos)
         wall = min(wall, time.perf_counter() - t0)
 
-    pos = cold_position(ruleset, k, spec)
+    pos = cold_position(argv)
     solver = games._solver_for(pos)  # built untraced, like the graph
     gc.collect()
     tracemalloc.start()
@@ -73,14 +71,11 @@ def measure(ruleset, k: int, spec: str, repeats: int) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="JSON file to write")
-    ap.add_argument("--repeats", type=int, default=3, help="untraced solves per instance")
     args = ap.parse_args()
-    if args.repeats < 1:
-        ap.error("--repeats must be positive")
 
     rows = {}
-    for name, ruleset, k, spec in INSTANCES:
-        rows[name] = row = measure(ruleset, k, spec, args.repeats)
+    for name, argv in SearchCold.INSTANCES:
+        rows[name] = row = measure(argv)
         print(f"{name:<24} {row['wall_s']:>8.3f} s {row['tt_entries']:>7} entries "
               f"{row['charged_bytes']:>9} charged {row['tracemalloc_bytes']:>9} traced")
     doc = {

@@ -5,11 +5,14 @@ splits into independent parts when the ruleset allows it: components of the
 uncolored subgraph for purely local rules (re-split after every move), the
 whole-graph components for the weak rule, and one part holding every vertex
 for rules with global state. A part's value is the mex over its legal moves
-of the nim-sum of the parts the move leaves. A part is an int vertex mask
-(bit v for vertex v), split by a flood fill over per-vertex neighbour masks.
-The table key is one int: the part's lowest vertex and span, its mask
-shifted down to bit 0, and the colors that can affect the part, packed in
-base k+1 in ascending vertex order and relabeled by first appearance for
+of the nim-sum of the parts the move leaves. A part is a pair (lo, rel): its
+lowest vertex and an int mask relative to it (bit i for vertex lo + i), so
+a part's masks are as wide as the part, not as the graph. A move splits a
+live part by a flood fill over per-vertex neighbour masks, each relative to
+the vertex's lowest neighbour; the position's own uncolored components come
+from one walk over the adjacency rows. The table key is one int: lo, the
+width of rel, rel, and the colors that can affect the part, packed in base
+k+1 in ascending vertex order and relabeled by first appearance for
 color-symmetric rulesets. Those colors are the painted boundary of an
 uncolored component, or else the part's own colors; the part fixes how many
 there are, so keys never collide.
@@ -152,28 +155,17 @@ def _play(position: Position, move: Move) -> Position:
 
 # ---- solver ----------------------------------------------------------------
 
-def _mask(n: int, verts: Iterable[int]) -> int:
-    """The n-bit vertex mask of verts, from one string of binary digits."""
-    digits = bytearray(b"0" * n)
-    for v in verts:
-        digits[n - 1 - v] = 49  # ord("1")
-    return int(digits or b"0", 2)
-
-
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digits to 0/1 flags
 
 
-class _NeighbourMasks(dict):
-    """Vertex -> mask of its neighbours, made on first use: a mask is as wide
-    as its highest vertex, so a search that never reaches most vertices of a
-    large graph must not build them all."""
-
-    def __init__(self, adj: tuple[tuple[int, ...], ...]) -> None:
-        self.adj = adj
-
-    def __missing__(self, v: int) -> int:
-        m = self[v] = sum(1 << u for u in self.adj[v])
-        return m
+def _mask(verts: Sequence[int], lo: int) -> int:
+    """The vertices verts, none below lo, as a mask relative to lo (bit i
+    for vertex lo + i), from one string of binary digits."""
+    top = max(verts, default=lo)
+    digits = bytearray(b"0") * (top - lo + 1)
+    for v in verts:
+        digits[top - v] = 49  # ord("1")
+    return int(digits, 2)
 
 
 class _Solver:
@@ -183,40 +175,73 @@ class _Solver:
         self.ruleset, self.graph = rs.translate_for_solving(ruleset, graph)
         self.k = k
         self.order = order
-        n = self.n = self.graph.n
+        n = self.graph.n
         self.field = n.bit_length()  # bits that hold a vertex number or a count of them
         self.ids = list(range(n))  # one int object per vertex, shared by all vertex lists
-        self.nbr = _NeighbourMasks(self.graph.adj)
         self.symmetric = self.ruleset.color_symmetric
         self.live = self.ruleset.decomposition == rs.DECOMP_LIVE
-        if self.ruleset.decomposition == rs.DECOMP_GRAPH:
-            fixed = sorted(tuple(sorted(c)) for c in self.graph.components())
+        if self.live:
+            # per vertex: its lowest neighbour, and its neighbours as a mask
+            # relative to that one, as wide as the span of their labels; made
+            # for the uncolored vertices that _free_parts walks
+            self.nlo = [0] * n
+            self.nrel: list[int | None] = [None] * n
         else:
-            fixed = [self.ids]
-        # the parts of a ruleset that does not split on the coloring:
-        # mask -> its vertices, ascending
-        self.parts = {_mask(n, verts): verts for verts in fixed if verts}
+            if self.ruleset.decomposition == rs.DECOMP_GRAPH:
+                fixed = sorted(sorted(c) for c in self.graph.components())
+            else:
+                fixed = [self.ids]
+            # the parts of a ruleset that does not split on the coloring:
+            # (lo, rel) -> its vertices, ascending
+            self.parts = {
+                (verts[0], _mask(verts, verts[0])): verts for verts in fixed if verts
+            }
         self.table: dict[int, int] = {}
         self.budget = byte_budget()
         self.bytes = 0
 
-    def _verts(self, mask: int) -> list[int]:
-        """The vertices of mask, ascending, picked from its binary digits by
-        C-level iteration from its lowest vertex on, so a wide mask costs no
-        big-int step per vertex and a narrow one far from vertex 0 no scan
-        of the vertices below it."""
-        if not mask:
-            return []
-        lo = (mask & -mask).bit_length() - 1
-        digits = f"{mask >> lo:b}".encode().translate(_DIGIT_FLAGS)[::-1]
+    def _verts(self, lo: int, rel: int) -> list[int]:
+        """The vertices of the part (lo, rel), ascending, picked from the
+        binary digits of rel by C-level iteration, so a wide part costs no
+        big-int step per vertex."""
+        digits = f"{rel:b}".encode().translate(_DIGIT_FLAGS)[::-1]
         return list(compress(self.ids[lo:lo + len(digits)], digits))
 
-    def _split(self, rest: int, seeds: int) -> list[int]:
-        """Connected components of the vertex mask rest, given that each one
-        holds a vertex of seeds. A flood fill grows from the lowest seed by
-        neighbour masks; it stops once it holds every seed left, since all
-        of rest is then one component."""
-        nbr = self.nbr
+    def _free_parts(self, colors: list[int]) -> list[tuple[int, int]]:
+        """The components of the uncolored subgraph as (lo, rel) parts, from
+        one walk over the adjacency rows: linear in the graph, however many
+        components there are. The walk makes the neighbour masks of the
+        vertices it reaches, the only ones a split of these parts reads."""
+        adj, nlo, nrel = self.graph.adj, self.nlo, self.nrel
+        seen = bytearray(map(bool, colors))  # painted vertices start out seen
+        parts = []
+        s = seen.find(0)
+        while s >= 0:
+            seen[s] = 1
+            comp = [s]
+            for v in comp:
+                row = adj[v]
+                if nrel[v] is None:
+                    nlo[v] = low = row[0] if row else v
+                    nrel[v] = _mask(row, low)
+                for u in row:
+                    if not seen[u]:
+                        seen[u] = 1
+                        comp.append(u)
+            parts.append((s, _mask(comp, s)))  # s is the lowest vertex of comp
+            s = seen.find(0, s + 1)
+        return parts
+
+    def _split(self, lo: int, rel: int, v: int) -> list[tuple[int, int]]:
+        """The parts that painting vertex v leaves of the live part (lo, rel):
+        the connected components of the rest, each holding a neighbour of v.
+        A flood fill grows from the lowest such seed by neighbour masks moved
+        into the part's window; it stops once it holds every seed left, since
+        all of the rest is then one component. Masks stay as wide as the part."""
+        nlo, nrel = self.nlo, self.nrel
+        rest = rel ^ 1 << (v - lo)
+        d = nlo[v] - lo
+        seeds = (nrel[v] << d if d >= 0 else nrel[v] >> -d) & rest
         comps = []
         while seeds & (seeds - 1):  # two seeds or more
             edge = seeds & -seeds  # the vertices the fill reached last
@@ -226,7 +251,9 @@ class _Solver:
                 grow = 0
                 while edge:
                     low = edge & -edge
-                    grow |= nbr[low.bit_length() - 1]
+                    u = lo + low.bit_length() - 1
+                    d = nlo[u] - lo
+                    grow |= nrel[u] << d if d >= 0 else nrel[u] >> -d
                     edge ^= low
                 edge = grow & left
                 left ^= edge
@@ -237,29 +264,29 @@ class _Solver:
             rest = left
         if rest:
             comps.append(rest)
-        return comps
+        parts = []
+        for comp in comps:
+            shift = (comp & -comp).bit_length() - 1
+            parts.append((lo + shift, comp >> shift))
+        return parts
 
     # -- the recursion --
 
-    def _key(self, colors: list[int], part: int) -> int:
+    def _key(self, colors: list[int], lo: int, rel: int, verts: list[int]) -> int:
         """One int for the part and the colors that can affect it. From the
-        low end: the part's lowest vertex lo and its span w in fields of
-        n.bit_length() bits, the part's mask shifted down by lo (w bits),
-        and the colors in ascending vertex order, packed in base k+1 and
-        relabeled by first appearance when the ruleset is color-symmetric.
-        The colors are the painted boundary of a live part, which the part
-        fixes, or else the part's own colors, so the part fixes how many
-        there are. The key is as wide as the part's span, not as the graph."""
+        low end: the part's lowest vertex lo and the width w of rel in fields
+        of n.bit_length() bits, rel itself (w bits), and the colors in
+        ascending vertex order, packed in base k+1 and relabeled by first
+        appearance when the ruleset is color-symmetric. The colors are the
+        painted boundary of a live part, which the part fixes, or else the
+        part's own colors, so the part fixes how many there are."""
         if self.live:
             # every neighbor outside a live component is painted, so the
             # component fixes its boundary and only the boundary colors vary
-            nbr = self.nbr
-            reach = 0
-            for v in self._verts(part):
-                reach |= nbr[v]
-            seen = self._verts(reach & ~part)
+            adj = self.graph.adj
+            seen = sorted({u for v in verts for u in adj[v] if colors[u]})
         else:
-            seen = self.parts[part]
+            seen = verts
         base = self.k + 1
         packed = 0
         if self.symmetric:
@@ -269,24 +296,23 @@ class _Solver:
         else:
             for u in seen:
                 packed = packed * base + colors[u]
-        lo = (part & -part).bit_length() - 1
-        rel = part >> lo
         w = rel.bit_length()
         return lo | w << self.field | (rel | packed << w) << 2 * self.field
 
-    def _solve(self, colors: list[int], part: int) -> int:
-        key = self._key(colors, part)
+    def _solve(self, colors: list[int], lo: int, rel: int) -> int:
+        verts = self._verts(lo, rel) if self.live else self.parts[lo, rel]
+        key = self._key(colors, lo, rel, verts)
         hit = self.table.get(key)
         if hit is not None:
             return hit
+        moves = _moves(self.ruleset, self.graph, self.k, self.order, colors, verts)
+        del verts  # a deep recursion holds no vertex list per level
         opts = set()
-        for v, c in _moves(self.ruleset, self.graph, self.k, self.order, colors,
-                           self._verts(part)):
+        for v, c in moves:
             colors[v] = c
             val = 0
-            rests = self._split(part ^ 1 << v, self.nbr[v] & part) if self.live else (part,)
-            for rest in rests:
-                val ^= self._solve(colors, rest)
+            for rest in self._split(lo, rel, v) if self.live else ((lo, rel),):
+                val ^= self._solve(colors, *rest)
             opts.add(val)
             colors[v] = 0
         result = mex(opts)
@@ -309,14 +335,9 @@ class _Solver:
                 )
 
     def value(self, colors: list[int]) -> int:
-        if self.live:
-            free = _mask(self.n, (v for v in range(self.n) if not colors[v]))
-            parts = self._split(free, free)
-        else:
-            parts = self.parts
         total = 0
-        for part in parts:
-            total ^= self._solve(colors, part)
+        for lo, rel in self._free_parts(colors) if self.live else self.parts:
+            total ^= self._solve(colors, lo, rel)
         return total
 
 

@@ -329,6 +329,26 @@ def test_key_size_follows_the_part_not_the_graph():
     assert per_entry[1] <= per_entry[0] + 8
 
 
+def test_many_small_parts_of_a_large_graph_stay_linear(monkeypatch):
+    # every third vertex of a long path free: 5,000 one-vertex parts of value
+    # 1 under a small budget. Each part's masks span the part, so the solve
+    # peaks near 120 bytes per vertex; masks spanning the graph up to each
+    # part would pass 16 MB here
+    clear_solver_cache()
+    monkeypatch.setenv(TT_BYTES_ENV, "1000000")
+    n = 15000
+    coloring = [None if v % 3 == 2 else 1 + v % 3 for v in range(n)]
+    pos = Position.start(build_family("path", n), 3, ProperColoring(), coloring=coloring)
+    tracemalloc.start()
+    try:
+        assert grundy(pos) == (n // 3) % 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        clear_solver_cache()
+    assert peak <= 200 * n
+
+
 def test_budget_env_validation(monkeypatch):
     clear_solver_cache()
     monkeypatch.setenv(TT_BYTES_ENV, "lots")
