@@ -63,10 +63,6 @@ EXIT_BUDGET = 3
 EXIT_VERIFY = 4
 
 
-class CliError(Exception):
-    """Bad flags or inputs; reported on stderr with exit code 2."""
-
-
 # ---- output ---------------------------------------------------------------
 
 # list items per write in text output, so a million-entry order is never
@@ -99,25 +95,24 @@ def _destination(path: str | None, out: TextIO) -> ContextManager[TextIO]:
 
 def _load_graph(args) -> tuple[Graph, str, GraphDocument | None]:
     """Graph from --graph shorthand or --file, plus a printable source name."""
-    spec = getattr(args, "graph", None)
-    path = getattr(args, "file", None)
+    spec, path = args.graph, args.file
     if spec and path:
-        raise CliError("give --graph or --file, not both")
+        raise ValueError("give --graph or --file, not both")
     if spec:
         return parse_family_spec(spec), spec, None
     if path:
         doc = load_graph_file(path)
         return doc.graph, path, doc
-    raise CliError("a graph is required (--graph NAME:PARAMS or --file PATH)")
+    raise ValueError("a graph is required (--graph NAME:PARAMS or --file PATH)")
 
 
 def _build_ruleset(args):
     cls = RULESET_TOKENS[args.ruleset]
-    d = getattr(args, "d", None)
+    d = args.d
     if cls is DistanceColoring:
         return DistanceColoring(2 if d is None else d)
     if d is not None:
-        raise CliError("--d only applies to the distance ruleset")
+        raise ValueError("--d only applies to the distance ruleset")
     return cls()
 
 
@@ -128,7 +123,7 @@ def _resolve_k(args, doc: GraphDocument | None, ruleset) -> int:
         return doc.k
     if ruleset.fixed_k is not None:
         return ruleset.fixed_k
-    raise CliError("--k is required for this ruleset")
+    raise ValueError("--k is required for this ruleset")
 
 
 # ---- solve ---------------------------------------------------------------
@@ -151,13 +146,7 @@ def cmd_solve(args, out: TextIO) -> int:
     value: int | None = None
 
     if method in ("auto", "closed-form") and uncolored:
-        if ruleset.token == "sequential":
-            try:
-                outcome = seq.decide_outcome(g, order)
-            except ValueError:
-                outcome = OUTCOME_UNKNOWN
-        else:
-            outcome, value = closed_form_outcome(ruleset, k, g)
+        outcome, value = closed_form_outcome(ruleset, k, g, order)
         if outcome != OUTCOME_UNKNOWN:
             method = "closed-form"
 
@@ -168,6 +157,7 @@ def cmd_solve(args, out: TextIO) -> int:
             if outcome != OUTCOME_UNKNOWN:
                 method = "involution"
 
+    record_move = None
     if outcome == OUTCOME_UNKNOWN and args.method in ("auto", "search"):
         value = games.grundy(pos)
         outcome = OUTCOME_N if value else OUTCOME_P
@@ -175,10 +165,6 @@ def cmd_solve(args, out: TextIO) -> int:
         if value:
             mv = games.best_move(pos)
             record_move = {"vertex": mv.vertex, "color": mv.color}
-        else:
-            record_move = None
-    else:
-        record_move = None
 
     record["outcome"] = outcome
     if value is not None:
@@ -262,11 +248,11 @@ def _parse_order(text: str, n: int) -> tuple[int, ...]:
     try:
         order = tuple(int(tok) for tok in text.replace(",", " ").split())
     except ValueError as exc:
-        raise CliError(f"bad --order {text!r}: expected vertex ids") from exc
+        raise ValueError(f"bad --order {text!r}: expected vertex ids") from exc
     try:
         check_order(n, order)
     except ValueError as exc:
-        raise CliError("--order must be a permutation of all vertices") from exc
+        raise ValueError("--order must be a permutation of all vertices") from exc
     return order
 
 
@@ -275,13 +261,13 @@ def cmd_sequential(args, out: TextIO) -> int:
     file_order = doc.order if doc is not None else None
     if args.order is None:
         if file_order is None:
-            raise CliError("an order is required (--order or an order line in the file)")
+            raise ValueError("an order is required (--order or an order line in the file)")
         order = file_order
     elif file_order is not None:
-        raise CliError("the file already carries an order; drop --order")
+        raise ValueError("the file already carries an order; drop --order")
     elif args.order == "random":
         if args.seed is None:
-            raise CliError("--order random requires --seed")
+            raise ValueError("--order random requires --seed")
         order = list(range(g.n))
         random.Random(args.seed).shuffle(order)
     else:
@@ -318,53 +304,48 @@ _REDUCERS = {
 def cmd_reduce(args, out: TextIO) -> int:
     g, source, _doc = _load_graph(args)
     k = args.k
-    if args.to == "oriented-br":
-        if k not in (None, 2):
-            raise CliError("oriented-br is a two-color game; drop --k or pass 2")
-        k = 2
+    fixed = RULESET_TOKENS[args.to].fixed_k
+    if fixed is not None:
+        if k not in (None, fixed):
+            raise ValueError(f"{args.to} is a two-color game; drop --k or pass {fixed}")
+        k = fixed
     elif k is None:
-        raise CliError("--k is required for this target")
+        raise ValueError("--k is required for this target")
     inst = _REDUCERS[args.to](g, k)
     pos = inst.position
-
-    doc = GraphDocument(graph=pos.graph, k=pos.k, coloring=pos.coloring)
-    text = format_graph_text(doc)
-    map_lines = "".join(f"# map {v} {t}\n" for v, t in sorted(inst.vertex_map.items()))
-
-    code = EXIT_OK
+    text = format_graph_text(GraphDocument(graph=pos.graph, k=pos.k, coloring=pos.coloring))
+    mapping = sorted(inst.vertex_map.items())
     verdict = None
     if args.verify:
-        report = reductions.verify_equivalence(
+        verdict = reductions.verify_equivalence(
             Position.start(g, 1, ProperColoring()), inst)
-        verdict = report
-        if not report.equivalent:
-            code = EXIT_VERIFY
 
-    if args.format == "json":
-        record = {
-            "source": source,
-            "target": args.to,
-            "k": k,
-            "original_vertices": g.n,
-            "reduced_vertices": pos.graph.n,
-            "painted": pos.painted_count,
-            "vertex_map": {str(v): t for v, t in sorted(inst.vertex_map.items())},
-            "graph_text": text,
-        }
-        if verdict is not None:
-            record["equivalent"] = verdict.equivalent
-            if not verdict.equivalent:
-                record["reason"] = verdict.reason
-        _emit(record, "json", out)
-    else:
-        with _destination(args.out, out) as dest:
+    with _destination(args.out, out) as dest:
+        if args.format == "json":
+            record = {
+                "source": source,
+                "target": args.to,
+                "k": k,
+                "original_vertices": g.n,
+                "reduced_vertices": pos.graph.n,
+                "painted": pos.painted_count,
+                "vertex_map": {str(v): t for v, t in mapping},
+                "graph_text": text,
+            }
+            if verdict is not None:
+                record["equivalent"] = verdict.equivalent
+                if not verdict.equivalent:
+                    record["reason"] = verdict.reason
+            _emit(record, "json", dest)
+        else:
             dest.write(text)
-            dest.write(map_lines)
-        if verdict is not None:
-            line = "verified equivalent" if verdict.equivalent else \
-                f"NOT equivalent: {verdict.reason}"
-            print(line, file=sys.stderr)
-    return code
+            dest.write("".join(f"# map {v} {t}\n" for v, t in mapping))
+    if verdict is None:
+        return EXIT_OK
+    if args.format != "json":
+        print("verified equivalent" if verdict.equivalent else
+              f"NOT equivalent: {verdict.reason}", file=sys.stderr)
+    return EXIT_OK if verdict.equivalent else EXIT_VERIFY
 
 
 # ---- verify ----------------------------------------------------------------
@@ -390,7 +371,7 @@ def _suite_sequential(args) -> list[dict]:
     checks = []
     if args.exhaustive:
         if n > 8:
-            raise CliError("exhaustive sequential verification is capped at n=8")
+            raise ValueError("exhaustive sequential verification is capped at n=8")
         for m in range(1, n + 1):
             g = build_family("path", m)
             bad = sum(1 for perm in itertools.permutations(range(m))
@@ -402,7 +383,7 @@ def _suite_sequential(args) -> list[dict]:
             })
     else:
         if args.seed is None:
-            raise CliError("sampled sequential verification requires --seed")
+            raise ValueError("sampled sequential verification requires --seed")
         rng = random.Random(args.seed)
         samples = args.samples
         g = build_family("path", n)
@@ -422,22 +403,21 @@ def _suite_sequential(args) -> list[dict]:
 
 def _suite_reductions(args) -> list[dict]:
     n = args.n or 4
-    variants = [
-        ("proper k=2", lambda g: reductions.reduce_to_proper_k(g, 2)),
-        ("proper k=3", lambda g: reductions.reduce_to_proper_k(g, 3)),
-        ("oriented k=2", lambda g: reductions.reduce_to_oriented_k(g, 2)),
-        ("oriented k=3", lambda g: reductions.reduce_to_oriented_k(g, 3)),
-        ("oriented-br", reductions.reduce_to_oriented_br),
-        ("distance k=2", lambda g: reductions.reduce_to_distance_2k(g, 2)),
-        ("distance k=3", lambda g: reductions.reduce_to_distance_2k(g, 3)),
-    ]
+    # every reduce target, at k=2 and 3 unless its ruleset fixes k
+    variants = []
+    for to, make in _REDUCERS.items():
+        fixed = RULESET_TOKENS[to].fixed_k
+        if fixed is None:
+            variants += [(f"{to} k={k}", make, k) for k in (2, 3)]
+        else:
+            variants.append((to, make, fixed))
     census = [g for m in range(1, n + 1) for g in connected_graph_census(m)]
     checks = []
-    for name, make in variants:
+    for name, make, k in variants:
         fails = []
         for g in census:
             rep = reductions.verify_equivalence(
-                Position.start(g, 1, ProperColoring()), make(g))
+                Position.start(g, 1, ProperColoring()), make(g, k))
             if not rep.equivalent:
                 fails.append((g.n, sorted(g.edges), rep.reason))
         checks.append({
@@ -545,15 +525,13 @@ def cmd_tables(args, out: TextIO) -> int:
         }
         _emit(record, args.format, out)
         return EXIT_OK
-    if args.table_cmd == "export-csv":
-        table = op.load_table(args.table)
-        if args.out:
-            op.export_csv(table, args.out)
-            _emit({"kmax": table.K, "file": args.out}, args.format, out)
-        else:
-            op.export_csv(table, out)
-        return EXIT_OK
-    raise CliError(f"unknown tables subcommand {args.table_cmd!r}")
+    table = op.load_table(args.table)  # export-csv
+    if args.out:
+        op.export_csv(table, args.out)
+        _emit({"kmax": table.K, "file": args.out}, args.format, out)
+    else:
+        op.export_csv(table, out)
+    return EXIT_OK
 
 
 # ---- argument parsing -------------------------------------------------------
@@ -569,12 +547,6 @@ def _positive(text: str) -> int:
 def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="output as key/value text or JSON lines")
-
-
-def _add_mode(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=(op.MODE_NAIVE, op.MODE_ACCELERATED),
-                   default=op.MODE_NAIVE,
-                   help="accepted for compatibility; both values run the one table fill")
 
 
 def _add_graph_inputs(p: argparse.ArgumentParser) -> None:
@@ -607,7 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grundy-seq", help="stream class tables as CSV")
     p.add_argument("--kmax", type=int, required=True)
-    _add_mode(p)
+    p.add_argument("--mode", choices=(op.MODE_NAIVE, op.MODE_ACCELERATED),
+                   default=op.MODE_NAIVE,
+                   help="accepted for compatibility; both values run the one table fill")
     p.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
     p.add_argument("--checkpoint", metavar="PATH",
                    help="binary table file to resume from and persist to")
@@ -621,7 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="klass",
                    choices=(op.CLASS_A, op.CLASS_B, op.CLASS_C, op.CLASS_D),
                    default=op.CLASS_D)
-    _add_mode(p)
     _add_format(p)
     p.set_defaults(func=cmd_p_positions)
 
@@ -661,14 +634,12 @@ def build_parser() -> argparse.ArgumentParser:
     tsub = p.add_subparsers(dest="table_cmd", required=True)
     t = tsub.add_parser("compute")
     t.add_argument("--kmax", type=int, required=True)
-    _add_mode(t)
     t.add_argument("--out", required=True)
     _add_format(t)
     t.set_defaults(func=cmd_tables)
     t = tsub.add_parser("extend")
     t.add_argument("--table", required=True)
     t.add_argument("--kmax", type=int, required=True)
-    _add_mode(t)
     t.add_argument("--out", help="write here instead of overwriting --table")
     _add_format(t)
     t.set_defaults(func=cmd_tables)
@@ -702,9 +673,6 @@ def main(argv: list[str] | None = None) -> int:
         print("error: search recursion too deep for the interpreter's stack; "
               "the position is too large for exhaustive search", file=sys.stderr)
         return EXIT_BUDGET
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -147,7 +147,9 @@ def apply_move(position: Position, move: Move) -> Position:
 
 
 def _play(position: Position, move: Move) -> Position:
-    """The position after a move already known to be legal."""
+    """The position after a move already known to be legal. Only
+    apply_move's move-list check is skipped: replace re-runs __post_init__,
+    so the new coloring is still checked whole by is_legal_coloring."""
     col = list(position.coloring)
     col[move.vertex] = move.color
     return replace(position, coloring=tuple(col))

@@ -39,7 +39,7 @@ CLASS_C = "C"
 CLASS_D = "D"
 PATH_CLASSES = (CLASS_A, CLASS_B, CLASS_C, CLASS_D)
 
-# values the CLI accepts for --mode; both run the one fill
+# values grundy-seq accepts for --mode; both run the one fill
 MODE_NAIVE = "naive"
 MODE_ACCELERATED = "accelerated"
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, ClassVar, Sequence
 
+from . import sequential
 from .graphs import (
     FIXED_POINT_FREE,
     SINGLE_FIXED_POINT,
@@ -326,12 +327,24 @@ DISTANCE2_ODD_PATHS = {3: OUTCOME_P, 5: OUTCOME_N, 7: OUTCOME_N, 9: OUTCOME_P,
                        11: OUTCOME_P, 13: OUTCOME_N, 15: OUTCOME_P, 17: OUTCOME_P}
 
 
-def closed_form_outcome(ruleset: Ruleset, k: int, g: Graph) -> tuple[str, int | None]:
-    """Known outcome (and Grundy value when known) for uncolored family starts.
+def closed_form_outcome(
+    ruleset: Ruleset, k: int, g: Graph, order: Sequence[int] | None = None
+) -> tuple[str, int | None]:
+    """Known outcome (and Grundy value when known) for uncolored starts: the
+    family graphs below, and sequential games with k=2 on any path, decided
+    from the visit order in O(n).
 
     Returns (outcome, grundy) with outcome in {"N", "P", "unknown"}; grundy is
     None when only the outcome class is known.
     """
+    if isinstance(ruleset, SequentialColoring):
+        # the linear decision is a two-color result; it says nothing for other k
+        if k != 2 or order is None:
+            return OUTCOME_UNKNOWN, None
+        try:
+            return sequential.decide_outcome(g, order), None
+        except ValueError:  # not a path
+            return OUTCOME_UNKNOWN, None
     if g.family is None:
         return OUTCOME_UNKNOWN, None
     name, params = g.family

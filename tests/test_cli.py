@@ -1,6 +1,7 @@
 """End-to-end command line behavior: records, exit codes, file round trips."""
 
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -98,6 +99,41 @@ def test_solve_reads_graph_file(capsys, tmp_path):
     code, recs = run_json(capsys, "solve", "--ruleset", "proper", "--file", str(f))
     assert code == EXIT_OK
     assert recs[0]["k"] == 2 and recs[0]["method"] == "search"
+
+
+def test_sequential_shortcut_agrees_with_search(capsys, tmp_path):
+    # auto may answer from the linear path decision only where it holds (k=2)
+    f = tmp_path / "p.txt"
+    for n in range(1, 6):
+        edges = "".join(f"edge {v} {v + 1}\n" for v in range(n - 1))
+        for order in itertools.permutations(range(n)):
+            f.write_text(f"graph undirected\nvertices {n}\n{edges}"
+                         f"order {' '.join(map(str, order))}\n")
+            for k in ("1", "2", "3"):
+                argv = ("solve", "--ruleset", "sequential", "--k", k, "--file", str(f))
+                _, (auto,) = run_json(capsys, *argv)
+                _, (search,) = run_json(capsys, *argv, "--method", "search")
+                assert auto["outcome"] == search["outcome"], (order, k)
+                if k == "2":
+                    assert auto["method"] == "closed-form"
+
+
+@pytest.mark.parametrize("line,msg", [
+    ("vertices x", "line 2: expected 'vertices <n>'"),
+    ("vertices 3", "line 2: duplicate vertices line"),
+    ("edge 0", "line 2: expected 'edge <u> <v>'"),
+    ("edge 0 a", "line 2: edge endpoints must be integers"),
+    ("color 0", "line 2: expected 'color <v> <c>'"),
+    ("color 0 x", "line 2: color arguments must be integers"),
+    ("k 2 3", "line 2: expected 'k <colors>'"),
+    ("order 0 1 x", "line 2: order entries must be integers"),
+    ("order 0 1 2\norder 0 1 2", "line 3: duplicate order line"),
+])
+def test_graph_file_parse_errors_exit_2(capsys, tmp_path, line, msg):
+    f = tmp_path / "bad.txt"
+    f.write_text(f"vertices 3\n{line}\ngraph undirected\n")
+    assert main(["solve", "--ruleset", "proper", "--k", "2", "--file", str(f)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {msg}\n"
 
 
 def test_solve_usage_errors(capsys):
@@ -244,6 +280,12 @@ def test_reduce_writes_file(capsys, tmp_path):
     doc = parse_graph_text(dest.read_text())
     assert doc.graph.directed and doc.graph.n == 4
 
+    code, out = run(capsys, "reduce", "--from", "kayles", "--to", "oriented",
+                    "--k", "2", "--graph", "path:2", "--out", str(dest), "--format", "json")
+    assert code == EXIT_OK and out == ""
+    rec = json.loads(dest.read_text())
+    assert parse_graph_text(rec["graph_text"]) == doc
+
 
 def test_reduce_usage_errors(capsys):
     assert run(capsys, "reduce", "--from", "kayles", "--to", "proper",
@@ -313,6 +355,13 @@ def test_argparse_usage_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    # --mode is left on grundy-seq only
+    for argv in (["p-positions", "--mode", "naive"],
+                 ["tables", "compute", "--kmax", "5", "--out", "t.bin", "--mode", "naive"],
+                 ["tables", "extend", "--table", "t.bin", "--kmax", "9", "--mode", "naive"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("flag,argv", [

@@ -261,6 +261,17 @@ def test_closed_form_spots():
     assert closed_form_outcome(OrientedBlueRed(), 2, build_family("directed_cycle", 3)) == (OUTCOME_UNKNOWN, None)
     untagged = make_graph(3, [(0, 1)])
     assert closed_form_outcome(ProperColoring(), 2, untagged) == (OUTCOME_UNKNOWN, None)
+    # sequential: the linear path decision holds for k=2 only; on this order
+    # the k=1 and k=3 games are first-player wins although k=2 is P
+    order = (0, 1, 2, 4, 3)
+    path = build_family("path", 5)
+    assert closed_form_outcome(SequentialColoring(), 2, path, order) == (OUTCOME_P, None)
+    for k in (1, 3):
+        assert closed_form_outcome(SequentialColoring(), k, path, order) == (OUTCOME_UNKNOWN, None)
+        assert grundy(Position.start(path, k, SequentialColoring(), order=order)) != 0
+    assert closed_form_outcome(SequentialColoring(), 2, path) == (OUTCOME_UNKNOWN, None)
+    cycle = build_family("cycle", 5)
+    assert closed_form_outcome(SequentialColoring(), 2, cycle, order) == (OUTCOME_UNKNOWN, None)
 
 
 def test_closed_forms_agree_with_search():
