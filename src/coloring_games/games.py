@@ -4,18 +4,19 @@ Positions are immutable. One recursion solves every ruleset. A position
 splits into independent parts when the ruleset allows it: components of the
 uncolored subgraph for purely local rules (re-split after every move), the
 whole-graph components for the weak rule, and one part holding every vertex
-for rules with global state. A part's value is the mex over its legal moves
-of the nim-sum of the parts the move leaves. A part is a pair (lo, rel): its
-lowest vertex and an int mask relative to it (bit i for vertex lo + i), so
-a part's masks are as wide as the part, not as the graph. A move splits a
-live part by a flood fill over per-vertex neighbour masks, each relative to
-the vertex's lowest neighbour; the position's own uncolored components come
-from one walk over the adjacency rows. The table key is one int: lo, the
-width of rel, rel, and the colors that can affect the part, packed in base
-k+1 in ascending vertex order and relabeled by first appearance for
-color-symmetric rulesets. Those colors are the painted boundary of an
-uncolored component, or else the part's own colors; the part fixes how many
-there are, so keys never collide.
+for rules with global state. The weak rule's fixed parts come from the same
+adjacency walk as the live parts, run once on the uncolored graph. A part's
+value is the mex over its legal moves of the nim-sum of the parts the move
+leaves. A part is a pair (lo, rel): its lowest vertex and an int mask
+relative to it (bit i for vertex lo + i), so a part's masks are as wide as
+the part, not as the graph. A move splits a live part by a flood fill over
+per-vertex neighbour masks, each relative to the vertex's lowest neighbour;
+the position's own uncolored components come from one walk over the
+adjacency rows. The table key is one int: lo, the width of rel, rel, and the
+colors that can affect the part, packed in base k+1 in ascending vertex
+order and relabeled by first appearance for color-symmetric rulesets. Those
+colors are the painted boundary of an uncolored component, or else the
+part's own colors; the part fixes how many there are, so keys never collide.
 One move loop, shared with legal_moves, gives the legal moves: it binds the
 ruleset's rule to the coloring once per call (rulesets.move_rule) and, with a
 visit order, offers only the first uncolored vertex of the order. Distance
@@ -182,22 +183,18 @@ class _Solver:
         self.ids = list(range(n))  # one int object per vertex, shared by all vertex lists
         self.symmetric = self.ruleset.color_symmetric
         self.live = self.ruleset.decomposition == rs.DECOMP_LIVE
-        if self.live:
+        # the parts of a ruleset that does not split on the coloring:
+        # (lo, rel) -> its vertices, ascending
+        if self.ruleset.decomposition == rs.DECOMP_NONE:
+            self.parts = {(0, (1 << n) - 1): self.ids} if n else {}
+        else:
             # per vertex: its lowest neighbour, and its neighbours as a mask
             # relative to that one, as wide as the span of their labels; made
             # for the uncolored vertices that _free_parts walks
             self.nlo = [0] * n
             self.nrel: list[int | None] = [None] * n
-        else:
-            if self.ruleset.decomposition == rs.DECOMP_GRAPH:
-                fixed = sorted(sorted(c) for c in self.graph.components())
-            else:
-                fixed = [self.ids]
-            # the parts of a ruleset that does not split on the coloring:
-            # (lo, rel) -> its vertices, ascending
-            self.parts = {
-                (verts[0], _mask(verts, verts[0])): verts for verts in fixed if verts
-            }
+            if not self.live:  # the weak rule's parts: the whole graph's components
+                self.parts = {p: self._verts(*p) for p in self._free_parts([0] * n)}
         self.table: dict[int, int] = {}
         self.budget = byte_budget()
         self.bytes = 0

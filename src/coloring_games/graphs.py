@@ -1,13 +1,17 @@
 """Graph model, named graph families, involution search, and text serialization.
 
-Vertices are 0-based integers 0..n-1. A graph keeps its edges as sorted CSR
-(compressed sparse row) rows in array('q'): targets[offsets[v]:offsets[v+1]]
-lists v's row in ascending order. An undirected graph has one such pair, in
-which every edge sits in both endpoints' rows; a digraph has its out rows in
-offsets/targets and its in rows in in_offsets/in_targets. The edge set of
-(min, max) pairs or (tail, head) arcs, the adjacency tuples and the degrees
-are derived from the rows. Graphs are immutable and compare and hash by
-value, so they can serve as transposition-table keys.
+Vertices are 0-based integers 0..n-1. Graph(...) is the one constructor
+(make_graph forwards to it): it takes edges in any order and normalizes
+them. There is no component or distance helper here; the solver walks its
+own parts and power_graph runs a bounded BFS. A graph keeps its edges as
+sorted CSR (compressed sparse row) rows in array('q'):
+targets[offsets[v]:offsets[v+1]] lists v's row in ascending order. An
+undirected graph has one such pair, in which every edge sits in both
+endpoints' rows; a digraph has its out rows in offsets/targets and its in
+rows in in_offsets/in_targets. The edge set of (min, max) pairs or (tail,
+head) arcs, the adjacency tuples and the degrees are derived from the rows.
+Graphs are immutable and compare and hash by value, so they can serve as
+transposition-table keys.
 
 Two input checks live here, the lowest module, so that every caller shares
 them: check_order for visit orders, and the byte budget read from
@@ -124,12 +128,12 @@ def _transpose(n: int, offsets: array, targets: array) -> tuple[array, array]:
 
 
 def _csr(
-    n: int, directed: bool, edges: Iterable[tuple[int, int]], canonical: bool
+    n: int, directed: bool, edges: Iterable[tuple[int, int]]
 ) -> tuple[array, array, array | None, array | None]:
     """Sorted rows without repeats: (offsets, targets, in_offsets, in_targets).
 
     The in rows are None for an undirected graph. Undirected pairs are
-    turned to (min, max), or rejected when canonical is set.
+    turned to (min, max).
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -141,8 +145,6 @@ def _csr(
         if u == v:
             raise ValueError(f"self-loop on vertex {u}")
         if not directed and u > v:
-            if canonical:
-                raise ValueError("undirected edges must be stored as (min, max)")
             u, v = v, u
         if u < pu or u == pu and v <= pv:
             ordered = False
@@ -180,6 +182,10 @@ def _csr(
 class Graph:
     """Immutable simple graph (no loops, no multi-edges) on sorted CSR rows.
 
+    The constructor takes the edges in any order: undirected pairs are
+    turned to (min, max) and repeats are dropped. A self-loop or an endpoint
+    outside 0..n-1 raises ValueError.
+
     offsets/targets hold the neighbour rows of an undirected graph and the
     out rows of a digraph; in_offsets/in_targets hold a digraph's in rows and
     are None for an undirected one. The arrays are read-only by contract.
@@ -202,18 +208,7 @@ class Graph:
         edges: Iterable[tuple[int, int]],
         family: tuple[str, tuple[int, ...]] | None = None,
     ) -> None:
-        self._fill(n, directed, family, *_csr(n, directed, edges, canonical=True))
-
-    def _fill(
-        self,
-        n: int,
-        directed: bool,
-        family: tuple[str, tuple[int, ...]] | None,
-        offsets: array,
-        targets: array,
-        in_offsets: array | None,
-        in_targets: array | None,
-    ) -> None:
+        offsets, targets, in_offsets, in_targets = _csr(n, directed, edges)
         # __setattr__ refuses every assignment, so fill the instance dict
         self.__dict__.update(
             n=n,
@@ -310,30 +305,6 @@ class Graph:
             return len(self.adj[v])
         return self.offsets[v + 1] - self.offsets[v]
 
-    def components(self) -> list[frozenset[int]]:
-        """Connected components (weak components for digraphs)."""
-        rows = [(self.offsets, self.targets)]
-        if self.directed:
-            rows.append((self.in_offsets, self.in_targets))
-        seen = bytearray(self.n)
-        comps: list[frozenset[int]] = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = []
-            stack = [s]
-            seen[s] = 1
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for off, tgt in rows:
-                    for u in tgt[off[v] : off[v + 1]]:
-                        if not seen[u]:
-                            seen[u] = 1
-                            stack.append(u)
-            comps.append(frozenset(comp))
-        return comps
-
 
 def make_graph(
     n: int,
@@ -342,12 +313,8 @@ def make_graph(
     directed: bool = False,
     family: tuple[str, tuple[int, ...]] | None = None,
 ) -> Graph:
-    """Build a Graph from an edge iterable, turning undirected pairs to
-    (min, max) and dropping repeats. Raises ValueError on a self-loop or an
-    endpoint outside 0..n-1."""
-    g = object.__new__(Graph)
-    g._fill(n, directed, family, *_csr(n, directed, edges, canonical=False))
-    return g
+    """Graph(n, directed, edges, family), with directed and family by keyword."""
+    return Graph(n, directed, edges, family)
 
 
 # ---- named families ----------------------------------------------------
@@ -441,20 +408,6 @@ def underlying_graph(g: Graph) -> Graph:
 
 
 # ---- distances and power graphs ----------------------------------------
-
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Hop distances from source, ignoring arc direction. -1 = unreachable."""
-    dist = [-1] * g.n
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        v = q.popleft()
-        for u in g.adj[v]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                q.append(u)
-    return dist
-
 
 def power_graph(g: Graph, d: int) -> Graph:
     """Graph on the same vertices joining every pair at hop distance <= d.
@@ -751,6 +704,15 @@ def parse_graph_text(text: str) -> GraphDocument:
         def fail(msg: str) -> GraphFormatError:
             return GraphFormatError(f"line {lineno}: {msg}")
 
+        def count(usage: str) -> int:  # the one argument, a nonnegative integer
+            try:
+                val = int(args[0]) if len(args) == 1 else -1
+            except ValueError:
+                val = -1
+            if val < 0:
+                raise fail(f"expected '{usage}'")
+            return val
+
         if key == "graph":
             if len(args) != 1 or args[0] not in ("directed", "undirected"):
                 raise fail("expected 'graph directed|undirected'")
@@ -758,11 +720,10 @@ def parse_graph_text(text: str) -> GraphDocument:
                 raise fail("duplicate graph line")
             directed = args[0] == "directed"
         elif key == "vertices":
-            if len(args) != 1 or not args[0].isdigit():
-                raise fail("expected 'vertices <n>'")
+            val = count("vertices <n>")
             if n is not None:
                 raise fail("duplicate vertices line")
-            n = int(args[0])
+            n = val
         elif key == "edge":
             if len(args) != 2:
                 raise fail("expected 'edge <u> <v>'")
@@ -781,9 +742,10 @@ def parse_graph_text(text: str) -> GraphDocument:
                 raise fail(f"duplicate color for vertex {v}")
             colors[v] = c
         elif key == "k":
-            if len(args) != 1 or not args[0].isdigit():
-                raise fail("expected 'k <colors>'")
-            k = int(args[0])
+            val = count("k <colors>")
+            if k is not None:
+                raise fail("duplicate k line")
+            k = val
         elif key == "order":
             if order is not None:
                 raise fail("duplicate order line")

@@ -20,7 +20,6 @@ from coloring_games import games, oriented_paths as op, reductions as rd
 from coloring_games import sequential as seq
 from coloring_games.games import Position, apply_move, legal_moves
 from coloring_games.graphs import (
-    bfs_distances,
     build_family,
     connected_graph_census,
     make_graph,
@@ -34,7 +33,7 @@ from coloring_games.rulesets import (
     outcome_by_involution,
 )
 
-from reference import D_ZEROS, naive_tables, scalar_tables
+from reference import D_ZEROS, bfs_dist, naive_tables, scalar_tables
 
 K_FULL = 10_000
 
@@ -225,7 +224,7 @@ def test_criterion_08_sequential_oracle_and_scaling():
 
 
 def _connected(g):
-    return all(d >= 0 for d in bfs_distances(g, 0))
+    return all(d >= 0 for d in bfs_dist(g, 0))
 
 
 def _random_connected(n, rng):

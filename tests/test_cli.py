@@ -126,12 +126,15 @@ def test_sequential_shortcut_agrees_with_search(capsys, tmp_path):
     ("color 0", "line 2: expected 'color <v> <c>'"),
     ("color 0 x", "line 2: color arguments must be integers"),
     ("k 2 3", "line 2: expected 'k <colors>'"),
+    ("vertices ²", "line 2: expected 'vertices <n>'"),
+    ("k ²", "line 2: expected 'k <colors>'"),
+    ("k 2\nk 3", "line 3: duplicate k line"),
     ("order 0 1 x", "line 2: order entries must be integers"),
     ("order 0 1 2\norder 0 1 2", "line 3: duplicate order line"),
 ])
 def test_graph_file_parse_errors_exit_2(capsys, tmp_path, line, msg):
     f = tmp_path / "bad.txt"
-    f.write_text(f"vertices 3\n{line}\ngraph undirected\n")
+    f.write_text(f"vertices 3\n{line}\ngraph undirected\n", encoding="utf-8")
     assert main(["solve", "--ruleset", "proper", "--k", "2", "--file", str(f)]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {msg}\n"
 

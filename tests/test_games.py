@@ -34,7 +34,7 @@ from coloring_games.rulesets import (
     SequentialColoring,
     WeakColoring,
 )
-from reference import kayles_grundy, kayles_moves, ref_grundy
+from reference import RefGraph, kayles_grundy, kayles_moves, ref_grundy
 from strategies import colored_graphs, graphs
 
 TOKENS = ["proper", "oriented", "oriented-br", "weak", "distance", "sequential"]
@@ -306,6 +306,33 @@ def test_table_keys_keep_values_and_entry_counts(ruleset, k, graph, order, value
     pos = Position.start(build_family(*graph), k, ruleset, order=order)
     try:
         assert grundy(pos) == value
+        assert len(games._solver_for(pos).table) == entries
+    finally:
+        clear_solver_cache()
+
+
+@given(graphs(max_n=7))
+def test_weak_root_parts_are_the_graph_components(g):
+    solver = games._Solver(g, 2, WeakColoring(), None)
+    assert {frozenset(verts) for verts in solver.parts.values()} == RefGraph(
+        g.n, g.directed, g.edges
+    ).components()
+    for (lo, rel), verts in solver.parts.items():
+        assert verts == sorted(verts) and verts[0] == lo
+        assert rel == sum(1 << (v - lo) for v in verts)
+
+
+@pytest.mark.parametrize("coloring, value, entries", [
+    ([None] * 10, 0, 33),
+    ([1] + [None] * 9, 3, 29),
+])
+def test_weak_parts_with_interleaved_labels(coloring, value, entries):
+    # four components whose vertices interleave: {0,3,6}, {1,4,7,8}, {2}, {5,9}
+    g = make_graph(10, [(0, 3), (3, 6), (1, 4), (4, 7), (7, 8), (8, 1), (5, 9)])
+    clear_solver_cache()
+    pos = Position.start(g, 2, WeakColoring(), coloring=coloring)
+    try:
+        assert grundy(pos) == value == ref_grundy("weak", g, 2, coloring)
         assert len(games._solver_for(pos).table) == entries
     finally:
         clear_solver_cache()

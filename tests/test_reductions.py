@@ -8,6 +8,7 @@ from coloring_games import games, reductions as rd
 from coloring_games.games import Position
 from coloring_games.graphs import build_family, connected_graph_census, make_graph
 from coloring_games.rulesets import ProperColoring
+from reference import bfs_dist
 
 
 def kayles(g):
@@ -26,10 +27,9 @@ def test_census_counts():
 
 
 def test_census_members_are_connected_and_distinct():
-    from coloring_games.graphs import bfs_distances
     seen = set()
     for g in connected_graph_census(5):
-        assert all(d >= 0 for d in bfs_distances(g, 0))
+        assert all(d >= 0 for d in bfs_dist(g, 0))
         assert g.edges not in seen
         seen.add(g.edges)
 
