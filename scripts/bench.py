@@ -1,4 +1,4 @@
-"""Cold-cache search numbers for the transposition table, written as JSON.
+"""Cold-cache search numbers and the million-vertex sequential request, as JSON.
 
 Solves the six uncolored positions of the benchmark's search-cold workload
 with games.grundy, each from empty caches, and records per instance:
@@ -9,8 +9,18 @@ with games.grundy, each from empty caches, and records per instance:
   solver's own buffers, after a full gc.collect), from one more solve traced
   by tracemalloc after the graph and the solver were built.
 
+Then it runs the sequential-paths workload's n=10^6 request (its argv taken
+from benchmark/workloads.py) through cli.main in REPEATS fresh interpreters,
+stdout to /dev/null, and records:
+- wall_s: best time of the cli.main call;
+- peak_rss_growth_bytes: the most the interpreter's peak RSS grew across
+  the call (VmHWM from /proc/self/status, so Linux only). It equals the
+  ru_maxrss growth of a process started from a small one; a child's
+  ru_maxrss starts at its parent's peak, which would hide the request;
+- bytes_per_vertex: that growth over n.
+
 Example:
-    python scripts/bench.py --out BENCH_10.json
+    python scripts/bench.py --out BENCH_13.json
 """
 
 import argparse
@@ -18,15 +28,17 @@ import gc
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmark")]
 
 from coloring_games import cli, games, rulesets
-from workloads import SearchCold
+from workloads import DEFAULT_SEED, SearchCold, SequentialPaths
 
 REPEATS = 3  # untraced solves per instance
 
@@ -68,6 +80,44 @@ def measure(argv: list[str]) -> dict:
     }
 
 
+SEQUENTIAL_CHILD = """
+import json, os, re, sys, time
+from coloring_games.cli import main
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1))
+
+sys.stdout, out = open(os.devnull, "w"), sys.stdout
+before = peak_kb()
+t0 = time.perf_counter()
+code = main(json.loads(sys.argv[1]))
+wall = time.perf_counter() - t0
+print(json.dumps({"code": code, "wall_s": wall, "grown_kb": peak_kb() - before}), file=out)
+"""
+
+
+def measure_sequential() -> dict:
+    workload = SequentialPaths(seed=DEFAULT_SEED, work=Path(ROOT))
+    workload.make()
+    argv = workload.requests[0]
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    runs = []
+    for _ in range(REPEATS):
+        proc = subprocess.run([sys.executable, "-c", SEQUENTIAL_CHILD, json.dumps(argv)],
+                              capture_output=True, text=True, env=env, check=True)
+        runs.append(json.loads(proc.stdout))
+        if runs[-1]["code"] != 0:
+            raise RuntimeError(f"{argv} exited {runs[-1]['code']}: {proc.stderr}")
+    grown = max(r["grown_kb"] for r in runs) * 1024
+    return {
+        "argv": argv,
+        "wall_s": round(min(r["wall_s"] for r in runs), 4),
+        "peak_rss_growth_bytes": grown,
+        "bytes_per_vertex": round(grown / SequentialPaths.N, 1),
+    }
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="JSON file to write")
@@ -78,11 +128,16 @@ def main() -> int:
         rows[name] = row = measure(argv)
         print(f"{name:<24} {row['wall_s']:>8.3f} s {row['tt_entries']:>7} entries "
               f"{row['charged_bytes']:>9} charged {row['tracemalloc_bytes']:>9} traced")
+    seq_row = measure_sequential()
+    print(f"{'sequential path:' + str(SequentialPaths.N):<24} {seq_row['wall_s']:>8.3f} s "
+          f"{seq_row['peak_rss_growth_bytes']:>9} B peak RSS growth "
+          f"({seq_row['bytes_per_vertex']} B/vertex)")
     doc = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "search_cold": rows,
+        "sequential": seq_row,
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)

@@ -29,6 +29,7 @@ import json
 import os
 import random
 import sys
+from array import array
 from typing import ContextManager, TextIO
 
 from . import games, oriented_paths as op, reductions, sequential as seq
@@ -65,20 +66,44 @@ EXIT_VERIFY = 4
 
 # ---- output ---------------------------------------------------------------
 
-# list items per write in text output, so a million-entry order is never
+# list items per write in both formats, so a million-entry order is never
 # joined into one string
 _CHUNK = 4096
+
+_SEQUENCES = (list, tuple, array)
+
+
+def _write_items(val, fmt: str, out: TextIO) -> None:
+    """The items of val, _CHUNK per write: JSON array items (without the
+    brackets) or space-separated text."""
+    for i in range(0, len(val), _CHUNK):
+        chunk = val[i : i + _CHUNK]
+        if fmt == "json":
+            out.write((", " if i else "") + json.dumps(list(chunk))[1:-1])
+        else:
+            out.write((" " if i else "") + " ".join(map(str, chunk)))
 
 
 def _emit(record: dict, fmt: str, out: TextIO) -> None:
     if fmt == "json":
-        out.write(json.dumps(record, sort_keys=True) + "\n")
+        # byte-identical to json.dumps(record, sort_keys=True), written key
+        # by key so a long list is never held as one string
+        out.write("{")
+        for i, key in enumerate(sorted(record)):
+            val = record[key]
+            out.write((", " if i else "") + json.dumps(key) + ": ")
+            if isinstance(val, _SEQUENCES):
+                out.write("[")
+                _write_items(val, fmt, out)
+                out.write("]")
+            else:
+                out.write(json.dumps(val, sort_keys=True))
+        out.write("}\n")
         return
     for key, val in record.items():
-        if isinstance(val, (list, tuple)):
+        if isinstance(val, _SEQUENCES):
             out.write(f"{key}: ")
-            for i in range(0, len(val), _CHUNK):
-                out.write((" " if i else "") + " ".join(map(str, val[i : i + _CHUNK])))
+            _write_items(val, fmt, out)
             out.write("\n")
             continue
         if isinstance(val, dict):
@@ -258,6 +283,9 @@ def _parse_order(text: str, n: int) -> tuple[int, ...]:
 
 def cmd_sequential(args, out: TextIO) -> int:
     g, source, doc = _load_graph(args)
+    if args.check and g.n > seq.ORACLE_CAP:
+        # the oracle's own error, raised before the O(n) work it would follow
+        raise ValueError(f"brute force oracle is capped at {seq.ORACLE_CAP} vertices")
     file_order = doc.order if doc is not None else None
     if args.order is None:
         if file_order is None:
@@ -268,7 +296,9 @@ def cmd_sequential(args, out: TextIO) -> int:
     elif args.order == "random":
         if args.seed is None:
             raise ValueError("--order random requires --seed")
-        order = list(range(g.n))
+        # 8 B per vertex instead of a list of int objects; shuffle swaps in
+        # place, so the permutation is the one a list would get
+        order = array("q", range(g.n))
         random.Random(args.seed).shuffle(order)
     else:
         order = _parse_order(args.order, g.n)

@@ -32,7 +32,7 @@ current table alone is over.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Sequence
 
@@ -148,12 +148,15 @@ def apply_move(position: Position, move: Move) -> Position:
 
 
 def _play(position: Position, move: Move) -> Position:
-    """The position after a move already known to be legal. Only
-    apply_move's move-list check is skipped: replace re-runs __post_init__,
-    so the new coloring is still checked whole by is_legal_coloring."""
+    """The position after a move already known to be legal (one that
+    legal_moves offers). Neither apply_move's move-list check nor
+    __post_init__'s whole-coloring check runs: a legal move from a legal
+    coloring leaves a legal coloring."""
     col = list(position.coloring)
     col[move.vertex] = move.color
-    return replace(position, coloring=tuple(col))
+    child = object.__new__(Position)
+    child.__dict__.update(vars(position), coloring=tuple(col))
+    return child
 
 
 # ---- solver ----------------------------------------------------------------

@@ -192,8 +192,8 @@ def verify_equivalence(original: Position, reduced: ReducedInstance) -> Equivale
             missing = set(orig_moves) - set(red_moves)
             return fail(f"move sets differ (extra {sorted(extra)}, missing {sorted(missing)})")
 
-        # the moves came from legal_moves, so _play skips apply_move's
-        # move-list check (each child's coloring is still checked whole)
+        # the moves came from legal_moves, so _play skips both the move-list
+        # check and the whole-coloring check
         for v, (orig_mv,) in orig_moves.items():
             orig_next = games._play(orig, orig_mv)
             want = games.grundy(orig_next)

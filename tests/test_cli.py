@@ -4,12 +4,15 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
 
+from coloring_games import sequential as seq
 from coloring_games.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -231,7 +234,7 @@ def test_sequential_order_from_file(capsys, tmp_path):
                "--order", "0 1 2")[0] == EXIT_USAGE
 
 
-def test_sequential_usage_errors(capsys):
+def test_sequential_usage_errors(capsys, monkeypatch):
     assert run(capsys, "sequential", "--graph", "path:5",
                "--order", "random")[0] == EXIT_USAGE  # no seed
     assert run(capsys, "sequential", "--graph", "path:5")[0] == EXIT_USAGE
@@ -244,6 +247,16 @@ def test_sequential_usage_errors(capsys):
         assert main(["sequential", "--graph", "path:5", "--order", order]) == EXIT_USAGE
         assert capsys.readouterr().err == (
             "error: --order must be a permutation of all vertices\n")
+    # past the cap, --check fails before the shuffle and the O(n) decision
+    def never(*_args):
+        raise AssertionError("ran before the oracle's cap was checked")
+
+    monkeypatch.setattr(random.Random, "shuffle", never)
+    monkeypatch.setattr(seq, "decide_outcome", never)
+    assert main(["sequential", "--graph", "path:1000000", "--order", "random",
+                 "--seed", "1", "--check"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: brute force oracle is capped at 22 vertices\n")
 
 
 def test_deep_search_exits_3_without_traceback(capsys):
@@ -419,6 +432,41 @@ def fresh_python(*args: str) -> subprocess.CompletedProcess:
                           env={**os.environ, "PYTHONPATH": path}, timeout=300)
 
 
+def test_random_order_json_bytes_and_memory_per_vertex():
+    # the peak RSS of a fresh interpreter grows only by what the request
+    # needs. VmHWM is read, not ru_maxrss: on Linux a child's ru_maxrss
+    # starts at its parent's peak, and pytest's would hide the request
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs Linux /proc/self/status")
+    n = 300_000
+    argv = ["sequential", "--graph", f"path:{n}", "--order", "random", "--seed", "1",
+            "--format", "json"]
+    proc = fresh_python("-c", f"""
+import re, sys
+from coloring_games.cli import main
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1))
+before = peak_kb()
+code = main({argv!r})
+sys.stdout.flush()
+print(code, peak_kb() - before, file=sys.stderr)
+""")
+    assert proc.returncode == 0, proc.stderr
+    code, grown_kb = map(int, proc.stderr.split())
+    assert code == EXIT_OK
+    perm = list(range(n))
+    random.Random(1).shuffle(perm)
+    outcome = json.loads(proc.stdout)["outcome"]
+    assert outcome in ("N", "P")
+    want = {"graph": f"path:{n}", "n": n, "order": perm, "outcome": outcome,
+            "winner": "first" if outcome == "N" else "second"}
+    assert proc.stdout == json.dumps(want, sort_keys=True) + "\n"
+    # graph rows, decision arrays and the order as one array('q') measure
+    # 73; a list of a million int objects made it 105
+    assert grown_kb * 1024 / n <= 85, grown_kb * 1024 / n
+
+
 def test_cli_import_leaves_numpy_unloaded():
     proc = fresh_python("-c", "import sys, coloring_games.cli; "
                               "print('numpy' in sys.modules)")
@@ -467,9 +515,20 @@ def test_cached_parser_carries_nothing_between_calls(capsys):
     assert code == EXIT_OK and "method: closed-form" in out
 
 
-@pytest.mark.parametrize("val", [list(range(10_000)), (5, 3, 4), []])
-def test_text_lists_print_as_one_join(val):
+@pytest.mark.parametrize("items", [range(10_000), (5, 3, 4), ()],
+                         ids=lambda items: str(len(items)))
+@pytest.mark.parametrize("kind", [list, tuple, lambda x: array("q", x)],
+                         ids=["list", "tuple", "array"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_text_lists_print_as_one_join(fmt, kind, items):
     # 10,000 items cross the write chunk boundary
+    val = kind(items)
     out = io.StringIO()
-    _emit({"key": val, "n": 1}, "text", out)
-    assert out.getvalue() == "key: " + " ".join(str(x) for x in val) + "\nn: 1\n"
+    _emit({"n": 1, "key": val, "winning_move": {"vertex": 3, "color": 1}}, fmt, out)
+    if fmt == "json":
+        want = json.dumps({"n": 1, "key": list(items),
+                           "winning_move": {"vertex": 3, "color": 1}}, sort_keys=True)
+        assert out.getvalue() == want + "\n"
+    else:
+        assert out.getvalue() == ("n: 1\nkey: " + " ".join(str(x) for x in items)
+                                  + "\nwinning_move: vertex=3 color=1\n")

@@ -34,7 +34,7 @@ from coloring_games.rulesets import (
     SequentialColoring,
     WeakColoring,
 )
-from reference import RefGraph, kayles_grundy, kayles_moves, ref_grundy
+from reference import RefGraph, kayles_grundy, kayles_moves, ref_grundy, ref_legal
 from strategies import colored_graphs, graphs
 
 TOKENS = ["proper", "oriented", "oriented-br", "weak", "distance", "sequential"]
@@ -212,6 +212,22 @@ def test_distance_one_equals_proper():
 
 
 # ---- play helpers --------------------------------------------------------------
+
+@given(st.data(), st.sampled_from(TOKENS))
+@settings(max_examples=60)
+def test_play_children_of_legal_moves_are_legal(data, token):
+    # _play skips the whole-coloring check; every child it makes from a
+    # move legal_moves offers must still satisfy the ruleset's definition
+    g, k, coloring, order = data.draw(colored_graphs(token, max_n=5))
+    pos = Position.start(g, k, RULESET_TOKENS[token](), order=order, coloring=coloring)
+    for mv in legal_moves(pos):
+        child = games._play(pos, mv)
+        want = list(coloring)
+        want[mv.vertex] = mv.color
+        assert child.coloring == tuple(want)
+        assert (child.graph, child.k, child.ruleset, child.order) == (g, k, pos.ruleset, order)
+        assert ref_legal(token, g, k, child.coloring, order), (g.edges, coloring, order, mv)
+
 
 def test_best_move_wins_and_losses_return_none():
     n_pos = Position.start(build_family("path", 3), 2, ProperColoring())
