@@ -283,6 +283,10 @@ def _parse_order(text: str, n: int) -> tuple[int, ...]:
 
 def cmd_sequential(args, out: TextIO) -> int:
     g, source, doc = _load_graph(args)
+    if doc is not None and doc.coloring is not None:
+        raise ValueError("sequential decides the uncolored game; the file paints a vertex")
+    if doc is not None and doc.k not in (None, 2):
+        raise ValueError(f"sequential is a two-color game; the file declares k={doc.k}")
     if args.check and g.n > seq.ORACLE_CAP:
         # the oracle's own error, raised before the O(n) work it would follow
         raise ValueError(f"brute force oracle is capped at {seq.ORACLE_CAP} vertices")

@@ -19,8 +19,9 @@ colors are the painted boundary of an uncolored component, or else the
 part's own colors; the part fixes how many there are, so keys never collide.
 One move loop, shared with legal_moves, gives the legal moves: it binds the
 ruleset's rule to the coloring once per call (rulesets.move_rule) and, with a
-visit order, offers only the first uncolored vertex of the order. Distance
-games are solved as proper games on the power graph.
+visit order, offers only the first uncolored vertex of the order. The loop is
+lazy, so a recursion level holds no move list. Distance games are solved as
+proper games on the power graph.
 
 Each solver counts the bytes of its own table against COLORING_GAMES_TT_BYTES,
 read when the solver is made: per entry, the key's size plus a dict slot.
@@ -34,7 +35,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import rulesets as rs
 from .graphs import TT_BYTES_ENV, Graph, MemoryBudgetExceeded, byte_budget
@@ -119,15 +120,19 @@ def _moves(
     order: tuple[int, ...] | None,
     colors: list[int],
     part: Sequence[int],
-) -> list[tuple[int, int]]:
-    """Legal (vertex, color) moves on the uncolored vertices of part; with a
-    visit order only the first uncolored vertex of the order may be painted."""
-    if order is not None:
-        verts = [v for v in order if not colors[v]][:1]
-    else:
-        verts = [v for v in part if not colors[v]]
+) -> Iterator[tuple[int, int]]:
+    """Legal (vertex, color) moves on the uncolored vertices of part, one at
+    a time; with a visit order only the first uncolored vertex of the order
+    may be painted. A caller that paints a move restores colors before it
+    asks for the next, since the rule stays bound to the first coloring."""
     ok = rs.move_rule(ruleset, graph, colors)
-    return [(v, c) for v in verts for c in range(1, k + 1) if ok(graph, colors, v, c)]
+    for v in part if order is None else order:
+        if not colors[v]:
+            for c in range(1, k + 1):
+                if ok(graph, colors, v, c):
+                    yield v, c
+            if order is not None:
+                return
 
 
 def legal_moves(position: Position) -> list[Move]:
@@ -307,10 +312,8 @@ class _Solver:
         hit = self.table.get(key)
         if hit is not None:
             return hit
-        moves = _moves(self.ruleset, self.graph, self.k, self.order, colors, verts)
-        del verts  # a deep recursion holds no vertex list per level
         opts = set()
-        for v, c in moves:
+        for v, c in _moves(self.ruleset, self.graph, self.k, self.order, colors, verts):
             colors[v] = c
             val = 0
             for rest in self._split(lo, rel, v) if self.live else ((lo, rel),):

@@ -394,14 +394,17 @@ def parse_family_spec(spec: str) -> Graph:
     return build_family(name, *params)
 
 
+# the undirected family a directed family's arcs lie on
+UNDIRECTED_FAMILY = {"directed_path": "path", "directed_cycle": "cycle"}
+
+
 def underlying_graph(g: Graph) -> Graph:
     """Forget arc directions. Keeps the family tag when it still applies."""
     if not g.directed:
         return g
-    renames = {"directed_path": "path", "directed_cycle": "cycle"}
     fam = g.family
     if fam is not None:
-        fam = (renames.get(fam[0], fam[0]), fam[1])
+        fam = (UNDIRECTED_FAMILY.get(fam[0], fam[0]), fam[1])
         if fam[0] == "cycle" and fam[1][0] < 3:
             fam = None  # a 2-cycle collapses to a single undirected edge
     return make_graph(g.n, g.edges, family=fam)
@@ -536,7 +539,7 @@ def _family_candidates(g: Graph) -> list[list[int]]:
     name, params = g.family
     n = g.n
     out: list[list[int]] = []
-    if name in ("path", "directed_path"):
+    if name == "path":
         out.append([n - 1 - i for i in range(n)])
     elif name == "cycle":
         if n % 2 == 0:

@@ -25,6 +25,7 @@ from . import sequential
 from .graphs import (
     FIXED_POINT_FREE,
     SINGLE_FIXED_POINT,
+    UNDIRECTED_FAMILY,
     Graph,
     InvolutionSearchBudget,
     check_order,
@@ -47,33 +48,41 @@ class RulesetMismatchError(ValueError):
 
 
 @dataclass(frozen=True)
-class ProperColoring:
-    """Adjacent vertices never share a color. k=1 is Node-Kayles."""
+class Ruleset:
+    """The traits the engine reads from a ruleset, at the values most of the
+    six share; each ruleset overrides only those in which it differs.
+    needs_directed is True or False for the graph kind the ruleset takes,
+    None for either."""
 
-    token: ClassVar[str] = "proper"
-    needs_directed: ClassVar[bool | None] = None  # either is fine, direction ignored
+    token: ClassVar[str]
+    needs_directed: ClassVar[bool | None] = False
     fixed_k: ClassVar[int | None] = None
     color_symmetric: ClassVar[bool] = True
     decomposition: ClassVar[str | None] = DECOMP_LIVE
     needs_order: ClassVar[bool] = False
+
+
+@dataclass(frozen=True)
+class ProperColoring(Ruleset):
+    """Adjacent vertices never share a color. k=1 is Node-Kayles."""
+
+    token = "proper"
+    needs_directed = None  # either is fine, direction ignored
 
     def move_ok(self, g: Graph, colors: list[int], v: int, c: int) -> bool:
         return c not in map(colors.__getitem__, g.adj[v])
 
 
 @dataclass(frozen=True)
-class OrientedColoring:
+class OrientedColoring(Ruleset):
     """Digraph coloring: arc ends differ, and no color pair (a, b) on an arc
     may appear reversed as (b, a) on any other arc."""
 
-    token: ClassVar[str] = "oriented"
-    needs_directed: ClassVar[bool | None] = True
-    fixed_k: ClassVar[int | None] = None
-    color_symmetric: ClassVar[bool] = True
+    token = "oriented"
+    needs_directed = True
     # the reversed-pair rule couples arcs across the whole graph, even across
     # disconnected components, so no decomposition is sound
-    decomposition: ClassVar[str | None] = DECOMP_NONE
-    needs_order: ClassVar[bool] = False
+    decomposition = DECOMP_NONE
 
     def used_pairs(self, g: Graph, colors: list[int]) -> set[tuple[int, int]]:
         """Color pairs on the arcs whose ends are both painted."""
@@ -103,16 +112,14 @@ class OrientedColoring:
 
 
 @dataclass(frozen=True)
-class OrientedBlueRed:
+class OrientedBlueRed(Ruleset):
     """Two colors on a digraph: a fully painted arc (u, v) must have u Blue
     and v Red. Painting v Blue kills its in-neighbors, Red its out-neighbors."""
 
-    token: ClassVar[str] = "oriented-br"
-    needs_directed: ClassVar[bool | None] = True
-    fixed_k: ClassVar[int | None] = 2
-    color_symmetric: ClassVar[bool] = False
-    decomposition: ClassVar[str | None] = DECOMP_LIVE
-    needs_order: ClassVar[bool] = False
+    token = "oriented-br"
+    needs_directed = True
+    fixed_k = 2
+    color_symmetric = False
 
     def move_ok(self, g: Graph, colors: list[int], v: int, c: int) -> bool:
         if c == BLUE:
@@ -125,19 +132,16 @@ class OrientedBlueRed:
 
 
 @dataclass(frozen=True)
-class WeakColoring:
+class WeakColoring(Ruleset):
     """Two colors; adjacent same-colored vertices are allowed only when each
     endpoint also has a painted neighbor of the opposite color (judged on the
     current partial coloring)."""
 
-    token: ClassVar[str] = "weak"
-    needs_directed: ClassVar[bool | None] = False
-    fixed_k: ClassVar[int | None] = 2
-    color_symmetric: ClassVar[bool] = True
+    token = "weak"
+    fixed_k = 2
     # painting inside one live component can enable moves in another through a
     # shared painted neighbor, so only whole-graph components are independent
-    decomposition: ClassVar[str | None] = DECOMP_GRAPH
-    needs_order: ClassVar[bool] = False
+    decomposition = DECOMP_GRAPH
 
     def move_ok(self, g: Graph, colors: list[int], v: int, c: int) -> bool:
         same = [u for u in g.adj[v] if colors[u] == c]
@@ -153,18 +157,13 @@ class WeakColoring:
 
 
 @dataclass(frozen=True)
-class DistanceColoring:
+class DistanceColoring(Ruleset):
     """Vertices within hop distance d must differ; solved as ProperColoring
-    on the d-th power graph."""
+    on the d-th power graph, so its live decomposition is the power graph's."""
+
+    token = "distance"
 
     d: int = 2
-
-    token: ClassVar[str] = "distance"
-    needs_directed: ClassVar[bool | None] = False
-    fixed_k: ClassVar[int | None] = None
-    color_symmetric: ClassVar[bool] = True
-    decomposition: ClassVar[str | None] = DECOMP_LIVE  # after power-graph translation
-    needs_order: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -172,38 +171,19 @@ class DistanceColoring:
 
 
 @dataclass(frozen=True)
-class SequentialColoring:
+class SequentialColoring(Ruleset):
     """Proper coloring where turn i must paint the i-th vertex of a fixed
     visit order; a player who cannot legally color that vertex loses."""
 
-    token: ClassVar[str] = "sequential"
-    needs_directed: ClassVar[bool | None] = False
-    fixed_k: ClassVar[int | None] = None
-    color_symmetric: ClassVar[bool] = True
-    decomposition: ClassVar[str | None] = DECOMP_NONE  # the shared turn order is global state
-    needs_order: ClassVar[bool] = True
+    token = "sequential"
+    decomposition = DECOMP_NONE  # the shared turn order is global state
+    needs_order = True
 
     # the visit order is checked by is_legal_coloring and the move generator
     move_ok = ProperColoring.move_ok
 
 
-Ruleset = (
-    ProperColoring
-    | OrientedColoring
-    | OrientedBlueRed
-    | WeakColoring
-    | DistanceColoring
-    | SequentialColoring
-)
-
-RULESET_TOKENS = {
-    "proper": ProperColoring,
-    "oriented": OrientedColoring,
-    "oriented-br": OrientedBlueRed,
-    "weak": WeakColoring,
-    "distance": DistanceColoring,
-    "sequential": SequentialColoring,
-}
+RULESET_TOKENS = {cls.token: cls for cls in Ruleset.__subclasses__()}
 
 
 def check_compatible(
@@ -292,8 +272,7 @@ def is_legal_coloring(
 
 # ---- outcome shortcuts -----------------------------------------------------
 
-OUTCOME_N = "N"
-OUTCOME_P = "P"
+OUTCOME_N, OUTCOME_P = sequential.OUTCOME_N, sequential.OUTCOME_P
 OUTCOME_UNKNOWN = "unknown"
 
 
@@ -350,7 +329,8 @@ def closed_form_outcome(
     name, params = g.family
 
     if isinstance(ruleset, ProperColoring):
-        if name in ("path", "directed_path"):
+        name = UNDIRECTED_FAMILY.get(name, name)  # the rule ignores arc directions
+        if name == "path":
             (n,) = params
             if n % 2 == 1:
                 # mirror through the middle; the exact value 1 needs a spare

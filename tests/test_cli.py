@@ -259,6 +259,32 @@ def test_sequential_usage_errors(capsys, monkeypatch):
         "error: brute force oracle is capped at 22 vertices\n")
 
 
+@pytest.mark.parametrize("lines, msg", [
+    (["color 0 1"], "sequential decides the uncolored game; the file paints a vertex"),
+    (["k 3"], "sequential is a two-color game; the file declares k=3"),
+], ids=["painted", "k3"])
+def test_sequential_refuses_files_it_would_misread(capsys, tmp_path, lines, msg):
+    # the O(n) decision answers the uncolored two-color game only
+    f = tmp_path / "p.txt"
+    body = ["graph undirected", "vertices 4", "edge 0 1", "edge 1 2", "edge 2 3",
+            "order 0 1 2 3"]
+    f.write_text("\n".join(body + lines) + "\n")
+    assert main(["sequential", "--file", str(f)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {msg}\n"
+    f.write_text("\n".join(body + ["k 2"]) + "\n")
+    code, out = run(capsys, "sequential", "--file", str(f))
+    assert code == EXIT_OK and "outcome: P" in out
+
+
+def test_proper_reads_directed_cycles_by_their_shape(capsys):
+    code, recs = run_json(capsys, "solve", "--ruleset", "proper", "--k", "2",
+                          "--graph", "dcycle:1001")
+    assert code == EXIT_OK
+    (rec,) = recs
+    assert rec["method"] == "closed-form"
+    assert rec["outcome"] == "P" and rec["grundy"] == 0
+
+
 def test_deep_search_exits_3_without_traceback(capsys):
     code = main(["solve", "--ruleset", "oriented-br", "--graph", "dpath:2500"])
     err = capsys.readouterr().err
@@ -465,6 +491,29 @@ print(code, peak_kb() - before, file=sys.stderr)
     # graph rows, decision arrays and the order as one array('q') measure
     # 73; a list of a million int objects made it 105
     assert grown_kb * 1024 / n <= 85, grown_kb * 1024 / n
+
+
+def test_deep_search_keeps_no_move_list_per_level():
+    # the move loop is lazy, so a search too deep for the stack holds its
+    # parts, not k moves per free vertex, on every level (243 MB with lists)
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs Linux /proc/self/status")
+    argv = ["solve", "--ruleset", "oriented-br", "--graph", "dpath:2500"]
+    proc = fresh_python("-c", f"""
+import re, sys
+from coloring_games.cli import main
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1))
+before = peak_kb()
+code = main({argv!r})
+print(code, peak_kb() - before)
+""")
+    assert proc.returncode == 0, proc.stderr
+    code, grown_kb = map(int, proc.stdout.split())
+    assert code == EXIT_BUDGET
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert grown_kb <= 100 * 1024, grown_kb
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -40,6 +40,29 @@ def _ruleset(token):
     return cls()
 
 
+# ---- traits ----------------------------------------------------------------
+
+# token: (class name, needs_directed, fixed_k, color_symmetric, decomposition,
+# needs_order), written out in full so a changed default shows here
+TRAITS = {
+    "proper": ("ProperColoring", None, None, True, "live", False),
+    "oriented": ("OrientedColoring", True, None, True, None, False),
+    "oriented-br": ("OrientedBlueRed", True, 2, False, "live", False),
+    "weak": ("WeakColoring", False, 2, True, "graph", False),
+    "distance": ("DistanceColoring", False, None, True, "live", False),
+    "sequential": ("SequentialColoring", False, None, True, None, True),
+}
+
+
+def test_every_token_keeps_its_traits():
+    assert list(RULESET_TOKENS) == TOKENS
+    for token, cls in RULESET_TOKENS.items():
+        assert cls.token == token
+        got = (cls.__name__, cls.needs_directed, cls.fixed_k, cls.color_symmetric,
+               cls.decomposition, cls.needs_order)
+        assert got == TRAITS[token], token
+
+
 # ---- compatibility ----------------------------------------------------------
 
 def test_check_compatible_errors():
@@ -300,6 +323,13 @@ def test_closed_forms_agree_with_search():
         cases.append((DistanceColoring(d=2), 2, build_family("cycle", n)))
     for n in (4, 5, 6, 7):
         cases.append((OrientedBlueRed(), 2, build_family("directed_cycle", n)))
+    # the proper rule ignores arc directions, so directed families take the
+    # closed forms of their undirected shapes
+    for k in (1, 2, 3):
+        for n in range(1, 9):
+            cases.append((ProperColoring(), k, build_family("directed_path", n)))
+        for n in range(2, 8):
+            cases.append((ProperColoring(), k, build_family("directed_cycle", n)))
 
     checked = 0
     for ruleset, k, g in cases:
@@ -311,4 +341,4 @@ def test_closed_forms_agree_with_search():
         if value is not None:
             assert got == value, (ruleset.token, k, g.family)
         checked += 1
-    assert checked >= 25
+    assert checked >= 76
