@@ -19,6 +19,13 @@ stdout to /dev/null, and records:
   ru_maxrss starts at its parent's peak, which would hide the request;
 - bytes_per_vertex: that growth over n.
 
+Last it times start-up: the benchmark's own IMPORT_PROBE (imported from
+benchmark/run.py, a fresh `import coloring_games.cli`, which setup_s counts)
+in IMPORT_RUNS fresh interpreters, and records the median and minimum
+seconds, the package modules the import loaded, and whether the interpreters
+ran without writing bytecode caches (PYTHONDONTWRITEBYTECODE), since a cached
+import skips compiling the sources.
+
 Example:
     python scripts/bench.py --out BENCH_13.json
 """
@@ -28,6 +35,7 @@ import gc
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -38,9 +46,11 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmark")]
 
 from coloring_games import cli, games, rulesets
+from run import IMPORT_PROBE
 from workloads import DEFAULT_SEED, SearchCold, SequentialPaths
 
 REPEATS = 3  # untraced solves per instance
+IMPORT_RUNS = 11  # fresh interpreters timing the import
 
 
 def cold_position(argv: list[str]) -> games.Position:
@@ -118,6 +128,31 @@ def measure_sequential() -> dict:
     }
 
 
+# run after the probe, outside its timed span
+LIST_MODULES = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("coloring_games"))))
+"""
+
+
+def measure_import() -> dict:
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    times = []
+    for _ in range(IMPORT_RUNS):
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE + "\n" + LIST_MODULES],
+                              capture_output=True, text=True, env=env, check=True)
+        seconds, modules = proc.stdout.splitlines()
+        times.append(float(seconds))
+    return {
+        "probe": IMPORT_PROBE,
+        "runs": IMPORT_RUNS,
+        "median_s": round(statistics.median(times), 4),
+        "min_s": round(min(times), 4),
+        "modules": json.loads(modules),
+        "bytecode_cache_written": not env.get("PYTHONDONTWRITEBYTECODE"),
+    }
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="JSON file to write")
@@ -132,12 +167,16 @@ def main() -> int:
     print(f"{'sequential path:' + str(SequentialPaths.N):<24} {seq_row['wall_s']:>8.3f} s "
           f"{seq_row['peak_rss_growth_bytes']:>9} B peak RSS growth "
           f"({seq_row['bytes_per_vertex']} B/vertex)")
+    import_row = measure_import()
+    print(f"{'import coloring_games.cli':<24} {import_row['median_s']:>8.3f} s median "
+          f"{import_row['min_s']:.3f} s min, {len(import_row['modules'])} package modules")
     doc = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "search_cold": rows,
         "sequential": seq_row,
+        "import": import_row,
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)

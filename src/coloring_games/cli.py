@@ -32,11 +32,13 @@ import sys
 from array import array
 from typing import ContextManager, TextIO
 
-from . import games, oriented_paths as op, reductions, sequential as seq
-from .games import Position
+# games, oriented_paths and reductions are imported by the handlers that
+# use them, so a command loads only the engine it runs
+from . import sequential as seq
 from .graphs import (
     Graph,
     GraphDocument,
+    MemoryBudgetExceeded,
     build_family,
     check_order,
     connected_graph_census,
@@ -154,12 +156,14 @@ def _resolve_k(args, doc: GraphDocument | None, ruleset) -> int:
 # ---- solve ---------------------------------------------------------------
 
 def cmd_solve(args, out: TextIO) -> int:
+    from . import games
+
     g, source, doc = _load_graph(args)
     ruleset = _build_ruleset(args)
     k = _resolve_k(args, doc, ruleset)
     coloring = doc.coloring if doc is not None else None
     order = doc.order if doc is not None else None
-    pos = Position.start(g, k, ruleset, order=order, coloring=coloring)
+    pos = games.Position.start(g, k, ruleset, order=order, coloring=coloring)
     uncolored = pos.painted_count == 0
 
     record = {"graph": source, "ruleset": ruleset.token, "k": k}
@@ -204,6 +208,8 @@ def cmd_solve(args, out: TextIO) -> int:
 # ---- grundy-seq and p-positions -------------------------------------------
 
 def _table_slice(table: op.GrundyTable, kmax: int) -> op.GrundyTable:
+    from . import oriented_paths as op
+
     if table.K == kmax:
         return table
     return op.GrundyTable(
@@ -215,6 +221,8 @@ def _table_slice(table: op.GrundyTable, kmax: int) -> op.GrundyTable:
 
 
 def _summary(view: op.GrundyTable) -> dict:
+    from . import oriented_paths as op
+
     report = op.classify_rare_common(view)
     return {
         "d_p_positions": len(op.enumerate_p_positions(view, op.CLASS_D)),
@@ -224,6 +232,8 @@ def _summary(view: op.GrundyTable) -> dict:
 
 
 def cmd_grundy_seq(args, out: TextIO) -> int:
+    from . import oriented_paths as op
+
     try:
         if args.checkpoint:
             for table in op.grow_table(args.kmax, args.checkpoint,
@@ -231,7 +241,7 @@ def cmd_grundy_seq(args, out: TextIO) -> int:
                 pass  # each chunk is saved before the next one starts
         else:
             table = op.compute_tables(args.kmax)
-    except games.MemoryBudgetExceeded as exc:
+    except MemoryBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         if args.checkpoint and os.path.exists(args.checkpoint):
             print(f"checkpoint retained: {args.checkpoint}", file=sys.stderr)
@@ -255,6 +265,8 @@ def cmd_grundy_seq(args, out: TextIO) -> int:
 
 
 def cmd_p_positions(args, out: TextIO) -> int:
+    from . import oriented_paths as op
+
     table = op.compute_tables(args.kmax)
     lengths = op.enumerate_p_positions(table, args.klass)
     record = {
@@ -327,15 +339,27 @@ def cmd_sequential(args, out: TextIO) -> int:
 
 # ---- reduce ----------------------------------------------------------------
 
+# reduce target -> the function of reductions that builds it
 _REDUCERS = {
-    "proper": lambda g, k: reductions.reduce_to_proper_k(g, k),
-    "oriented": lambda g, k: reductions.reduce_to_oriented_k(g, k),
-    "oriented-br": lambda g, k: reductions.reduce_to_oriented_br(g),
-    "distance": lambda g, k: reductions.reduce_to_distance_2k(g, k),
+    "proper": "reduce_to_proper_k",
+    "oriented": "reduce_to_oriented_k",
+    "oriented-br": "reduce_to_oriented_br",
+    "distance": "reduce_to_distance_2k",
 }
 
 
+def _reduce(to: str, g: Graph, k: int):
+    """The reduced instance of g for target to; a target whose ruleset fixes
+    k takes none."""
+    from . import reductions
+
+    make = getattr(reductions, _REDUCERS[to])
+    return make(g) if RULESET_TOKENS[to].fixed_k else make(g, k)
+
+
 def cmd_reduce(args, out: TextIO) -> int:
+    from . import games, reductions
+
     g, source, _doc = _load_graph(args)
     k = args.k
     fixed = RULESET_TOKENS[args.to].fixed_k
@@ -345,14 +369,14 @@ def cmd_reduce(args, out: TextIO) -> int:
         k = fixed
     elif k is None:
         raise ValueError("--k is required for this target")
-    inst = _REDUCERS[args.to](g, k)
+    inst = _reduce(args.to, g, k)
     pos = inst.position
     text = format_graph_text(GraphDocument(graph=pos.graph, k=pos.k, coloring=pos.coloring))
     mapping = sorted(inst.vertex_map.items())
     verdict = None
     if args.verify:
         verdict = reductions.verify_equivalence(
-            Position.start(g, 1, ProperColoring()), inst)
+            games.Position.start(g, 1, ProperColoring()), inst)
 
     with _destination(args.out, out) as dest:
         if args.format == "json":
@@ -385,10 +409,12 @@ def cmd_reduce(args, out: TextIO) -> int:
 # ---- verify ----------------------------------------------------------------
 
 def _suite_recursion(args) -> list[dict]:
+    from . import games, oriented_paths as op
+
     kmax = args.kmax or 12
     table = op.compute_tables(kmax)
     checks = []
-    for klass in (op.CLASS_A, op.CLASS_B, op.CLASS_C, op.CLASS_D):
+    for klass in op.PATH_CLASSES:
         lo = 2 if klass == op.CLASS_C else 1
         bad = [k for k in range(lo, kmax + 1)
                if games.grundy(op.build_class_position(klass, k)) != table.value(klass, k)]
@@ -436,22 +462,24 @@ def _suite_sequential(args) -> list[dict]:
 
 
 def _suite_reductions(args) -> list[dict]:
+    from . import games, reductions
+
     n = args.n or 4
     # every reduce target, at k=2 and 3 unless its ruleset fixes k
     variants = []
-    for to, make in _REDUCERS.items():
+    for to in _REDUCERS:
         fixed = RULESET_TOKENS[to].fixed_k
         if fixed is None:
-            variants += [(f"{to} k={k}", make, k) for k in (2, 3)]
+            variants += [(f"{to} k={k}", to, k) for k in (2, 3)]
         else:
-            variants.append((to, make, fixed))
+            variants.append((to, to, fixed))
     census = [g for m in range(1, n + 1) for g in connected_graph_census(m)]
     checks = []
-    for name, make, k in variants:
+    for name, to, k in variants:
         fails = []
         for g in census:
             rep = reductions.verify_equivalence(
-                Position.start(g, 1, ProperColoring()), make(g, k))
+                games.Position.start(g, 1, ProperColoring()), _reduce(to, g, k))
             if not rep.equivalent:
                 fails.append((g.n, sorted(g.edges), rep.reason))
         checks.append({
@@ -463,10 +491,12 @@ def _suite_reductions(args) -> list[dict]:
 
 
 def _suite_closed_forms(args) -> list[dict]:
+    from . import games
+
     checks = []
 
     def engine(g, k, ruleset):
-        return games.outcome(Position.start(g, k, ruleset))
+        return games.outcome(games.Position.start(g, k, ruleset))
 
     def add(name, instances):
         bad = []
@@ -536,6 +566,8 @@ def cmd_verify(args, out: TextIO) -> int:
 # ---- tables ----------------------------------------------------------------
 
 def cmd_tables(args, out: TextIO) -> int:
+    from . import oriented_paths as op
+
     if args.table_cmd == "compute":
         table = op.compute_tables(args.kmax)
         op.save_table(table, args.out)
@@ -613,8 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grundy-seq", help="stream class tables as CSV")
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--mode", choices=(op.MODE_NAIVE, op.MODE_ACCELERATED),
-                   default=op.MODE_NAIVE,
+    # oriented_paths' MODE_NAIVE and MODE_ACCELERATED, spelled out so that
+    # building the parser loads no table code
+    p.add_argument("--mode", choices=("naive", "accelerated"), default="naive",
                    help="accepted for compatibility; both values run the one table fill")
     p.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
     p.add_argument("--checkpoint", metavar="PATH",
@@ -626,9 +659,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("p-positions", help="zero-value lengths in one class")
     p.add_argument("--kmax", type=int, default=8084)
-    p.add_argument("--class", dest="klass",
-                   choices=(op.CLASS_A, op.CLASS_B, op.CLASS_C, op.CLASS_D),
-                   default=op.CLASS_D)
+    p.add_argument("--class", dest="klass", choices=("A", "B", "C", "D"),  # PATH_CLASSES
+                   default="D")
     _add_format(p)
     p.set_defaults(func=cmd_p_positions)
 
@@ -700,7 +732,7 @@ def main(argv: list[str] | None = None) -> int:
         # interpreter does not complain at shutdown
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except games.MemoryBudgetExceeded as exc:
+    except MemoryBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except RecursionError:

@@ -17,11 +17,13 @@ colors that can affect the part, packed in base k+1 in ascending vertex
 order and relabeled by first appearance for color-symmetric rulesets. Those
 colors are the painted boundary of an uncolored component, or else the
 part's own colors; the part fixes how many there are, so keys never collide.
-One move loop, shared with legal_moves, gives the legal moves: it binds the
-ruleset's rule to the coloring once per call (rulesets.move_rule) and, with a
-visit order, offers only the first uncolored vertex of the order. The loop is
-lazy, so a recursion level holds no move list. Distance games are solved as
-proper games on the power graph.
+Under a color-symmetric ruleset the colors a key does not see are
+interchangeable, so the search paints only the colors it sees and the lowest
+one it does not. One move loop, shared with legal_moves, gives the legal
+moves: it binds the ruleset's rule to the coloring once per call
+(rulesets.move_rule) and, with a visit order, offers only the first uncolored
+vertex of the order. The loop is lazy, so a recursion level holds no move
+list. Distance games are solved as proper games on the power graph.
 
 Each solver counts the bytes of its own table against COLORING_GAMES_TT_BYTES,
 read when the solver is made: per entry, the key's size plus a dict slot.
@@ -116,19 +118,20 @@ class Position:
 def _moves(
     ruleset: Ruleset,
     graph: Graph,
-    k: int,
+    palette: Sequence[int],
     order: tuple[int, ...] | None,
     colors: list[int],
     part: Sequence[int],
 ) -> Iterator[tuple[int, int]]:
-    """Legal (vertex, color) moves on the uncolored vertices of part, one at
-    a time; with a visit order only the first uncolored vertex of the order
-    may be painted. A caller that paints a move restores colors before it
-    asks for the next, since the rule stays bound to the first coloring."""
+    """Legal (vertex, color) moves on the uncolored vertices of part with
+    the colors of palette, one at a time; with a visit order only the first
+    uncolored vertex of the order may be painted. A caller that paints a
+    move restores colors before it asks for the next, since the rule stays
+    bound to the first coloring."""
     ok = rs.move_rule(ruleset, graph, colors)
     for v in part if order is None else order:
         if not colors[v]:
-            for c in range(1, k + 1):
+            for c in palette:
                 if ok(graph, colors, v, c):
                     yield v, c
             if order is not None:
@@ -141,7 +144,8 @@ def legal_moves(position: Position) -> list[Move]:
     colors = [0 if c is None else c for c in position.coloring]
     return [
         Move(v, c)
-        for v, c in _moves(ruleset, graph, position.k, position.order, colors, range(graph.n))
+        for v, c in _moves(ruleset, graph, range(1, position.k + 1), position.order, colors,
+                           range(graph.n))
     ]
 
 
@@ -185,6 +189,7 @@ class _Solver:
     ) -> None:
         self.ruleset, self.graph = rs.translate_for_solving(ruleset, graph)
         self.k = k
+        self.palette = range(1, k + 1)
         self.order = order
         n = self.graph.n
         self.field = n.bit_length()  # bits that hold a vertex number or a count of them
@@ -279,10 +284,13 @@ class _Solver:
 
     # -- the recursion --
 
-    def _key(self, colors: list[int], lo: int, rel: int, verts: list[int]) -> int:
-        """One int for the part and the colors that can affect it. From the
-        low end: the part's lowest vertex lo and the width w of rel in fields
-        of n.bit_length() bits, rel itself (w bits), and the colors in
+    def _key(
+        self, colors: list[int], lo: int, rel: int, verts: list[int]
+    ) -> tuple[int, dict[int, int] | None]:
+        """One int for the part and the colors that can affect it, and, when
+        the ruleset is color-symmetric, the relabeling of those colors. From
+        the low end: the part's lowest vertex lo and the width w of rel in
+        fields of n.bit_length() bits, rel itself (w bits), and the colors in
         ascending vertex order, packed in base k+1 and relabeled by first
         appearance when the ruleset is color-symmetric. The colors are the
         painted boundary of a live part, which the part fixes, or else the
@@ -296,6 +304,7 @@ class _Solver:
             seen = verts
         base = self.k + 1
         packed = 0
+        relabel = None
         if self.symmetric:
             relabel = {0: 0}
             for u in seen:
@@ -304,16 +313,24 @@ class _Solver:
             for u in seen:
                 packed = packed * base + colors[u]
         w = rel.bit_length()
-        return lo | w << self.field | (rel | packed << w) << 2 * self.field
+        return lo | w << self.field | (rel | packed << w) << 2 * self.field, relabel
 
     def _solve(self, colors: list[int], lo: int, rel: int) -> int:
         verts = self._verts(lo, rel) if self.live else self.parts[lo, rel]
-        key = self._key(colors, lo, rel, verts)
+        key, relabel = self._key(colors, lo, rel, verts)
         hit = self.table.get(key)
         if hit is not None:
             return hit
+        palette = self.palette
+        if relabel is not None and len(relabel) < self.k:
+            # the colors the key does not see are interchangeable, so the
+            # lowest of them answers for all; relabel also maps 0 (uncolored)
+            free = 1
+            while free in relabel:
+                free += 1
+            palette = [*filter(None, relabel), free]
         opts = set()
-        for v, c in _moves(self.ruleset, self.graph, self.k, self.order, colors, verts):
+        for v, c in _moves(self.ruleset, self.graph, palette, self.order, colors, verts):
             colors[v] = c
             val = 0
             for rest in self._split(lo, rel, v) if self.live else ((lo, rel),):

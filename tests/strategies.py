@@ -21,13 +21,14 @@ def graphs(draw, max_n: int = 6, directed: bool = False) -> Graph:
 
 
 @st.composite
-def colored_graphs(draw, token: str, max_n: int = 6, k_max: int = 3):
-    """A graph plus a legal partial coloring reached by playing random moves."""
+def colored_graphs(draw, token: str, max_n: int = 6, k_max: int = 3, k_min: int = 1):
+    """A graph plus a legal partial coloring reached by playing random moves;
+    k is drawn from k_min..k_max unless the ruleset fixes it."""
     from reference import ref_moves
 
     directed = token in ("oriented", "oriented-br")
     g = draw(graphs(max_n=max_n, directed=directed))
-    k = 2 if token in ("oriented-br", "weak") else draw(st.integers(1, k_max))
+    k = 2 if token in ("oriented-br", "weak") else draw(st.integers(k_min, k_max))
     order = None
     if token == "sequential":
         order = tuple(draw(st.permutations(range(g.n))))

@@ -18,6 +18,7 @@ from coloring_games.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    _REDUCERS,
     _emit,
     build_parser,
     main,
@@ -285,6 +286,16 @@ def test_proper_reads_directed_cycles_by_their_shape(capsys):
     assert rec["outcome"] == "P" and rec["grundy"] == 0
 
 
+def test_search_with_a_huge_palette_answers_like_k3(capsys):
+    # colors no painted vertex uses are interchangeable, so k=100000 searches
+    # as few colors as k=3 does (it took over ten seconds when each was tried)
+    argv = ("solve", "--ruleset", "proper", "--graph", "path:4", "--method", "search")
+    _, (wide,) = run_json(capsys, *argv, "--k", "100000")
+    _, (narrow,) = run_json(capsys, *argv, "--k", "3")
+    assert {key: wide[key] for key in ("outcome", "grundy", "method")} == {
+        key: narrow[key] for key in ("outcome", "grundy", "method")}
+
+
 def test_deep_search_exits_3_without_traceback(capsys):
     code = main(["solve", "--ruleset", "oriented-br", "--graph", "dpath:2500"])
     err = capsys.readouterr().err
@@ -516,11 +527,86 @@ print(code, peak_kb() - before)
     assert grown_kb <= 100 * 1024, grown_kb
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    proc = fresh_python("-c", "import sys, coloring_games.cli; "
-                              "print('numpy' in sys.modules)")
+LOADED = """
+import json, sys
+print(json.dumps(sorted(m.removeprefix("coloring_games.") for m in sys.modules
+                        if m.startswith("coloring_games")
+                        or m in ("numpy", "hashlib"))))
+"""
+
+
+def loaded_after(code: str) -> list[str]:
+    """The package's modules (short names), numpy and hashlib, whichever
+    a fresh interpreter holds after running code."""
+    proc = fresh_python("-c", code + LOADED)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    assert loaded_after("import coloring_games.cli") == [
+        "cli", "coloring_games", "graphs", "rulesets", "sequential"]
+
+
+def test_commands_load_only_the_engine_they_run():
+    solve = loaded_after("""
+from coloring_games.cli import main
+main(["solve", "--ruleset", "proper", "--k", "3", "--graph", "path:5",
+      "--method", "search"])
+""")
+    assert solve == ["cli", "coloring_games", "games", "graphs", "rulesets", "sequential"]
+    sequential = loaded_after("""
+from coloring_games.cli import main
+main(["sequential", "--graph", "path:9", "--order", "random", "--seed", "1"])
+""")
+    assert sequential == loaded_after("import coloring_games.cli")  # no games
+
+
+@pytest.mark.parametrize("module", ["cli", "games", "graphs", "oriented_paths",
+                                    "reductions", "rulesets", "sequential"])
+def test_each_module_imports_first(module):
+    # an import cycle can show under one import order only
+    proc = fresh_python("-c", f"import coloring_games.{module}")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_names_resolve_lazily():
+    proc = fresh_python("-c", """
+import importlib, sys
+import coloring_games as pkg
+assert sorted(m for m in sys.modules if m.startswith("coloring_games")) == ["coloring_games"]
+for module, names in pkg._EXPORTS.items():
+    source = importlib.import_module(f"coloring_games.{module}")
+    for name in names:
+        assert getattr(pkg, name) is getattr(source, name), name
+assert set(pkg.__all__) <= set(dir(pkg))
+try:
+    pkg.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("an unknown name resolved")
+from coloring_games import games
+assert games is sys.modules["coloring_games.games"]
+print(len(pkg.__all__))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "69\n"
+
+
+def test_parser_names_the_engine_constants():
+    from coloring_games import oriented_paths as op, reductions
+
+    def option(command, dest):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        return next(a for a in sub.choices[command]._actions if a.dest == dest)
+
+    klass = option("p-positions", "klass")
+    assert (klass.choices, klass.default) == (op.PATH_CLASSES, op.CLASS_D)
+    mode = option("grundy-seq", "mode")
+    assert (mode.choices, mode.default) == ((op.MODE_NAIVE, op.MODE_ACCELERATED),
+                                            op.MODE_NAIVE)
+    assert all(callable(getattr(reductions, name)) for name in _REDUCERS.values())
 
 
 def test_commands_off_the_tables_run_without_numpy():

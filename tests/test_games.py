@@ -137,6 +137,34 @@ def test_grundy_matches_reference(data, token):
     )
 
 
+@given(st.data(), st.sampled_from(["proper", "oriented", "distance", "sequential"]))
+@settings(max_examples=40)
+def test_grundy_matches_reference_with_spare_colors(data, token):
+    # k = 3 and 4 leave colors that no painted vertex uses, which a
+    # color-symmetric search tries only once per move
+    g, k, coloring, order = data.draw(colored_graphs(token, max_n=5, k_min=3, k_max=4))
+    pos = Position.start(g, k, RULESET_TOKENS[token](), order=order, coloring=coloring)
+    assert grundy(pos) == ref_grundy(token, g, k, coloring, order), (
+        g.edges, k, coloring, order)
+
+
+def test_search_paints_seen_colors_and_the_lowest_unseen(monkeypatch):
+    # on path:4 a part sees at most two colors, so however large k is the
+    # search never paints a color above 3, and it finds the k=3 value
+    asked = set()
+    rule = ProperColoring.move_ok
+    monkeypatch.setattr(ProperColoring, "move_ok",
+                        lambda self, g, colors, v, c: asked.add(c) or rule(self, g, colors, v, c))
+    g = build_family("path", 4)
+    clear_solver_cache()
+    try:
+        wide = grundy(Position.start(g, 100_000, ProperColoring()))
+        assert asked == {1, 2, 3}
+        assert wide == grundy(Position.start(g, 3, ProperColoring()))
+    finally:
+        clear_solver_cache()
+
+
 @given(graphs(max_n=8))
 def test_one_color_game_is_node_kayles(g):
     pos = Position.start(g, 1, ProperColoring())
