@@ -150,8 +150,17 @@ def legal_moves(position: Position) -> list[Move]:
 
 
 def apply_move(position: Position, move: Move) -> Position:
-    """Play a move, returning the resulting position."""
-    if move not in legal_moves(position):
+    """Play a move, returning the resulting position. The move loop is asked
+    about this vertex and color only; with a visit order it offers the
+    order's next vertex, which must be the move's."""
+    v, c = move.vertex, move.color
+    ruleset, graph = rs.translate_for_solving(position.ruleset, position.graph)
+    colors = [0 if x is None else x for x in position.coloring]
+    if not (
+        v in range(graph.n)
+        and c in range(1, position.k + 1)
+        and (v, c) in _moves(ruleset, graph, (c,), position.order, colors, (v,))
+    ):
         raise IllegalMoveError(f"{move} is not legal here")
     return _play(position, move)
 

@@ -194,7 +194,8 @@ class Graph:
 
     n: int
     directed: bool
-    # family tag ("path", (5,)) set by build_family; identity only, not compared
+    # family tag ("path", (5,)) set by build_family; not compared, and read
+    # only by rulesets.closed_form_outcome
     family: tuple[str, tuple[int, ...]] | None
     offsets: array
     targets: array
@@ -394,20 +395,9 @@ def parse_family_spec(spec: str) -> Graph:
     return build_family(name, *params)
 
 
-# the undirected family a directed family's arcs lie on
-UNDIRECTED_FAMILY = {"directed_path": "path", "directed_cycle": "cycle"}
-
-
 def underlying_graph(g: Graph) -> Graph:
-    """Forget arc directions. Keeps the family tag when it still applies."""
-    if not g.directed:
-        return g
-    fam = g.family
-    if fam is not None:
-        fam = (UNDIRECTED_FAMILY.get(fam[0], fam[0]), fam[1])
-        if fam[0] == "cycle" and fam[1][0] < 3:
-            fam = None  # a 2-cycle collapses to a single undirected edge
-    return make_graph(g.n, g.edges, family=fam)
+    """Forget arc directions."""
+    return make_graph(g.n, g.edges) if g.directed else g
 
 
 # ---- distances and power graphs ----------------------------------------
@@ -523,56 +513,8 @@ def is_automorphism(g: Graph, mapping: Sequence[int]) -> bool:
     return all(g.has_edge(mapping[u], mapping[v]) for u, v in g._pairs())
 
 
-def _mode_ok(g: Graph, mapping: Sequence[int], mode: str) -> bool:
-    fixed = sum(1 for v, u in enumerate(mapping) if u == v)
-    if mode == FIXED_POINT_FREE:
-        return fixed == 0
-    if fixed != 1:
-        return False
-    return all(u == v or not g.has_edge(v, u) for v, u in enumerate(mapping))
-
-
-def _family_candidates(g: Graph) -> list[list[int]]:
-    """Cheap canonical reflections for recognized families."""
-    if g.family is None:
-        return []
-    name, params = g.family
-    n = g.n
-    out: list[list[int]] = []
-    if name == "path":
-        out.append([n - 1 - i for i in range(n)])
-    elif name == "cycle":
-        if n % 2 == 0:
-            out.append([(i + n // 2) % n for i in range(n)])  # antipodal rotation
-        out.append([(n - i) % n for i in range(n)])            # reflection at vertex 0
-        out.append([(n - 1 - i) % n for i in range(n)])        # reflection at an edge
-    elif name == "grid":
-        dims = params
-        coords = list(itertools.product(*(range(d) for d in dims)))
-        index = {c: i for i, c in enumerate(coords)}
-        # reflect any nonempty subset of axes
-        for mask in range(1, 1 << len(dims)):
-            mapping = [0] * n
-            for c in coords:
-                img = tuple(
-                    dims[a] - 1 - c[a] if mask >> a & 1 else c[a]
-                    for a in range(len(dims))
-                )
-                mapping[index[c]] = index[img]
-            out.append(mapping)
-    elif name == "hypercube":
-        out.append([v ^ (n - 1) for v in range(n)])  # complement every bit
-    elif name == "complete_binary_tree":
-        mapping = [0] * n
-        for v in range(1, n):
-            p = (v - 1) // 2
-            mapping[v] = 2 * mapping[p] + (2 if v % 2 == 1 else 1)
-        out.append(mapping)
-    return out
-
-
-# graphs above EXHAUSTIVE_CAP vertices are searched only through their
-# family reflections; the backtracking search stops after NODE_BUDGET nodes
+# the backtracking search takes graphs of at most EXHAUSTIVE_CAP vertices
+# and stops after NODE_BUDGET nodes
 EXHAUSTIVE_CAP = 24
 NODE_BUDGET = 2_000_000
 
@@ -584,8 +526,8 @@ def find_involution(g: Graph, mode: str) -> Involution | None:
     adjacent to its image, so a pairing strategy can always answer on the
     partner) or FIXED_POINT_FREE. Returns None only when nonexistence is
     proven; raises InvolutionSearchBudget when the search is cut short
-    (n above EXHAUSTIVE_CAP with no recognized family reflection, or the
-    backtracking search passes NODE_BUDGET nodes).
+    (n above EXHAUSTIVE_CAP, or the backtracking search passes NODE_BUDGET
+    nodes). The family tag is not read.
     """
     if mode not in _INVOLUTION_MODES:
         raise ValueError(f"unknown involution mode {mode!r}")
@@ -597,15 +539,8 @@ def find_involution(g: Graph, mode: str) -> Involution | None:
     if g.n == 0:
         return None if want_fixed == 1 else Involution.from_mapping(())
 
-    for cand in _family_candidates(g):
-        if is_automorphism(g, cand) and _mode_ok(g, cand, mode):
-            return Involution.from_mapping(cand)
-
     if g.n > EXHAUSTIVE_CAP:
-        raise InvolutionSearchBudget(
-            f"n={g.n} exceeds exhaustive cap {EXHAUSTIVE_CAP} and no canonical "
-            "reflection applies"
-        )
+        raise InvolutionSearchBudget(f"n={g.n} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
 
     # Backtracking over pairings. Vertices are matched in index order; each
     # step either fixes v (if the fixed budget allows) or pairs it with a

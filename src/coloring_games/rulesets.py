@@ -25,7 +25,6 @@ from . import sequential
 from .graphs import (
     FIXED_POINT_FREE,
     SINGLE_FIXED_POINT,
-    UNDIRECTED_FAMILY,
     Graph,
     InvolutionSearchBudget,
     check_order,
@@ -282,9 +281,10 @@ def outcome_by_involution(g: Graph, k: int) -> str:
     A single-fixed-point involution whose pairs are never adjacent gives the
     first player a mirror strategy (N, any k). A fixed-point-free involution
     gives the second player an opposite-color mirror (P, k=2 only). Returns
-    "unknown" when neither applies or the search runs out of budget. The
-    proper rule ignores arc directions, so the search runs on the underlying
-    undirected graph.
+    "unknown" when neither applies or the exhaustive search runs out of
+    budget, as it does above graphs.EXHAUSTIVE_CAP vertices. The proper rule
+    ignores arc directions, so the search runs on the underlying undirected
+    graph.
     """
     g = underlying_graph(g)
     try:
@@ -301,9 +301,14 @@ def outcome_by_involution(g: Graph, k: int) -> str:
     return OUTCOME_UNKNOWN
 
 
-# odd-path outcomes for the 2-distance 2-coloring game; even lengths are all P
+# odd-path outcomes for the 2-distance 2-coloring game; even lengths are all
+# P. 19-23 lie beyond the source's table; each has two independent searches
 DISTANCE2_ODD_PATHS = {3: OUTCOME_P, 5: OUTCOME_N, 7: OUTCOME_N, 9: OUTCOME_P,
-                       11: OUTCOME_P, 13: OUTCOME_N, 15: OUTCOME_P, 17: OUTCOME_P}
+                       11: OUTCOME_P, 13: OUTCOME_N, 15: OUTCOME_P, 17: OUTCOME_P,
+                       19: OUTCOME_P, 21: OUTCOME_N, 23: OUTCOME_N}
+
+# the undirected family a directed family's arcs lie on
+UNDIRECTED_FAMILY = {"directed_path": "path", "directed_cycle": "cycle"}
 
 
 def closed_form_outcome(

@@ -3,8 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v`. Each test emits
 `ACCEPTANCE <n> <name>: PASS|FAIL (<elapsed>s)`; conftest replays the
 collected lines as a terminal summary section so they survive output
-capture. Every criterion asserts its stated time budget. Lengths 15 and 17
-of the distance table are opt-in: `pytest -m extended`.
+capture. Every criterion asserts its stated time budget. Lengths 15, 17 and
+19 of the distance table are opt-in: `pytest -m extended`.
 """
 
 import itertools
@@ -101,8 +101,8 @@ def test_criterion_03_distance_odd_paths():
 
 @pytest.mark.extended
 def test_criterion_03_distance_extended_lengths():
-    with criterion(3, "distance-2 paths 15 and 17 (extended)", budget=1800):
-        for n in (15, 17):
+    with criterion(3, "distance-2 paths 15, 17 and 19 (extended)", budget=1800):
+        for n in (15, 17, 19):
             pos = Position.start(build_family("path", n), 2, DistanceColoring(2))
             assert games.outcome(pos) == "P", f"path {n}"
 

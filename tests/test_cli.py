@@ -89,6 +89,16 @@ def test_solve_involution_method(capsys):
                           "--graph", "hypercube:3", "--method", "involution")
     assert recs[0]["outcome"] == "P"
 
+    # grid:5,5 has 25 vertices, one over the pairing search's cap; the
+    # closed form still decides it under --method auto
+    argv = ("solve", "--ruleset", "proper", "--k", "3", "--graph", "grid:5,5")
+    code, recs = run_json(capsys, *argv, "--method", "involution")
+    assert code == EXIT_OK
+    assert recs[0]["outcome"] == "unknown" and recs[0]["method"] == "involution"
+    code, recs = run_json(capsys, *argv, "--method", "auto")
+    assert code == EXIT_OK
+    assert recs[0]["outcome"] == "N" and recs[0]["method"] == "closed-form"
+
 
 def test_solve_forced_method_can_report_unknown(capsys):
     code, recs = run_json(capsys, "solve", "--ruleset", "proper", "--k", "3",

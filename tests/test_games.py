@@ -104,7 +104,7 @@ def test_legal_move_examples():
     assert legal_moves(later) == [Move(0, 2)]
 
 
-def test_apply_move_and_errors():
+def test_apply_move_and_errors(monkeypatch):
     p = Position.start(build_family("path", 3), 2, ProperColoring())
     q = apply_move(p, Move(1, 2))
     assert q.coloring == (None, 2, None)
@@ -114,6 +114,42 @@ def test_apply_move_and_errors():
         apply_move(q, Move(0, 2))       # clashes with the painted neighbor
     with pytest.raises(IllegalMoveError):
         apply_move(q, Move(9, 1))
+    # -1 is no vertex, not the last one; 0 and k+1 are outside 1..k
+    for mv in (Move(-1, 1), Move(None, 1), Move(0, 0), Move(0, 3)):
+        with pytest.raises(IllegalMoveError):
+            apply_move(p, mv)
+    seq = Position.start(build_family("path", 3), 2, SequentialColoring(), order=(1, 0, 2))
+    with pytest.raises(IllegalMoveError):
+        apply_move(seq, Move(0, 1))     # legal color, but not the order's next vertex
+    assert apply_move(seq, Move(1, 1)).coloring == (None, 1, None)
+
+    # one move is checked alone: a million-color palette never lists n*k moves
+    def refuse(position):
+        raise AssertionError("legal_moves called")
+
+    monkeypatch.setattr(games, "legal_moves", refuse)
+    p = Position.start(build_family("path", 5), 10**6, ProperColoring())
+    q = apply_move(p, Move(2, 10**6))
+    assert q.coloring == (None, None, 10**6, None, None)
+    with pytest.raises(IllegalMoveError):
+        apply_move(q, Move(3, 10**6))
+    assert apply_move(q, Move(3, 1)).coloring == (None, None, 10**6, 1, None)
+
+
+@given(st.data(), st.sampled_from(TOKENS))
+@settings(max_examples=60)
+def test_apply_move_accepts_exactly_the_legal_moves(data, token):
+    g, k, coloring, order = data.draw(colored_graphs(token, max_n=5))
+    pos = Position.start(g, k, RULESET_TOKENS[token](), order=order, coloring=coloring)
+    legal = set(legal_moves(pos))
+    for v in range(-1, g.n + 1):
+        for c in range(0, k + 2):
+            mv = Move(v, c)
+            if mv in legal:
+                assert apply_move(pos, mv) == games._play(pos, mv)
+            else:
+                with pytest.raises(IllegalMoveError):
+                    apply_move(pos, mv)
 
 
 def test_fully_painted_position_is_zero():

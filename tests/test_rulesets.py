@@ -1,6 +1,7 @@
 """Legality predicates, move legality, and outcome shortcuts."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -264,6 +265,39 @@ def test_outcome_by_involution_budget_is_unknown():
     assert outcome_by_involution(g, 2) == OUTCOME_UNKNOWN
 
 
+def _named_families(max_n):
+    """Every named family instance with at most max_n vertices; grids take
+    2 to 4 sides of length >= 2, in every order, since the order changes
+    the vertex numbering the pairing search walks."""
+    out = [build_family(name, n) for name in ("path", "directed_path")
+           for n in range(1, max_n + 1)]
+    out += [build_family("cycle", n) for n in range(3, max_n + 1)]
+    out += [build_family("directed_cycle", n) for n in range(2, max_n + 1)]
+    out += [build_family("hypercube", d) for d in range(1, max_n.bit_length())]
+    out += [build_family("complete_binary_tree", d)
+            for d in range(1, (max_n + 1).bit_length() - 1)]
+    for m in (2, 3, 4):
+        for dims in itertools.product(range(2, max_n // 2 + 1), repeat=m):
+            if math.prod(dims) <= max_n:
+                out.append(build_family("grid", *dims))
+    return out
+
+
+def test_closed_forms_cover_every_pairing_answer():
+    # the named families have no pairing shortcut of their own: wherever the
+    # exhaustive pairing search answers on one, the closed form must already
+    # give that outcome
+    answered = 0
+    for g in _named_families(24):
+        assert g.n <= 24
+        for k in (1, 2, 3):
+            got = outcome_by_involution(g, k)
+            if got != OUTCOME_UNKNOWN:
+                answered += 1
+                assert closed_form_outcome(ProperColoring(), k, g)[0] == got, (g.family, k)
+    assert answered >= 200
+
+
 # ---- closed forms ----------------------------------------------------------------
 
 def test_closed_form_spots():
@@ -280,6 +314,8 @@ def test_closed_form_spots():
     assert closed_form_outcome(WeakColoring(), 2, build_family("cycle", 7)) == (OUTCOME_N, 1)
     assert closed_form_outcome(DistanceColoring(d=2), 2, build_family("path", 3)) == (OUTCOME_P, 0)
     assert closed_form_outcome(DistanceColoring(d=2), 2, build_family("path", 5))[0] == OUTCOME_N
+    assert closed_form_outcome(DistanceColoring(d=2), 2, build_family("path", 19)) == (OUTCOME_P, 0)
+    assert closed_form_outcome(DistanceColoring(d=2), 2, build_family("path", 21)) == (OUTCOME_N, None)
     assert closed_form_outcome(OrientedBlueRed(), 2, build_family("directed_cycle", 9)) == (OUTCOME_P, 0)
     assert closed_form_outcome(OrientedBlueRed(), 2, build_family("directed_cycle", 3)) == (OUTCOME_UNKNOWN, None)
     untagged = make_graph(3, [(0, 1)])
