@@ -60,7 +60,7 @@ def cold_position(argv: list[str]) -> games.Position:
     rulesets._power.cache_clear()
     args = cli.build_parser().parse_args(["solve", *argv])
     graph, _source, doc = cli._load_graph(args)
-    ruleset = cli._build_ruleset(args)
+    ruleset = cli._build_ruleset(args, doc)
     return games.Position.start(graph, cli._resolve_k(args, doc, ruleset), ruleset)
 
 

@@ -54,6 +54,7 @@ from .rulesets import (
     OrientedBlueRed,
     ProperColoring,
     RULESET_TOKENS,
+    SequentialColoring,
     WeakColoring,
     closed_form_outcome,
     outcome_by_involution,
@@ -133,14 +134,19 @@ def _load_graph(args) -> tuple[Graph, str, GraphDocument | None]:
     raise ValueError("a graph is required (--graph NAME:PARAMS or --file PATH)")
 
 
-def _build_ruleset(args):
+def _build_ruleset(args, doc: GraphDocument | None):
+    """The ruleset of --ruleset and --d; sequential takes the file's visit
+    order, which no other ruleset accepts."""
     cls = RULESET_TOKENS[args.ruleset]
     d = args.d
-    if cls is DistanceColoring:
-        return DistanceColoring(2 if d is None else d)
-    if d is not None:
+    if d is not None and cls is not DistanceColoring:
         raise ValueError("--d only applies to the distance ruleset")
-    return cls()
+    order = doc.order if doc is not None else None
+    if cls is SequentialColoring:
+        return SequentialColoring(order)
+    if order is not None:
+        raise ValueError(f"{cls.token} takes no visit order")
+    return DistanceColoring(2 if d is None else d) if cls is DistanceColoring else cls()
 
 
 def _resolve_k(args, doc: GraphDocument | None, ruleset) -> int:
@@ -159,11 +165,10 @@ def cmd_solve(args, out: TextIO) -> int:
     from . import games
 
     g, source, doc = _load_graph(args)
-    ruleset = _build_ruleset(args)
+    ruleset = _build_ruleset(args, doc)
     k = _resolve_k(args, doc, ruleset)
     coloring = doc.coloring if doc is not None else None
-    order = doc.order if doc is not None else None
-    pos = games.Position.start(g, k, ruleset, order=order, coloring=coloring)
+    pos = games.Position.start(g, k, ruleset, coloring=coloring)
     uncolored = pos.painted_count == 0
 
     record = {"graph": source, "ruleset": ruleset.token, "k": k}
@@ -175,7 +180,7 @@ def cmd_solve(args, out: TextIO) -> int:
     value: int | None = None
 
     if method in ("auto", "closed-form") and uncolored:
-        outcome, value = closed_form_outcome(ruleset, k, g, order)
+        outcome, value = closed_form_outcome(ruleset, k, g)
         if outcome != OUTCOME_UNKNOWN:
             method = "closed-form"
 

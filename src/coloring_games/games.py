@@ -21,9 +21,12 @@ Under a color-symmetric ruleset the colors a key does not see are
 interchangeable, so the search paints only the colors it sees and the lowest
 one it does not. One move loop, shared with legal_moves, gives the legal
 moves: it binds the ruleset's rule to the coloring once per call
-(rulesets.move_rule) and, with a visit order, offers only the first uncolored
-vertex of the order. The loop is lazy, so a recursion level holds no move
-list. Distance games are solved as proper games on the power graph.
+(rulesets.move_rule) and, under the sequential ruleset, offers only the first
+uncolored vertex of the ruleset's visit order. The loop is lazy, and a live
+level keeps its part as the mask and one byte per vertex of the part's span,
+picking the vertices from those bytes each time it walks them, so a level
+holds neither a move list nor a vertex list. Distance games are solved as
+proper games on the power graph.
 
 Each solver counts the bytes of its own table against COLORING_GAMES_TT_BYTES,
 read when the solver is made: per entry, the key's size plus a dict slot.
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from typing import Iterable, Iterator, Sequence
 
 from . import rulesets as rs
@@ -88,12 +91,11 @@ class Position:
     k: int
     ruleset: Ruleset
     coloring: tuple
-    order: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if len(self.coloring) != self.graph.n:
             raise IllegalColoringError("coloring length must equal vertex count")
-        if not is_legal_coloring(self.ruleset, self.graph, self.k, self.coloring, self.order):
+        if not is_legal_coloring(self.ruleset, self.graph, self.k, self.coloring):
             raise IllegalColoringError(
                 f"coloring {self.coloring} is illegal under {self.ruleset.token}"
             )
@@ -104,11 +106,10 @@ class Position:
         graph: Graph,
         k: int,
         ruleset: Ruleset,
-        order: tuple[int, ...] | None = None,
         coloring: Sequence[int | None] | None = None,
     ) -> "Position":
         col = tuple(coloring) if coloring is not None else (None,) * graph.n
-        return cls(graph=graph, k=k, ruleset=ruleset, coloring=col, order=order)
+        return cls(graph=graph, k=k, ruleset=ruleset, coloring=col)
 
     @property
     def painted_count(self) -> int:
@@ -119,23 +120,23 @@ def _moves(
     ruleset: Ruleset,
     graph: Graph,
     palette: Sequence[int],
-    order: tuple[int, ...] | None,
     colors: list[int],
-    part: Sequence[int],
+    part: Iterable[int],
 ) -> Iterator[tuple[int, int]]:
     """Legal (vertex, color) moves on the uncolored vertices of part with
-    the colors of palette, one at a time; with a visit order only the first
-    uncolored vertex of the order may be painted. A caller that paints a
-    move restores colors before it asks for the next, since the rule stays
-    bound to the first coloring."""
+    the colors of palette, one at a time; under the sequential ruleset the
+    part is set aside and only the first uncolored vertex of its visit
+    order may be painted. A caller that paints a move restores colors
+    before it asks for the next, since the rule stays bound to the first
+    coloring."""
     ok = rs.move_rule(ruleset, graph, colors)
-    for v in part if order is None else order:
+    if isinstance(ruleset, rs.SequentialColoring):
+        part = next(((v,) for v in ruleset.order if not colors[v]), ())
+    for v in part:
         if not colors[v]:
             for c in palette:
                 if ok(graph, colors, v, c):
                     yield v, c
-            if order is not None:
-                return
 
 
 def legal_moves(position: Position) -> list[Move]:
@@ -144,22 +145,21 @@ def legal_moves(position: Position) -> list[Move]:
     colors = [0 if c is None else c for c in position.coloring]
     return [
         Move(v, c)
-        for v, c in _moves(ruleset, graph, range(1, position.k + 1), position.order, colors,
-                           range(graph.n))
+        for v, c in _moves(ruleset, graph, range(1, position.k + 1), colors, range(graph.n))
     ]
 
 
 def apply_move(position: Position, move: Move) -> Position:
     """Play a move, returning the resulting position. The move loop is asked
-    about this vertex and color only; with a visit order it offers the
-    order's next vertex, which must be the move's."""
+    about this vertex and color only; under the sequential ruleset it offers
+    the visit order's next vertex, which must be the move's."""
     v, c = move.vertex, move.color
     ruleset, graph = rs.translate_for_solving(position.ruleset, position.graph)
     colors = [0 if x is None else x for x in position.coloring]
     if not (
         v in range(graph.n)
         and c in range(1, position.k + 1)
-        and (v, c) in _moves(ruleset, graph, (c,), position.order, colors, (v,))
+        and (v, c) in _moves(ruleset, graph, (c,), colors, (v,))
     ):
         raise IllegalMoveError(f"{move} is not legal here")
     return _play(position, move)
@@ -182,6 +182,11 @@ def _play(position: Position, move: Move) -> Position:
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digits to 0/1 flags
 
 
+def _flags(rel: int) -> bytes:
+    """One byte per bit of rel, lowest bit first: 1 where the bit is set."""
+    return f"{rel:b}".encode().translate(_DIGIT_FLAGS)[::-1]
+
+
 def _mask(verts: Sequence[int], lo: int) -> int:
     """The vertices verts, none below lo, as a mask relative to lo (bit i
     for vertex lo + i), from one string of binary digits."""
@@ -193,13 +198,10 @@ def _mask(verts: Sequence[int], lo: int) -> int:
 
 
 class _Solver:
-    def __init__(
-        self, graph: Graph, k: int, ruleset: Ruleset, order: tuple[int, ...] | None
-    ) -> None:
+    def __init__(self, graph: Graph, k: int, ruleset: Ruleset) -> None:
         self.ruleset, self.graph = rs.translate_for_solving(ruleset, graph)
         self.k = k
         self.palette = range(1, k + 1)
-        self.order = order
         n = self.graph.n
         self.field = n.bit_length()  # bits that hold a vertex number or a count of them
         self.ids = list(range(n))  # one int object per vertex, shared by all vertex lists
@@ -216,17 +218,20 @@ class _Solver:
             self.nlo = [0] * n
             self.nrel: list[int | None] = [None] * n
             if not self.live:  # the weak rule's parts: the whole graph's components
-                self.parts = {p: self._verts(*p) for p in self._free_parts([0] * n)}
+                parts = self._free_parts([0] * n)
+                self.parts = {p: list(self._verts(*p, _flags(p[1]))) for p in parts}
         self.table: dict[int, int] = {}
         self.budget = byte_budget()
         self.bytes = 0
 
-    def _verts(self, lo: int, rel: int) -> list[int]:
-        """The vertices of the part (lo, rel), ascending, picked from the
-        binary digits of rel by C-level iteration, so a wide part costs no
-        big-int step per vertex."""
-        digits = f"{rel:b}".encode().translate(_DIGIT_FLAGS)[::-1]
-        return list(compress(self.ids[lo:lo + len(digits)], digits))
+    def _verts(self, lo: int, rel: int, flags: bytes | None) -> Iterable[int]:
+        """The vertices of the part (lo, rel), ascending: the stored list of a
+        part that does not split, or else picked from flags, _flags(rel), by
+        C-level iteration, so a wide part costs no big-int step per vertex and
+        no list."""
+        if flags is None:
+            return self.parts[lo, rel]
+        return compress(islice(self.ids, lo, None), flags)
 
     def _free_parts(self, colors: list[int]) -> list[tuple[int, int]]:
         """The components of the uncolored subgraph as (lo, rel) parts, from
@@ -294,7 +299,7 @@ class _Solver:
     # -- the recursion --
 
     def _key(
-        self, colors: list[int], lo: int, rel: int, verts: list[int]
+        self, colors: list[int], lo: int, rel: int, verts: Iterable[int]
     ) -> tuple[int, dict[int, int] | None]:
         """One int for the part and the colors that can affect it, and, when
         the ruleset is color-symmetric, the relabeling of those colors. From
@@ -325,8 +330,10 @@ class _Solver:
         return lo | w << self.field | (rel | packed << w) << 2 * self.field, relabel
 
     def _solve(self, colors: list[int], lo: int, rel: int) -> int:
-        verts = self._verts(lo, rel) if self.live else self.parts[lo, rel]
-        key, relabel = self._key(colors, lo, rel, verts)
+        # a live level keeps its part's flags, one byte per vertex of the
+        # span, and walks the vertices from them: for the key and the moves
+        flags = _flags(rel) if self.live else None
+        key, relabel = self._key(colors, lo, rel, self._verts(lo, rel, flags))
         hit = self.table.get(key)
         if hit is not None:
             return hit
@@ -339,7 +346,7 @@ class _Solver:
                 free += 1
             palette = [*filter(None, relabel), free]
         opts = set()
-        for v, c in _moves(self.ruleset, self.graph, palette, self.order, colors, verts):
+        for v, c in _moves(self.ruleset, self.graph, palette, colors, self._verts(lo, rel, flags)):
             colors[v] = c
             val = 0
             for rest in self._split(lo, rel, v) if self.live else ((lo, rel),):
@@ -378,12 +385,10 @@ _used = 0  # bytes charged by the tables of the solvers in _SOLVERS
 
 
 def _solver_for(position: Position) -> _Solver:
-    key = (position.graph, position.ruleset, position.k, position.order)
+    key = (position.graph, position.ruleset, position.k)
     solver = _SOLVERS.get(key)
     if solver is None:
-        solver = _SOLVERS[key] = _Solver(
-            position.graph, position.k, position.ruleset, position.order
-        )
+        solver = _SOLVERS[key] = _Solver(position.graph, position.k, position.ruleset)
     return solver
 
 

@@ -7,9 +7,10 @@ own parts and power_graph runs a bounded BFS. A graph keeps its edges as
 sorted CSR (compressed sparse row) rows in array('q'):
 targets[offsets[v]:offsets[v+1]] lists v's row in ascending order. An
 undirected graph has one such pair, in which every edge sits in both
-endpoints' rows; a digraph has its out rows in offsets/targets and its in
-rows in in_offsets/in_targets. The edge set of (min, max) pairs or (tail,
-head) arcs, the adjacency tuples and the degrees are derived from the rows.
+endpoints' rows; a digraph keeps its out rows there, and its in rows are
+transposed from them when in_adj is first read. The edge set of (min, max)
+pairs or (tail, head) arcs, the adjacency tuples and the degrees are derived
+from the rows.
 Graphs are immutable and compare and hash by value, so they can serve as
 transposition-table keys.
 
@@ -122,19 +123,9 @@ def _row_tuples(offsets: array, targets: array) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _transpose(n: int, offsets: array, targets: array) -> tuple[array, array]:
-    """Rows of the reversed relation, each in ascending order."""
-    return _rows(n, targets, _row_ids(offsets))
-
-
-def _csr(
-    n: int, directed: bool, edges: Iterable[tuple[int, int]]
-) -> tuple[array, array, array | None, array | None]:
-    """Sorted rows without repeats: (offsets, targets, in_offsets, in_targets).
-
-    The in rows are None for an undirected graph. Undirected pairs are
-    turned to (min, max).
-    """
+def _csr(n: int, directed: bool, edges: Iterable[tuple[int, int]]) -> tuple[array, array]:
+    """Sorted rows without repeats: (offsets, targets), a digraph's out rows.
+    Undirected pairs are turned to (min, max)."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     ends = array("q")  # u0, v0, u1, v1, ...
@@ -171,10 +162,9 @@ def _csr(
 
     # sorted pairs fill every row in ascending order
     if directed:
-        out = _rows(n, ends[::2], itertools.islice(ends, 1, None, 2))
-        return (*out, *_transpose(n, *out))
+        return _rows(n, ends[::2], itertools.islice(ends, 1, None, 2))
     swapped = zip(itertools.islice(ends, 1, None, 2), itertools.islice(ends, 0, None, 2))
-    return (*_rows(n, ends, itertools.chain.from_iterable(swapped)), None, None)
+    return _rows(n, ends, itertools.chain.from_iterable(swapped))
 
 
 # ---- graphs --------------------------------------------------------------
@@ -187,8 +177,7 @@ class Graph:
     outside 0..n-1 raises ValueError.
 
     offsets/targets hold the neighbour rows of an undirected graph and the
-    out rows of a digraph; in_offsets/in_targets hold a digraph's in rows and
-    are None for an undirected one. The arrays are read-only by contract.
+    out rows of a digraph. The arrays are read-only by contract.
     Equality and hash look at n, directed and the rows, never at family.
     """
 
@@ -199,8 +188,6 @@ class Graph:
     family: tuple[str, tuple[int, ...]] | None
     offsets: array
     targets: array
-    in_offsets: array | None
-    in_targets: array | None
 
     def __init__(
         self,
@@ -209,7 +196,7 @@ class Graph:
         edges: Iterable[tuple[int, int]],
         family: tuple[str, tuple[int, ...]] | None = None,
     ) -> None:
-        offsets, targets, in_offsets, in_targets = _csr(n, directed, edges)
+        offsets, targets = _csr(n, directed, edges)
         # __setattr__ refuses every assignment, so fill the instance dict
         self.__dict__.update(
             n=n,
@@ -217,8 +204,6 @@ class Graph:
             family=family,
             offsets=offsets,
             targets=targets,
-            in_offsets=in_offsets,
-            in_targets=in_targets,
         )
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -285,8 +270,8 @@ class Graph:
     @cached_property
     def in_adj(self) -> tuple[tuple[int, ...], ...]:
         """Arc tails per head; for an undirected graph, the neighbors below v."""
-        if self.directed:
-            return _row_tuples(self.in_offsets, self.in_targets)
+        if self.directed:  # the out rows transposed: tails sorted by head
+            return _row_tuples(*_rows(self.n, self.targets, _row_ids(self.offsets)))
         off, tgt = self.offsets, self.targets
         return tuple(
             tuple(tgt[off[v] : bisect_left(tgt, v, off[v], off[v + 1])])

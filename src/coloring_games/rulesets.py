@@ -10,9 +10,12 @@ vertex. Only the constraints touching v are checked. move_rule binds that
 method to one coloring, once, as the (g, colors, v, c) callable every caller
 uses; the oriented rule's set of used color pairs is built there. Distance
 games have no method of their own; translate_for_solving turns them into
-proper games on the power graph. is_legal_coloring checks a whole partial
-coloring with the same rule: every painted vertex must be able to take its
-color with the rest of the coloring as it stands.
+proper games on the power graph. A game's parameter is a field of its
+ruleset: the distance d, and the sequential game's visit order, a tuple that
+no other ruleset has. is_legal_coloring checks a whole partial coloring with
+the same rule: every painted vertex must be able to take its color with the
+rest of the coloring as it stands, and under the sequential ruleset the
+painted vertices must be a prefix of the visit order.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ DECOMP_NONE = None
 
 
 class RulesetMismatchError(ValueError):
-    """Graph directedness, k, or move order incompatible with the ruleset."""
+    """Graph directedness, k, or a visit order incompatible with the ruleset."""
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,6 @@ class Ruleset:
     fixed_k: ClassVar[int | None] = None
     color_symmetric: ClassVar[bool] = True
     decomposition: ClassVar[str | None] = DECOMP_LIVE
-    needs_order: ClassVar[bool] = False
 
 
 @dataclass(frozen=True)
@@ -172,11 +174,18 @@ class DistanceColoring(Ruleset):
 @dataclass(frozen=True)
 class SequentialColoring(Ruleset):
     """Proper coloring where turn i must paint the i-th vertex of a fixed
-    visit order; a player who cannot legally color that vertex loses."""
+    visit order; a player who cannot legally color that vertex loses. The
+    order is part of the game, kept as a tuple."""
 
     token = "sequential"
     decomposition = DECOMP_NONE  # the shared turn order is global state
-    needs_order = True
+
+    order: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.order is None:
+            raise ValueError("sequential needs a visit order")
+        object.__setattr__(self, "order", tuple(self.order))
 
     # the visit order is checked by is_legal_coloring and the move generator
     move_ok = ProperColoring.move_ok
@@ -185,10 +194,9 @@ class SequentialColoring(Ruleset):
 RULESET_TOKENS = {cls.token: cls for cls in Ruleset.__subclasses__()}
 
 
-def check_compatible(
-    ruleset: Ruleset, g: Graph, k: int, order: tuple[int, ...] | None = None
-) -> None:
-    """Raise RulesetMismatchError on directedness/k/order mismatches."""
+def check_compatible(ruleset: Ruleset, g: Graph, k: int) -> None:
+    """Raise RulesetMismatchError on directedness/k mismatches, or when a
+    sequential ruleset's visit order is not a permutation of g's vertices."""
     if k < 1:
         raise RulesetMismatchError("k must be >= 1")
     if ruleset.needs_directed is True and not g.directed:
@@ -197,13 +205,9 @@ def check_compatible(
         raise RulesetMismatchError(f"{ruleset.token} needs an undirected graph")
     if ruleset.fixed_k is not None and k != ruleset.fixed_k:
         raise RulesetMismatchError(f"{ruleset.token} is played with k={ruleset.fixed_k}")
-    if ruleset.needs_order and order is None:
-        raise RulesetMismatchError(f"{ruleset.token} needs a visit order")
-    if not ruleset.needs_order and order is not None:
-        raise RulesetMismatchError(f"{ruleset.token} takes no visit order")
-    if order is not None:
+    if isinstance(ruleset, SequentialColoring):
         try:
-            check_order(g.n, order)
+            check_order(g.n, ruleset.order)
         except ValueError as exc:
             raise RulesetMismatchError(str(exc)) from None
 
@@ -240,20 +244,19 @@ def is_legal_coloring(
     g: Graph,
     k: int,
     coloring: Sequence[int | None],
-    order: tuple[int, ...] | None = None,
 ) -> bool:
     """True when every color is in 1..k, the painted vertices form a prefix
     of the visit order (sequential), and every painted vertex could take its
     color with the rest of the coloring as it stands."""
-    check_compatible(ruleset, g, k, order)
+    check_compatible(ruleset, g, k)
     if len(coloring) != g.n:
         raise ValueError("coloring length must equal vertex count")
     for c in coloring:
         if c is not None and not 1 <= c <= k:
             return False
-    if order is not None:
+    if isinstance(ruleset, SequentialColoring):
         painted = sum(1 for c in coloring if c is not None)
-        if any(coloring[v] is None for v in order[:painted]):
+        if any(coloring[v] is None for v in ruleset.order[:painted]):
             return False
 
     ruleset, g = translate_for_solving(ruleset, g)
@@ -311,9 +314,7 @@ DISTANCE2_ODD_PATHS = {3: OUTCOME_P, 5: OUTCOME_N, 7: OUTCOME_N, 9: OUTCOME_P,
 UNDIRECTED_FAMILY = {"directed_path": "path", "directed_cycle": "cycle"}
 
 
-def closed_form_outcome(
-    ruleset: Ruleset, k: int, g: Graph, order: Sequence[int] | None = None
-) -> tuple[str, int | None]:
+def closed_form_outcome(ruleset: Ruleset, k: int, g: Graph) -> tuple[str, int | None]:
     """Known outcome (and Grundy value when known) for uncolored starts: the
     family graphs below, and sequential games with k=2 on any path, decided
     from the visit order in O(n).
@@ -323,10 +324,10 @@ def closed_form_outcome(
     """
     if isinstance(ruleset, SequentialColoring):
         # the linear decision is a two-color result; it says nothing for other k
-        if k != 2 or order is None:
+        if k != 2:
             return OUTCOME_UNKNOWN, None
         try:
-            return sequential.decide_outcome(g, order), None
+            return sequential.decide_outcome(g, ruleset.order), None
         except ValueError:  # not a path
             return OUTCOME_UNKNOWN, None
     if g.family is None:

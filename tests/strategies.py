@@ -5,6 +5,14 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from coloring_games.graphs import Graph, make_graph
+from coloring_games.rulesets import RULESET_TOKENS, Ruleset, SequentialColoring
+
+
+def ruleset_for(token: str, order: tuple[int, ...] | None = None) -> Ruleset:
+    """The ruleset named by token; sequential takes the visit order that
+    colored_graphs drew."""
+    cls = RULESET_TOKENS[token]
+    return SequentialColoring(order) if cls is SequentialColoring else cls()
 
 
 @st.composite

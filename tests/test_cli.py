@@ -132,6 +132,24 @@ def test_sequential_shortcut_agrees_with_search(capsys, tmp_path):
                     assert auto["method"] == "closed-form"
 
 
+def test_visit_order_belongs_to_sequential(capsys, tmp_path):
+    # a file's order line is the sequential game's, refused by every other
+    # ruleset; sequential refuses to play without one
+    f = tmp_path / "p.txt"
+    f.write_text("graph undirected\nvertices 3\nedge 0 1\nedge 1 2\norder 1 0 2\n")
+    assert main(["solve", "--ruleset", "proper", "--k", "2", "--file", str(f)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: proper takes no visit order\n"
+    assert main(["solve", "--ruleset", "sequential", "--k", "2",
+                 "--graph", "path:3"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: sequential needs a visit order\n"
+    argv = ("solve", "--ruleset", "sequential", "--file", str(f))
+    _, (two,) = run_json(capsys, *argv, "--k", "2")
+    assert (two["outcome"], two["method"]) == ("N", "closed-form")
+    _, (three,) = run_json(capsys, *argv, "--k", "3")
+    assert (three["outcome"], three["grundy"], three["method"]) == ("N", 1, "search")
+    assert three["winning_move"] == {"vertex": 1, "color": 1}
+
+
 @pytest.mark.parametrize("line,msg", [
     ("vertices x", "line 2: expected 'vertices <n>'"),
     ("vertices 3", "line 2: duplicate vertices line"),
@@ -516,11 +534,17 @@ print(code, peak_kb() - before, file=sys.stderr)
 
 def test_deep_search_keeps_no_move_list_per_level():
     # the move loop is lazy, so a search too deep for the stack holds its
-    # parts, not k moves per free vertex, on every level (243 MB with lists)
+    # parts, not k moves per free vertex, on every level (243 MB with lists);
+    # a live level keeps its part's mask and flag bytes, not a vertex list
+    # (40.5 MB on distance-1 path:5000 with a list, 8.7 MB without)
     if not os.path.exists("/proc/self/status"):
         pytest.skip("needs Linux /proc/self/status")
-    argv = ["solve", "--ruleset", "oriented-br", "--graph", "dpath:2500"]
-    proc = fresh_python("-c", f"""
+    for argv, bound_mb in (
+        (["solve", "--ruleset", "oriented-br", "--graph", "dpath:2500"], 100),
+        (["solve", "--ruleset", "distance", "--d", "1", "--k", "2", "--graph", "path:5000",
+          "--method", "search"], 15),
+    ):
+        proc = fresh_python("-c", f"""
 import re, sys
 from coloring_games.cli import main
 def peak_kb():
@@ -530,11 +554,11 @@ before = peak_kb()
 code = main({argv!r})
 print(code, peak_kb() - before)
 """)
-    assert proc.returncode == 0, proc.stderr
-    code, grown_kb = map(int, proc.stdout.split())
-    assert code == EXIT_BUDGET
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert grown_kb <= 100 * 1024, grown_kb
+        assert proc.returncode == 0, proc.stderr
+        code, grown_kb = map(int, proc.stdout.split())
+        assert code == EXIT_BUDGET, argv
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, argv
+        assert grown_kb <= bound_mb * 1024, (argv, grown_kb)
 
 
 LOADED = """

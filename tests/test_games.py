@@ -35,7 +35,7 @@ from coloring_games.rulesets import (
     WeakColoring,
 )
 from reference import RefGraph, kayles_grundy, kayles_moves, ref_grundy, ref_legal
-from strategies import colored_graphs, graphs
+from strategies import colored_graphs, graphs, ruleset_for
 
 TOKENS = ["proper", "oriented", "oriented-br", "weak", "distance", "sequential"]
 
@@ -91,15 +91,12 @@ def test_legal_move_examples():
     )
     assert legal_moves(arc) == []
 
-    seq = Position.start(
-        build_family("path", 3), 2, SequentialColoring(), order=(1, 0, 2)
-    )
+    seq = Position.start(build_family("path", 3), 2, SequentialColoring((1, 0, 2)))
     assert {m.vertex for m in legal_moves(seq)} == {1}
 
     # the next vertex is the first uncolored one of the order
     later = Position.start(
-        build_family("path", 3), 2, SequentialColoring(), order=(1, 0, 2),
-        coloring=(None, 1, None),
+        build_family("path", 3), 2, SequentialColoring((1, 0, 2)), coloring=(None, 1, None)
     )
     assert legal_moves(later) == [Move(0, 2)]
 
@@ -118,7 +115,7 @@ def test_apply_move_and_errors(monkeypatch):
     for mv in (Move(-1, 1), Move(None, 1), Move(0, 0), Move(0, 3)):
         with pytest.raises(IllegalMoveError):
             apply_move(p, mv)
-    seq = Position.start(build_family("path", 3), 2, SequentialColoring(), order=(1, 0, 2))
+    seq = Position.start(build_family("path", 3), 2, SequentialColoring((1, 0, 2)))
     with pytest.raises(IllegalMoveError):
         apply_move(seq, Move(0, 1))     # legal color, but not the order's next vertex
     assert apply_move(seq, Move(1, 1)).coloring == (None, 1, None)
@@ -140,7 +137,7 @@ def test_apply_move_and_errors(monkeypatch):
 @settings(max_examples=60)
 def test_apply_move_accepts_exactly_the_legal_moves(data, token):
     g, k, coloring, order = data.draw(colored_graphs(token, max_n=5))
-    pos = Position.start(g, k, RULESET_TOKENS[token](), order=order, coloring=coloring)
+    pos = Position.start(g, k, ruleset_for(token, order), coloring=coloring)
     legal = set(legal_moves(pos))
     for v in range(-1, g.n + 1):
         for c in range(0, k + 2):
@@ -164,8 +161,7 @@ def test_fully_painted_position_is_zero():
 def test_grundy_matches_reference(data, token):
     max_n = 5 if token in ("oriented", "sequential") else 6
     g, k, coloring, order = data.draw(colored_graphs(token, max_n=max_n))
-    ruleset = RULESET_TOKENS[token]()
-    pos = Position.start(g, k, ruleset, order=order, coloring=coloring)
+    pos = Position.start(g, k, ruleset_for(token, order), coloring=coloring)
     assert grundy(pos) == ref_grundy(token, g, k, coloring, order), (
         g.edges,
         coloring,
@@ -179,7 +175,7 @@ def test_grundy_matches_reference_with_spare_colors(data, token):
     # k = 3 and 4 leave colors that no painted vertex uses, which a
     # color-symmetric search tries only once per move
     g, k, coloring, order = data.draw(colored_graphs(token, max_n=5, k_min=3, k_max=4))
-    pos = Position.start(g, k, RULESET_TOKENS[token](), order=order, coloring=coloring)
+    pos = Position.start(g, k, ruleset_for(token, order), coloring=coloring)
     assert grundy(pos) == ref_grundy(token, g, k, coloring, order), (
         g.edges, k, coloring, order)
 
@@ -258,12 +254,12 @@ def test_oriented_move_between_equal_colors_is_refused():
 @given(st.data(), st.sampled_from(["proper", "weak", "distance", "oriented"]))
 @settings(max_examples=30)
 def test_color_permutation_invariance(data, token):
-    g, k, coloring, order = data.draw(colored_graphs(token, max_n=5))
+    g, k, coloring, _ = data.draw(colored_graphs(token, max_n=5))
     ruleset = RULESET_TOKENS[token]()
     perm = data.draw(st.permutations(range(1, k + 1)))
     mapped = tuple(None if c is None else perm[c - 1] for c in coloring)
-    a = grundy(Position.start(g, k, ruleset, order=order, coloring=coloring))
-    b = grundy(Position.start(g, k, ruleset, order=order, coloring=mapped))
+    a = grundy(Position.start(g, k, ruleset, coloring=coloring))
+    b = grundy(Position.start(g, k, ruleset, coloring=mapped))
     assert a == b
 
 
@@ -283,13 +279,13 @@ def test_play_children_of_legal_moves_are_legal(data, token):
     # _play skips the whole-coloring check; every child it makes from a
     # move legal_moves offers must still satisfy the ruleset's definition
     g, k, coloring, order = data.draw(colored_graphs(token, max_n=5))
-    pos = Position.start(g, k, RULESET_TOKENS[token](), order=order, coloring=coloring)
+    pos = Position.start(g, k, ruleset_for(token, order), coloring=coloring)
     for mv in legal_moves(pos):
         child = games._play(pos, mv)
         want = list(coloring)
         want[mv.vertex] = mv.color
         assert child.coloring == tuple(want)
-        assert (child.graph, child.k, child.ruleset, child.order) == (g, k, pos.ruleset, order)
+        assert (child.graph, child.k, child.ruleset) == (g, k, pos.ruleset)
         assert ref_legal(token, g, k, child.coloring, order), (g.edges, coloring, order, mv)
 
 
@@ -372,18 +368,18 @@ def test_charged_bytes_match_table_memory(ruleset, k, graph):
 # Grundy value and table size per solver path, recorded with the earlier
 # tuple-keyed table: fewer entries would mean colliding keys, more would mean
 # lost sharing between positions that should have one key.
-@pytest.mark.parametrize("ruleset, k, graph, order, value, entries", [
-    (ProperColoring(), 3, ("grid", 2, 4), None, 0, 349),
-    (DistanceColoring(2), 2, ("path", 11), None, 0, 1419),
-    (OrientedBlueRed(), 2, ("directed_path", 20), None, 6, 761),
-    (WeakColoring(), 2, ("cycle", 9), None, 1, 1990),
-    (OrientedColoring(), 3, ("directed_cycle", 7), None, 0, 358),
-    (SequentialColoring(), 2, ("path", 8), (3, 0, 7, 5, 1, 6, 2, 4), 0, 31),
+@pytest.mark.parametrize("ruleset, k, graph, value, entries", [
+    (ProperColoring(), 3, ("grid", 2, 4), 0, 349),
+    (DistanceColoring(2), 2, ("path", 11), 0, 1419),
+    (OrientedBlueRed(), 2, ("directed_path", 20), 6, 761),
+    (WeakColoring(), 2, ("cycle", 9), 1, 1990),
+    (OrientedColoring(), 3, ("directed_cycle", 7), 0, 358),
+    (SequentialColoring((3, 0, 7, 5, 1, 6, 2, 4)), 2, ("path", 8), 0, 31),
 ], ids=["live proper", "live distance", "live oriented-br", "weak graph parts",
         "oriented no split", "sequential order"])
-def test_table_keys_keep_values_and_entry_counts(ruleset, k, graph, order, value, entries):
+def test_table_keys_keep_values_and_entry_counts(ruleset, k, graph, value, entries):
     clear_solver_cache()
-    pos = Position.start(build_family(*graph), k, ruleset, order=order)
+    pos = Position.start(build_family(*graph), k, ruleset)
     try:
         assert grundy(pos) == value
         assert len(games._solver_for(pos).table) == entries
@@ -393,7 +389,7 @@ def test_table_keys_keep_values_and_entry_counts(ruleset, k, graph, order, value
 
 @given(graphs(max_n=7))
 def test_weak_root_parts_are_the_graph_components(g):
-    solver = games._Solver(g, 2, WeakColoring(), None)
+    solver = games._Solver(g, 2, WeakColoring())
     assert {frozenset(verts) for verts in solver.parts.values()} == RefGraph(
         g.n, g.directed, g.edges
     ).components()

@@ -31,27 +31,22 @@ from coloring_games.rulesets import (
     translate_for_solving,
 )
 from reference import ref_legal
-from strategies import colored_graphs
+from strategies import colored_graphs, ruleset_for
 
 TOKENS = ["proper", "oriented", "oriented-br", "weak", "distance", "sequential"]
 
 
-def _ruleset(token):
-    cls = RULESET_TOKENS[token]
-    return cls()
-
-
 # ---- traits ----------------------------------------------------------------
 
-# token: (class name, needs_directed, fixed_k, color_symmetric, decomposition,
-# needs_order), written out in full so a changed default shows here
+# token: (class name, needs_directed, fixed_k, color_symmetric, decomposition),
+# written out in full so a changed default shows here
 TRAITS = {
-    "proper": ("ProperColoring", None, None, True, "live", False),
-    "oriented": ("OrientedColoring", True, None, True, None, False),
-    "oriented-br": ("OrientedBlueRed", True, 2, False, "live", False),
-    "weak": ("WeakColoring", False, 2, True, "graph", False),
-    "distance": ("DistanceColoring", False, None, True, "live", False),
-    "sequential": ("SequentialColoring", False, None, True, None, True),
+    "proper": ("ProperColoring", None, None, True, "live"),
+    "oriented": ("OrientedColoring", True, None, True, None),
+    "oriented-br": ("OrientedBlueRed", True, 2, False, "live"),
+    "weak": ("WeakColoring", False, 2, True, "graph"),
+    "distance": ("DistanceColoring", False, None, True, "live"),
+    "sequential": ("SequentialColoring", False, None, True, None),
 }
 
 
@@ -60,7 +55,7 @@ def test_every_token_keeps_its_traits():
     for token, cls in RULESET_TOKENS.items():
         assert cls.token == token
         got = (cls.__name__, cls.needs_directed, cls.fixed_k, cls.color_symmetric,
-               cls.decomposition, cls.needs_order)
+               cls.decomposition)
         assert got == TRAITS[token], token
 
 
@@ -77,14 +72,13 @@ def test_check_compatible_errors():
         check_compatible(WeakColoring(), dpath, 2)
     with pytest.raises(RulesetMismatchError):
         check_compatible(OrientedBlueRed(), dpath, 3)
+    with pytest.raises(ValueError, match="sequential needs a visit order"):
+        SequentialColoring()
     with pytest.raises(RulesetMismatchError):
-        check_compatible(SequentialColoring(), path, 2)
-    with pytest.raises(RulesetMismatchError):
-        check_compatible(SequentialColoring(), path, 2, order=(0, 1))
-    with pytest.raises(RulesetMismatchError):
-        check_compatible(ProperColoring(), path, 2, order=(0, 1, 2))
+        check_compatible(SequentialColoring((0, 1)), path, 2)
     check_compatible(ProperColoring(), dpath, 1)  # direction tolerated
-    check_compatible(SequentialColoring(), path, 2, order=(2, 0, 1))
+    check_compatible(SequentialColoring([2, 0, 1]), path, 2)
+    assert SequentialColoring([2, 0, 1]) == SequentialColoring((2, 0, 1))
 
 
 def test_distance_parameter_validation():
@@ -146,12 +140,11 @@ def test_distance_legality():
 
 def test_sequential_legality_tracks_order_prefix():
     p3 = build_family("path", 3)
-    seq = SequentialColoring()
-    order = (2, 0, 1)
-    assert is_legal_coloring(seq, p3, 2, (None, None, 1), order)
-    assert is_legal_coloring(seq, p3, 2, (2, None, 1), order)
-    assert not is_legal_coloring(seq, p3, 2, (1, None, None), order)  # skipped v2
-    assert not is_legal_coloring(seq, p3, 2, (1, 1, 2), order)        # not proper
+    seq = SequentialColoring((2, 0, 1))
+    assert is_legal_coloring(seq, p3, 2, (None, None, 1))
+    assert is_legal_coloring(seq, p3, 2, (2, None, 1))
+    assert not is_legal_coloring(seq, p3, 2, (1, None, None))  # skipped v2
+    assert not is_legal_coloring(seq, p3, 2, (1, 1, 2))        # not proper
 
 
 # ---- double entry against the reference predicates ------------------------------
@@ -160,8 +153,8 @@ def test_sequential_legality_tracks_order_prefix():
 @settings(max_examples=80)
 def test_legality_matches_reference(data, token):
     g, k, coloring, order = data.draw(colored_graphs(token))
-    ruleset = _ruleset(token)
-    assert is_legal_coloring(ruleset, g, k, coloring, order)
+    ruleset = ruleset_for(token, order)
+    assert is_legal_coloring(ruleset, g, k, coloring)
     assert ref_legal(token, g, k, coloring, order)
     # mutate: paint one more vertex without any legality filter
     free = [v for v in range(g.n) if coloring[v] is None]
@@ -170,7 +163,7 @@ def test_legality_matches_reference(data, token):
         c = data.draw(st.integers(1, k))
         mutated = list(coloring)
         mutated[v] = c
-        assert is_legal_coloring(ruleset, g, k, mutated, order) == ref_legal(
+        assert is_legal_coloring(ruleset, g, k, mutated) == ref_legal(
             token, g, k, mutated, order
         )
 
@@ -179,7 +172,7 @@ def test_legality_matches_reference(data, token):
 @settings(max_examples=80)
 def test_move_ok_matches_full_recheck(data, token):
     g, k, coloring, order = data.draw(colored_graphs(token))
-    ruleset, solved_g = translate_for_solving(_ruleset(token), g)
+    ruleset, solved_g = translate_for_solving(ruleset_for(token, order), g)
     colors = [0 if c is None else c for c in coloring]
     painted = sum(1 for c in colors if c)
     if token == "sequential":
@@ -221,12 +214,13 @@ def test_legality_exhaustive_against_reference(token):
         orders = list(itertools.permutations(range(n))) if token == "sequential" else [None]
         cols = list(itertools.product(palette, repeat=n))
         for g in _all_graphs(n, token in ("oriented", "oriented-br")):
-            ruleset, solved_g = translate_for_solving(_ruleset(token), g)
             for k, order in itertools.product(EXHAUSTIVE_KS[token], orders):
+                game = ruleset_for(token, order)
+                ruleset, solved_g = translate_for_solving(game, g)
                 ref = {col: ref_legal(token, g, k, col, order) for col in cols}
                 for col, legal in ref.items():
                     checked += 1
-                    assert is_legal_coloring(_ruleset(token), g, k, col, order) == legal, (
+                    assert is_legal_coloring(game, g, k, col) == legal, (
                         g.edges, col)
                     if not legal:
                         continue
@@ -322,15 +316,14 @@ def test_closed_form_spots():
     assert closed_form_outcome(ProperColoring(), 2, untagged) == (OUTCOME_UNKNOWN, None)
     # sequential: the linear path decision holds for k=2 only; on this order
     # the k=1 and k=3 games are first-player wins although k=2 is P
-    order = (0, 1, 2, 4, 3)
+    seq = SequentialColoring((0, 1, 2, 4, 3))
     path = build_family("path", 5)
-    assert closed_form_outcome(SequentialColoring(), 2, path, order) == (OUTCOME_P, None)
+    assert closed_form_outcome(seq, 2, path) == (OUTCOME_P, None)
     for k in (1, 3):
-        assert closed_form_outcome(SequentialColoring(), k, path, order) == (OUTCOME_UNKNOWN, None)
-        assert grundy(Position.start(path, k, SequentialColoring(), order=order)) != 0
-    assert closed_form_outcome(SequentialColoring(), 2, path) == (OUTCOME_UNKNOWN, None)
+        assert closed_form_outcome(seq, k, path) == (OUTCOME_UNKNOWN, None)
+        assert grundy(Position.start(path, k, seq)) != 0
     cycle = build_family("cycle", 5)
-    assert closed_form_outcome(SequentialColoring(), 2, cycle, order) == (OUTCOME_UNKNOWN, None)
+    assert closed_form_outcome(seq, 2, cycle) == (OUTCOME_UNKNOWN, None)
 
 
 def test_closed_forms_agree_with_search():

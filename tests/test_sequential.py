@@ -61,7 +61,7 @@ def test_random_oracle_equivalence_medium():
 def test_engine_agreement(n, rng):
     g = build_family("path", n)
     o = tuple(rng.sample(range(n), n))
-    pos = games.Position.start(g, 2, SequentialColoring(), order=o)
+    pos = games.Position.start(g, 2, SequentialColoring(o))
     assert games.outcome(pos) == sq.decide_outcome(g, o)
 
 
