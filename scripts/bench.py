@@ -22,12 +22,18 @@ stdout to /dev/null, and records:
 Last it times start-up: the benchmark's own IMPORT_PROBE (imported from
 benchmark/run.py, a fresh `import coloring_games.cli`, which setup_s counts)
 in IMPORT_RUNS fresh interpreters, and records the median and minimum
-seconds, the package modules the import loaded, and whether the interpreters
-ran without writing bytecode caches (PYTHONDONTWRITEBYTECODE), since a cached
-import skips compiling the sources.
+seconds, the package modules the import loaded, whether it loaded
+dataclasses and inspect, whether the package had a bytecode cache before
+the first probe, and whether the interpreters ran without writing one
+(PYTHONDONTWRITEBYTECODE), since a cached import skips compiling the
+sources. With --baseline SRC (the src directory of another checkout, such
+as the parent commit's) the same probe runs on that tree too, interleaved
+with this one's and alternating which goes first, into a second row,
+import_baseline.
 
 Example:
-    python scripts/bench.py --out BENCH_13.json
+    PYTHONDONTWRITEBYTECODE=1 python scripts/bench.py --out BENCH_18.json \
+        --baseline ../parent/src
 """
 
 import argparse
@@ -50,7 +56,7 @@ from run import IMPORT_PROBE
 from workloads import DEFAULT_SEED, SearchCold, SequentialPaths
 
 REPEATS = 3  # untraced solves per instance
-IMPORT_RUNS = 11  # fresh interpreters timing the import
+IMPORT_RUNS = 25  # fresh interpreters timing the import, per source tree
 
 
 def cold_position(argv: list[str]) -> games.Position:
@@ -131,31 +137,42 @@ def measure_sequential() -> dict:
 # run after the probe, outside its timed span
 LIST_MODULES = """
 import json, sys
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("coloring_games"))))
+print(json.dumps({"modules": sorted(m for m in sys.modules if m.startswith("coloring_games")),
+                  "dataclasses_loaded": "dataclasses" in sys.modules,
+                  "inspect_loaded": "inspect" in sys.modules}))
 """
 
 
-def measure_import() -> dict:
-    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
-    times = []
-    for _ in range(IMPORT_RUNS):
-        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE + "\n" + LIST_MODULES],
-                              capture_output=True, text=True, env=env, check=True)
-        seconds, modules = proc.stdout.splitlines()
-        times.append(float(seconds))
-    return {
+def measure_import(sources: dict[str, str]) -> dict[str, dict]:
+    """A row per named source tree. The trees take turns, in reverse order
+    every other round, so that host drift falls on each alike."""
+    cached = {name: os.path.isdir(os.path.join(src, "coloring_games", "__pycache__"))
+              for name, src in sources.items()}
+    times: dict[str, list[float]] = {name: [] for name in sources}
+    loaded: dict[str, dict] = {}
+    for i in range(IMPORT_RUNS):
+        for name in list(sources)[:: 1 if i % 2 == 0 else -1]:
+            env = {**os.environ, "PYTHONPATH": sources[name]}
+            proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE + "\n" + LIST_MODULES],
+                                  capture_output=True, text=True, env=env, check=True)
+            seconds, listing = proc.stdout.splitlines()
+            times[name].append(float(seconds))
+            loaded[name] = json.loads(listing)
+    return {name: {
         "probe": IMPORT_PROBE,
         "runs": IMPORT_RUNS,
-        "median_s": round(statistics.median(times), 4),
-        "min_s": round(min(times), 4),
-        "modules": json.loads(modules),
-        "bytecode_cache_written": not env.get("PYTHONDONTWRITEBYTECODE"),
-    }
+        "median_s": round(statistics.median(times[name]), 4),
+        "min_s": round(min(times[name]), 4),
+        **loaded[name],
+        "bytecode_cache_present": cached[name],
+        "bytecode_cache_written": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
+    } for name in sources}
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="JSON file to write")
+    ap.add_argument("--baseline", help="src directory of a checkout to time the import of too")
     args = ap.parse_args()
 
     rows = {}
@@ -167,16 +184,21 @@ def main() -> int:
     print(f"{'sequential path:' + str(SequentialPaths.N):<24} {seq_row['wall_s']:>8.3f} s "
           f"{seq_row['peak_rss_growth_bytes']:>9} B peak RSS growth "
           f"({seq_row['bytes_per_vertex']} B/vertex)")
-    import_row = measure_import()
-    print(f"{'import coloring_games.cli':<24} {import_row['median_s']:>8.3f} s median "
-          f"{import_row['min_s']:.3f} s min, {len(import_row['modules'])} package modules")
+    sources = {"import": os.path.join(ROOT, "src")}
+    if args.baseline:
+        sources["import_baseline"] = args.baseline
+    import_rows = measure_import(sources)
+    for name, row in import_rows.items():
+        print(f"{name:<24} {row['median_s']:>8.3f} s median {row['min_s']:.3f} s min, "
+              f"{len(row['modules'])} package modules, dataclasses loaded: "
+              f"{row['dataclasses_loaded']}, inspect loaded: {row['inspect_loaded']}")
     doc = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "search_cold": rows,
         "sequential": seq_row,
-        "import": import_row,
+        **import_rows,
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)

@@ -32,9 +32,8 @@ import sys
 from array import array
 from typing import ContextManager, TextIO
 
-# games, oriented_paths and reductions are imported by the handlers that
-# use them, so a command loads only the engine it runs
-from . import sequential as seq
+# games, oriented_paths, reductions and sequential are imported by the
+# handlers that use them, so a command loads only the engine it runs
 from .graphs import (
     Graph,
     GraphDocument,
@@ -299,6 +298,8 @@ def _parse_order(text: str, n: int) -> tuple[int, ...]:
 
 
 def cmd_sequential(args, out: TextIO) -> int:
+    from . import sequential as seq
+
     g, source, doc = _load_graph(args)
     if doc is not None and doc.coloring is not None:
         raise ValueError("sequential decides the uncolored game; the file paints a vertex")
@@ -432,6 +433,8 @@ def _suite_recursion(args) -> list[dict]:
 
 
 def _suite_sequential(args) -> list[dict]:
+    from . import sequential as seq
+
     n = args.n or 6
     checks = []
     if args.exhaustive:

@@ -38,16 +38,14 @@ current table alone is over.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import compress, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import rulesets as rs
-from .graphs import TT_BYTES_ENV, Graph, MemoryBudgetExceeded, byte_budget
+from .graphs import TT_BYTES_ENV, Frozen, Graph, MemoryBudgetExceeded, byte_budget
 from .rulesets import Ruleset, is_legal_coloring
 
 Nimber = int
-Coloring = tuple  # tuple[int | None, ...]
 
 
 class IllegalColoringError(ValueError):
@@ -77,28 +75,20 @@ def nim_sum(a: int, b: int, *rest: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     vertex: int
     color: int
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(Frozen):
     """A graph, a palette size, a ruleset, and a legal partial coloring."""
 
-    graph: Graph
-    k: int
-    ruleset: Ruleset
-    coloring: tuple
-
-    def __post_init__(self) -> None:
-        if len(self.coloring) != self.graph.n:
+    def __init__(self, graph: Graph, k: int, ruleset: Ruleset, coloring: tuple) -> None:
+        if len(coloring) != graph.n:
             raise IllegalColoringError("coloring length must equal vertex count")
-        if not is_legal_coloring(self.ruleset, self.graph, self.k, self.coloring):
-            raise IllegalColoringError(
-                f"coloring {self.coloring} is illegal under {self.ruleset.token}"
-            )
+        if not is_legal_coloring(ruleset, graph, k, coloring):
+            raise IllegalColoringError(f"coloring {coloring} is illegal under {ruleset.token}")
+        self.__dict__.update(graph=graph, k=k, ruleset=ruleset, coloring=coloring)
 
     @classmethod
     def start(
@@ -168,7 +158,7 @@ def apply_move(position: Position, move: Move) -> Position:
 def _play(position: Position, move: Move) -> Position:
     """The position after a move already known to be legal (one that
     legal_moves offers). Neither apply_move's move-list check nor
-    __post_init__'s whole-coloring check runs: a legal move from a legal
+    __init__'s whole-coloring check runs: a legal move from a legal
     coloring leaves a legal coloring."""
     col = list(position.coloring)
     col[move.vertex] = move.color

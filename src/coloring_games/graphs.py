@@ -17,7 +17,8 @@ transposition-table keys.
 Two input checks live here, the lowest module, so that every caller shares
 them: check_order for visit orders, and the byte budget read from
 COLORING_GAMES_TT_BYTES, which a graph's sizes are checked against before it
-is built and which the solver and class tables also count against.
+is built, and its adjacency tuples before they are built, and which the
+solver and class tables also count against.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import os
 from array import array
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
@@ -73,7 +73,10 @@ def byte_budget() -> int:
 def _check_graph_budget(n: int, m: int, directed: bool, what: str) -> None:
     """Refuse, before building it, a graph on at least n vertices and m edges
     whose rows plus the endpoint buffer they are sorted from pass the budget."""
-    need = 8 * ((1 + directed) * (n + 1) + 4 * m)
+    _check_bytes(8 * ((1 + directed) * (n + 1) + 4 * m), what)
+
+
+def _check_bytes(need: int, what: str) -> None:
     if need > byte_budget():
         raise MemoryBudgetExceeded(
             f"{what} needs at least {need} bytes, over the configured budget"
@@ -169,7 +172,30 @@ def _csr(n: int, directed: bool, edges: Iterable[tuple[int, int]]) -> tuple[arra
 
 # ---- graphs --------------------------------------------------------------
 
-class Graph:
+class Frozen:
+    """An immutable value. Its __init__ fills the instance dict with its
+    fields, in order, and it compares, hashes and prints by them; every
+    assignment and deletion raises AttributeError."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={val!r}" for name, val in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Graph(Frozen):
     """Immutable simple graph (no loops, no multi-edges) on sorted CSR rows.
 
     The constructor takes the edges in any order: undirected pairs are
@@ -179,6 +205,8 @@ class Graph:
     offsets/targets hold the neighbour rows of an undirected graph and the
     out rows of a digraph. The arrays are read-only by contract.
     Equality and hash look at n, directed and the rows, never at family.
+    Each adjacency view is built on first use, once the byte budget admits
+    it together with the rows and the views built before it.
     """
 
     n: int
@@ -206,12 +234,6 @@ class Graph:
             targets=targets,
         )
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to Graph.{name}: graphs are immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete Graph.{name}: graphs are immutable")
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -235,6 +257,15 @@ class Graph:
 
     # ---- derived views -------------------------------------------------
 
+    def _charge(self, entries: int, shared: bool = False) -> None:
+        """Count one view of the rows as tuples before it is built: 48 bytes
+        per row for a tuple and its slot, and 40 per entry for a slot and an
+        int, or 8 when shared (the ints are those of views already built)."""
+        need = self.__dict__.get("_bytes", 8 * (self.n + 1 + len(self.targets)))
+        need += 48 * self.n + (8 if shared else 40) * entries
+        _check_bytes(need, f"an adjacency view of a graph with {self.n} vertices")
+        self.__dict__["_bytes"] = need
+
     def _pairs(self) -> Iterator[tuple[int, int]]:
         """Edges in ascending order: (min, max) pairs or (tail, head) arcs."""
         pairs = zip(_row_ids(self.offsets), self.targets)
@@ -251,14 +282,17 @@ class Graph:
     def adj(self) -> tuple[tuple[int, ...], ...]:
         """Neighbors ignoring direction (union of in and out for digraphs)."""
         if self.directed:
-            return tuple(
-                tuple(sorted({*o, *i})) for o, i in zip(self.out_adj, self.in_adj)
-            )
+            out_adj, in_adj = self.out_adj, self.in_adj
+            self._charge(2 * len(self.targets), shared=True)
+            return tuple(tuple(sorted({*o, *i})) for o, i in zip(out_adj, in_adj))
+        self._charge(len(self.targets))
         return _row_tuples(self.offsets, self.targets)
 
     @cached_property
     def out_adj(self) -> tuple[tuple[int, ...], ...]:
         """Arc heads per tail; for an undirected graph, the neighbors above v."""
+        # an undirected graph's rows hold each edge twice, this view once
+        self._charge(len(self.targets) // (2 - self.directed))
         if self.directed:
             return _row_tuples(self.offsets, self.targets)
         off, tgt = self.offsets, self.targets
@@ -270,6 +304,7 @@ class Graph:
     @cached_property
     def in_adj(self) -> tuple[tuple[int, ...], ...]:
         """Arc tails per head; for an undirected graph, the neighbors below v."""
+        self._charge(len(self.targets) // (2 - self.directed))
         if self.directed:  # the out rows transposed: tails sorted by head
             return _row_tuples(*_rows(self.n, self.targets, _row_ids(self.offsets)))
         off, tgt = self.offsets, self.targets
@@ -468,20 +503,16 @@ FIXED_POINT_FREE = "fixed-point-free"      # no fixed point at all
 _INVOLUTION_MODES = (SINGLE_FIXED_POINT, FIXED_POINT_FREE)
 
 
-@dataclass(frozen=True)
-class Involution:
+class Involution(Frozen):
     """An order-2 graph automorphism, stored as the full mapping."""
 
-    mapping: tuple[int, ...]
-    fixed_points: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for v, u in enumerate(self.mapping):
-            if self.mapping[u] != v:
+    def __init__(self, mapping: tuple[int, ...], fixed_points: tuple[int, ...]) -> None:
+        for v, u in enumerate(mapping):
+            if mapping[u] != v:
                 raise ValueError("mapping is not an involution")
-        expect = tuple(v for v, u in enumerate(self.mapping) if u == v)
-        if tuple(self.fixed_points) != expect:
+        if tuple(fixed_points) != tuple(v for v, u in enumerate(mapping) if u == v):
             raise ValueError("fixed_points inconsistent with mapping")
+        self.__dict__.update(mapping=mapping, fixed_points=fixed_points)
 
     @classmethod
     def from_mapping(cls, mapping: Sequence[int]) -> "Involution":
@@ -580,27 +611,23 @@ def find_involution(g: Graph, mode: str) -> Involution | None:
 
 # ---- text format ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class GraphDocument:
+class GraphDocument(Frozen):
     """A graph plus the optional position data the text format can carry."""
 
-    graph: Graph
-    k: int | None = None
-    coloring: tuple[int | None, ...] | None = None
-    order: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        n = self.graph.n
-        if self.coloring is not None:
-            if len(self.coloring) != n:
+    def __init__(self, graph: Graph, k: int | None = None,
+                 coloring: tuple[int | None, ...] | None = None,
+                 order: tuple[int, ...] | None = None) -> None:
+        if coloring is not None:
+            if len(coloring) != graph.n:
                 raise ValueError("coloring length must equal vertex count")
-            for c in self.coloring:
+            for c in coloring:
                 if c is not None and c < 1:
                     raise ValueError("colors are 1-based positive integers")
-                if c is not None and self.k is not None and c > self.k:
-                    raise ValueError(f"color {c} exceeds declared k={self.k}")
-        if self.order is not None:
-            check_order(n, self.order)
+                if c is not None and k is not None and c > k:
+                    raise ValueError(f"color {c} exceeds declared k={k}")
+        if order is not None:
+            check_order(graph.n, order)
+        self.__dict__.update(graph=graph, k=k, coloring=coloring, order=order)
 
 
 def parse_graph_text(text: str) -> GraphDocument:

@@ -23,11 +23,10 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, BinaryIO, Iterator, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Iterator, NamedTuple, TextIO
 
 from .games import Move, Position
-from .graphs import MemoryBudgetExceeded, build_family, byte_budget
+from .graphs import Frozen, MemoryBudgetExceeded, build_family, byte_budget
 from .rulesets import BLUE, RED, OrientedBlueRed
 
 if TYPE_CHECKING:
@@ -75,23 +74,18 @@ def is_rare(value: int) -> bool:
 
 # ---- table ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GrundyTable:
+class GrundyTable(Frozen):
     """Class values for lengths 0..K; index 0 is the empty path.
 
     gB is not stored (gB[k] == gA[k] by the mirror symmetry); gC[1] is a
     0 sentinel for the unrealizable one-vertex C class and is never read.
     """
 
-    K: int
-    gA: np.ndarray
-    gC: np.ndarray
-    gD: np.ndarray
-
-    def __post_init__(self) -> None:
-        for arr in (self.gA, self.gC, self.gD):
-            if arr.dtype != "uint16" or arr.shape != (self.K + 1,):
+    def __init__(self, K: int, gA: np.ndarray, gC: np.ndarray, gD: np.ndarray) -> None:
+        for arr in (gA, gC, gD):
+            if arr.dtype != "uint16" or arr.shape != (K + 1,):
                 raise ValueError("table arrays must be uint16 of length K+1")
+        self.__dict__.update(K=K, gA=gA, gC=gC, gD=gD)
 
     def value(self, klass: str, length: int) -> int:
         """Grundy value of a class position; lengths <= 0 are the empty path."""
@@ -290,8 +284,7 @@ def enumerate_p_positions(table: GrundyTable, klass: str) -> list[int]:
     return [k for k in range(lo, table.K + 1) if table.value(klass, k) == 0]
 
 
-@dataclass(frozen=True)
-class RareCommonReport:
+class RareCommonReport(NamedTuple):
     """Which Grundy values occur, how often, and where rare ones last appear."""
 
     K: int

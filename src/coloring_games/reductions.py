@@ -13,11 +13,11 @@ after the original vertex range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import games
 from .games import Position
-from .graphs import Graph, make_graph
+from .graphs import Frozen, Graph, make_graph
 from .rulesets import (
     DistanceColoring,
     OrientedBlueRed,
@@ -29,24 +29,20 @@ from .rulesets import (
 VERIFY_CAP = 6
 
 
-@dataclass(frozen=True)
-class ReducedInstance:
+class ReducedInstance(Frozen):
     """A target-ruleset position plus the original-vertex embedding."""
 
-    position: Position
-    vertex_map: dict[int, int]
-
-    def __post_init__(self) -> None:
-        targets = list(self.vertex_map.values())
+    def __init__(self, position: Position, vertex_map: dict[int, int]) -> None:
+        targets = list(vertex_map.values())
         if len(set(targets)) != len(targets):
             raise ValueError("vertex_map must be injective")
         for t in targets:
-            if self.position.coloring[t] is not None:
+            if position.coloring[t] is not None:
                 raise ValueError("mapped vertices must start uncolored")
+        self.__dict__.update(position=position, vertex_map=vertex_map)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     equivalent: bool
     reason: str | None
     pairs_checked: int

@@ -20,14 +20,13 @@ painted vertices must be a prefix of the visit order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, ClassVar, Sequence
 
-from . import sequential
 from .graphs import (
     FIXED_POINT_FREE,
     SINGLE_FIXED_POINT,
+    Frozen,
     Graph,
     InvolutionSearchBudget,
     check_order,
@@ -49,12 +48,11 @@ class RulesetMismatchError(ValueError):
     """Graph directedness, k, or a visit order incompatible with the ruleset."""
 
 
-@dataclass(frozen=True)
-class Ruleset:
+class Ruleset(Frozen):
     """The traits the engine reads from a ruleset, at the values most of the
     six share; each ruleset overrides only those in which it differs.
     needs_directed is True or False for the graph kind the ruleset takes,
-    None for either."""
+    None for either. A ruleset's fields are its game's parameters."""
 
     token: ClassVar[str]
     needs_directed: ClassVar[bool | None] = False
@@ -63,7 +61,6 @@ class Ruleset:
     decomposition: ClassVar[str | None] = DECOMP_LIVE
 
 
-@dataclass(frozen=True)
 class ProperColoring(Ruleset):
     """Adjacent vertices never share a color. k=1 is Node-Kayles."""
 
@@ -74,7 +71,6 @@ class ProperColoring(Ruleset):
         return c not in map(colors.__getitem__, g.adj[v])
 
 
-@dataclass(frozen=True)
 class OrientedColoring(Ruleset):
     """Digraph coloring: arc ends differ, and no color pair (a, b) on an arc
     may appear reversed as (b, a) on any other arc."""
@@ -112,7 +108,6 @@ class OrientedColoring(Ruleset):
         return True
 
 
-@dataclass(frozen=True)
 class OrientedBlueRed(Ruleset):
     """Two colors on a digraph: a fully painted arc (u, v) must have u Blue
     and v Red. Painting v Blue kills its in-neighbors, Red its out-neighbors."""
@@ -132,7 +127,6 @@ class OrientedBlueRed(Ruleset):
         )
 
 
-@dataclass(frozen=True)
 class WeakColoring(Ruleset):
     """Two colors; adjacent same-colored vertices are allowed only when each
     endpoint also has a painted neighbor of the opposite color (judged on the
@@ -157,21 +151,18 @@ class WeakColoring(Ruleset):
         return True
 
 
-@dataclass(frozen=True)
 class DistanceColoring(Ruleset):
     """Vertices within hop distance d must differ; solved as ProperColoring
     on the d-th power graph, so its live decomposition is the power graph's."""
 
     token = "distance"
 
-    d: int = 2
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
+    def __init__(self, d: int = 2) -> None:
+        if d < 1:
             raise ValueError("distance parameter d must be >= 1")
+        self.__dict__["d"] = d
 
 
-@dataclass(frozen=True)
 class SequentialColoring(Ruleset):
     """Proper coloring where turn i must paint the i-th vertex of a fixed
     visit order; a player who cannot legally color that vertex loses. The
@@ -180,12 +171,10 @@ class SequentialColoring(Ruleset):
     token = "sequential"
     decomposition = DECOMP_NONE  # the shared turn order is global state
 
-    order: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.order is None:
+    def __init__(self, order: Sequence[int] | None = None) -> None:
+        if order is None:
             raise ValueError("sequential needs a visit order")
-        object.__setattr__(self, "order", tuple(self.order))
+        self.__dict__["order"] = tuple(order)
 
     # the visit order is checked by is_legal_coloring and the move generator
     move_ok = ProperColoring.move_ok
@@ -274,7 +263,7 @@ def is_legal_coloring(
 
 # ---- outcome shortcuts -----------------------------------------------------
 
-OUTCOME_N, OUTCOME_P = sequential.OUTCOME_N, sequential.OUTCOME_P
+OUTCOME_N, OUTCOME_P = "N", "P"
 OUTCOME_UNKNOWN = "unknown"
 
 
@@ -326,6 +315,8 @@ def closed_form_outcome(ruleset: Ruleset, k: int, g: Graph) -> tuple[str, int | 
         # the linear decision is a two-color result; it says nothing for other k
         if k != 2:
             return OUTCOME_UNKNOWN, None
+        from . import sequential
+
         try:
             return sequential.decide_outcome(g, ruleset.order), None
         except ValueError:  # not a path

@@ -21,13 +21,11 @@ from operator import sub
 from typing import Sequence
 
 from .graphs import Graph, check_order
+from .rulesets import OUTCOME_N, OUTCOME_P
 
 SOURCE = "source"
 CLOSED = "closed"
 CONSTRAINED = "constrained"
-
-OUTCOME_N = "N"
-OUTCOME_P = "P"
 
 ORACLE_CAP = 22
 

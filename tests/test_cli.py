@@ -565,13 +565,13 @@ LOADED = """
 import json, sys
 print(json.dumps(sorted(m.removeprefix("coloring_games.") for m in sys.modules
                         if m.startswith("coloring_games")
-                        or m in ("numpy", "hashlib"))))
+                        or m in ("numpy", "hashlib", "dataclasses", "inspect"))))
 """
 
 
 def loaded_after(code: str) -> list[str]:
-    """The package's modules (short names), numpy and hashlib, whichever
-    a fresh interpreter holds after running code."""
+    """The package's modules (short names), numpy, hashlib, dataclasses and
+    inspect, whichever a fresh interpreter holds after running code."""
     proc = fresh_python("-c", code + LOADED)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -579,21 +579,29 @@ def loaded_after(code: str) -> list[str]:
 
 def test_cli_import_leaves_numpy_unloaded():
     assert loaded_after("import coloring_games.cli") == [
-        "cli", "coloring_games", "graphs", "rulesets", "sequential"]
+        "cli", "coloring_games", "graphs", "rulesets"]
+
+
+def run_main(*argv: str) -> str:
+    return f"from coloring_games.cli import main\nmain({list(argv)!r})\n"
 
 
 def test_commands_load_only_the_engine_they_run():
-    solve = loaded_after("""
-from coloring_games.cli import main
-main(["solve", "--ruleset", "proper", "--k", "3", "--graph", "path:5",
-      "--method", "search"])
-""")
-    assert solve == ["cli", "coloring_games", "games", "graphs", "rulesets", "sequential"]
-    sequential = loaded_after("""
-from coloring_games.cli import main
-main(["sequential", "--graph", "path:9", "--order", "random", "--seed", "1"])
-""")
-    assert sequential == loaded_after("import coloring_games.cli")  # no games
+    # no command loads dataclasses or inspect, which only numpy brings in
+    solve = loaded_after(run_main("solve", "--ruleset", "proper", "--k", "3",
+                                  "--graph", "path:5", "--method", "search"))
+    assert solve == ["cli", "coloring_games", "games", "graphs", "rulesets"]
+    sequential = loaded_after(run_main("sequential", "--graph", "path:9",
+                                       "--order", "random", "--seed", "1"))
+    assert sequential == ["cli", "coloring_games", "graphs", "rulesets", "sequential"]
+    reduce = loaded_after(run_main("reduce", "--from", "kayles", "--to", "proper", "--k", "2",
+                                   "--graph", "path:3", "--verify"))
+    assert reduce == ["cli", "coloring_games", "games", "graphs", "reductions", "rulesets"]
+    verify = loaded_after(run_main("verify", "sequential", "--exhaustive", "--n", "4"))
+    assert verify == ["cli", "coloring_games", "graphs", "rulesets", "sequential"]
+    for argv in (("grundy-seq", "--kmax", "20"), ("p-positions", "--class", "D", "--kmax", "20")):
+        tables = loaded_after(run_main(*argv))
+        assert "numpy" in tables and "dataclasses" not in tables, argv
 
 
 @pytest.mark.parametrize("module", ["cli", "games", "graphs", "oriented_paths",

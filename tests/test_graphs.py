@@ -1,5 +1,6 @@
 """Graph model, families, power graphs, involutions, and the text format."""
 
+import gc
 import itertools
 import tracemalloc
 
@@ -239,6 +240,31 @@ def test_power_graph_refused_before_its_rows_are_built(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 6_000_000
+
+
+@pytest.mark.parametrize("spec", [("path", 20000), ("directed_path", 20000),
+                                  ("grid", 100, 200), ("hypercube", 12)],
+                         ids=lambda spec: spec[0])
+def test_adjacency_tuples_are_charged_before_they_are_built(spec, monkeypatch):
+    g = build_family(*spec)
+    rows = 8 * (g.n + 1 + len(g.targets))
+    gc.collect()  # a full collection empties the free lists, which tracemalloc does not see
+    tracemalloc.start()
+    try:
+        for view in ("out_adj", "in_adj", "adj"):
+            getattr(g, view)
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    charged = g._bytes - rows
+    assert 0.9 * traced <= charged <= 1.1 * traced, (charged, traced)
+    # the budget the graph's own check needs admits the graph, not its tuples
+    monkeypatch.setenv(TT_BYTES_ENV, str(8 * ((1 + g.directed) * (g.n + 1) + 4 * len(g.edges))))
+    fresh = build_family(*spec)
+    for view in ("out_adj", "in_adj", "adj"):
+        with pytest.raises(MemoryBudgetExceeded, match="adjacency view"):
+            getattr(fresh, view)
+    assert fresh.has_edge(0, 1) and fresh == g
 
 
 # ---- involutions ---------------------------------------------------------------
