@@ -31,8 +31,16 @@ as the parent commit's) the same probe runs on that tree too, interleaved
 with this one's and alternating which goes first, into a second row,
 import_baseline.
 
+Then it saves a table file to the path-tables workload's K (8084) and runs
+`tables info` and `tables export-csv` on it, stdout to /dev/null, each in
+TABLE_RUNS fresh interpreters per source tree, interleaved the same way,
+into a row `tables` (and `tables_baseline` with --baseline). Per command it
+records the best wall time and the most VmHWM growth from just before
+`import coloring_games.cli` to just after the command, and whether the
+command loaded numpy.
+
 Example:
-    PYTHONDONTWRITEBYTECODE=1 python scripts/bench.py --out BENCH_18.json \
+    PYTHONDONTWRITEBYTECODE=1 python scripts/bench.py --out BENCH_19.json \
         --baseline ../parent/src
 """
 
@@ -44,19 +52,22 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from typing import Callable
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmark")]
 
-from coloring_games import cli, games, rulesets
+from coloring_games import cli, games, oriented_paths as op, rulesets
 from run import IMPORT_PROBE
-from workloads import DEFAULT_SEED, SearchCold, SequentialPaths
+from workloads import DEFAULT_SEED, PathTables, SearchCold, SequentialPaths
 
 REPEATS = 3  # untraced solves per instance
 IMPORT_RUNS = 25  # fresh interpreters timing the import, per source tree
+TABLE_RUNS = 7  # fresh interpreters per table command, per source tree
 
 
 def cold_position(argv: list[str]) -> games.Position:
@@ -96,35 +107,60 @@ def measure(argv: list[str]) -> dict:
     }
 
 
-SEQUENTIAL_CHILD = """
+def interleave(sources: dict[str, str], runs: int, probe: Callable[[str], object]) -> dict:
+    """probe(src) runs times per named source tree. The trees take turns, in
+    reverse order every other round, so that host drift falls on each alike."""
+    results: dict[str, list] = {name: [] for name in sources}
+    for i in range(runs):
+        for name in list(sources)[:: 1 if i % 2 == 0 else -1]:
+            results[name].append(probe(sources[name]))
+    return results
+
+
+def fresh(src: str, *args: str) -> str:
+    """stdout of a fresh interpreter with src first on its path."""
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
+CLI_CHILD = """
 import json, os, re, sys, time
-from coloring_games.cli import main
 
 def peak_kb():
     with open("/proc/self/status") as fh:
         return int(re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1))
 
+argv, with_import = json.loads(sys.argv[1]), sys.argv[2] == "1"
 sys.stdout, out = open(os.devnull, "w"), sys.stdout
+if not with_import:
+    from coloring_games.cli import main
 before = peak_kb()
 t0 = time.perf_counter()
-code = main(json.loads(sys.argv[1]))
+from coloring_games.cli import main
+code = main(argv)
 wall = time.perf_counter() - t0
-print(json.dumps({"code": code, "wall_s": wall, "grown_kb": peak_kb() - before}), file=out)
+print(json.dumps({"code": code, "wall_s": wall, "grown_kb": peak_kb() - before,
+                  "numpy_loaded": "numpy" in sys.modules}), file=out)
 """
+
+
+def run_cli(src: str, argv: list[str], with_import: bool) -> dict:
+    """cli.main(argv) in a fresh interpreter with src first on its path: its
+    exit code, wall time and VmHWM growth, from just before the call or,
+    with_import, before `import coloring_games.cli`; and whether it loaded
+    numpy."""
+    run = json.loads(fresh(src, "-c", CLI_CHILD, json.dumps(argv), str(int(with_import))))
+    if run["code"] != 0:
+        raise RuntimeError(f"{argv} exited {run['code']} under {src}")
+    return run
 
 
 def measure_sequential() -> dict:
     workload = SequentialPaths(seed=DEFAULT_SEED, work=Path(ROOT))
     workload.make()
     argv = workload.requests[0]
-    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
-    runs = []
-    for _ in range(REPEATS):
-        proc = subprocess.run([sys.executable, "-c", SEQUENTIAL_CHILD, json.dumps(argv)],
-                              capture_output=True, text=True, env=env, check=True)
-        runs.append(json.loads(proc.stdout))
-        if runs[-1]["code"] != 0:
-            raise RuntimeError(f"{argv} exited {runs[-1]['code']}: {proc.stderr}")
+    runs = [run_cli(os.path.join(ROOT, "src"), argv, False) for _ in range(REPEATS)]
     grown = max(r["grown_kb"] for r in runs) * 1024
     return {
         "argv": argv,
@@ -144,35 +180,47 @@ print(json.dumps({"modules": sorted(m for m in sys.modules if m.startswith("colo
 
 
 def measure_import(sources: dict[str, str]) -> dict[str, dict]:
-    """A row per named source tree. The trees take turns, in reverse order
-    every other round, so that host drift falls on each alike."""
+    """A row per source tree, named import plus the tree's suffix."""
     cached = {name: os.path.isdir(os.path.join(src, "coloring_games", "__pycache__"))
               for name, src in sources.items()}
-    times: dict[str, list[float]] = {name: [] for name in sources}
-    loaded: dict[str, dict] = {}
-    for i in range(IMPORT_RUNS):
-        for name in list(sources)[:: 1 if i % 2 == 0 else -1]:
-            env = {**os.environ, "PYTHONPATH": sources[name]}
-            proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE + "\n" + LIST_MODULES],
-                                  capture_output=True, text=True, env=env, check=True)
-            seconds, listing = proc.stdout.splitlines()
-            times[name].append(float(seconds))
-            loaded[name] = json.loads(listing)
-    return {name: {
+    probes = interleave(sources, IMPORT_RUNS, lambda src: fresh(
+        src, "-c", IMPORT_PROBE + "\n" + LIST_MODULES).splitlines())
+    return {f"import{name}": {
         "probe": IMPORT_PROBE,
         "runs": IMPORT_RUNS,
-        "median_s": round(statistics.median(times[name]), 4),
-        "min_s": round(min(times[name]), 4),
-        **loaded[name],
+        "median_s": round(statistics.median(float(p[0]) for p in probes[name]), 4),
+        "min_s": round(min(float(p[0]) for p in probes[name]), 4),
+        **json.loads(probes[name][-1][1]),
         "bytecode_cache_present": cached[name],
         "bytecode_cache_written": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
+    } for name in sources}
+
+
+def measure_tables(sources: dict[str, str]) -> dict[str, dict]:
+    """A row per source tree, named tables plus the tree's suffix."""
+    with tempfile.TemporaryDirectory() as tmp:
+        table = os.path.join(tmp, "classes.bin")
+        op.save_table(op.compute_tables(PathTables.KMAX), table)
+        commands = {cmd: ["tables", cmd, "--table", table] for cmd in ("info", "export-csv")}
+
+        probes = interleave(sources, TABLE_RUNS, lambda src: {
+            cmd: run_cli(src, argv, True) for cmd, argv in commands.items()})
+    return {f"tables{name}": {
+        "kmax": PathTables.KMAX,
+        "runs": TABLE_RUNS,
+        **{cmd: {
+            "wall_s": round(min(p[cmd]["wall_s"] for p in probes[name]), 4),
+            "peak_rss_growth_bytes": max(p[cmd]["grown_kb"] for p in probes[name]) * 1024,
+            "numpy_loaded": probes[name][-1][cmd]["numpy_loaded"],
+        } for cmd in commands},
     } for name in sources}
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="JSON file to write")
-    ap.add_argument("--baseline", help="src directory of a checkout to time the import of too")
+    ap.add_argument("--baseline",
+                    help="src directory of another checkout to measure alongside")
     args = ap.parse_args()
 
     rows = {}
@@ -184,14 +232,21 @@ def main() -> int:
     print(f"{'sequential path:' + str(SequentialPaths.N):<24} {seq_row['wall_s']:>8.3f} s "
           f"{seq_row['peak_rss_growth_bytes']:>9} B peak RSS growth "
           f"({seq_row['bytes_per_vertex']} B/vertex)")
-    sources = {"import": os.path.join(ROOT, "src")}
+    sources = {"": os.path.join(ROOT, "src")}  # row name suffix -> source tree
     if args.baseline:
-        sources["import_baseline"] = args.baseline
+        sources["_baseline"] = args.baseline
     import_rows = measure_import(sources)
     for name, row in import_rows.items():
         print(f"{name:<24} {row['median_s']:>8.3f} s median {row['min_s']:.3f} s min, "
               f"{len(row['modules'])} package modules, dataclasses loaded: "
               f"{row['dataclasses_loaded']}, inspect loaded: {row['inspect_loaded']}")
+    table_rows = measure_tables(sources)
+    for name, row in table_rows.items():
+        for cmd in ("info", "export-csv"):
+            r = row[cmd]
+            print(f"{name + ' ' + cmd:<27} {r['wall_s']:>8.3f} s best "
+                  f"{r['peak_rss_growth_bytes']:>9} B peak RSS growth, "
+                  f"numpy loaded: {r['numpy_loaded']}")
     doc = {
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -199,6 +254,7 @@ def main() -> int:
         "search_cold": rows,
         "sequential": seq_row,
         **import_rows,
+        **table_rows,
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)

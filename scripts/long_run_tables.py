@@ -20,7 +20,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from coloring_games import oriented_paths as op
-from coloring_games.games import MemoryBudgetExceeded
+from coloring_games.graphs import MemoryBudgetExceeded
 
 
 def main() -> int:

@@ -216,12 +216,8 @@ def _table_slice(table: op.GrundyTable, kmax: int) -> op.GrundyTable:
 
     if table.K == kmax:
         return table
-    return op.GrundyTable(
-        K=kmax,
-        gA=table.gA[: kmax + 1].copy(),
-        gC=table.gC[: kmax + 1].copy(),
-        gD=table.gD[: kmax + 1].copy(),
-    )
+    return op.GrundyTable(K=kmax, gA=table.gA[: kmax + 1], gC=table.gC[: kmax + 1],
+                          gD=table.gD[: kmax + 1])
 
 
 def _summary(view: op.GrundyTable) -> dict:
@@ -230,8 +226,8 @@ def _summary(view: op.GrundyTable) -> dict:
     report = op.classify_rare_common(view)
     return {
         "d_p_positions": len(op.enumerate_p_positions(view, op.CLASS_D)),
-        "max_value": int(report.max_value),
-        "largest_rare_index": int(report.max_rare_index),
+        "max_value": report.max_value,
+        "largest_rare_index": report.max_rare_index,
     }
 
 
@@ -257,8 +253,8 @@ def cmd_grundy_seq(args, out: TextIO) -> int:
         if args.format == "json":
             for k in range(1, args.kmax + 1):
                 dest.write(json.dumps(
-                    {"k": k, "gA": int(table.gA[k]), "gC": int(table.gC[k]),
-                     "gD": int(table.gD[k])}, sort_keys=True) + "\n")
+                    {"k": k, "gA": table.gA[k], "gC": table.gC[k], "gD": table.gD[k]},
+                    sort_keys=True) + "\n")
             dest.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
         else:
             op.export_csv(view, dest)
@@ -592,9 +588,9 @@ def cmd_tables(args, out: TextIO) -> int:
         table = op.load_table(args.table)
         record = {
             "kmax": table.K,
-            "max_gA": int(table.gA.max()),
-            "max_gC": int(table.gC.max()),
-            "max_gD": int(table.gD.max()),
+            "max_gA": max(table.gA),
+            "max_gC": max(table.gC),
+            "max_gD": max(table.gD),
             "d_p_positions": len(op.enumerate_p_positions(table, op.CLASS_D)),
         }
         _emit(record, args.format, out)

@@ -73,10 +73,11 @@ def byte_budget() -> int:
 def _check_graph_budget(n: int, m: int, directed: bool, what: str) -> None:
     """Refuse, before building it, a graph on at least n vertices and m edges
     whose rows plus the endpoint buffer they are sorted from pass the budget."""
-    _check_bytes(8 * ((1 + directed) * (n + 1) + 4 * m), what)
+    check_bytes(8 * ((1 + directed) * (n + 1) + 4 * m), what)
 
 
-def _check_bytes(need: int, what: str) -> None:
+def check_bytes(need: int, what: str) -> None:
+    """Refuse what, which needs at least need bytes, if that passes the budget."""
     if need > byte_budget():
         raise MemoryBudgetExceeded(
             f"{what} needs at least {need} bytes, over the configured budget"
@@ -263,7 +264,7 @@ class Graph(Frozen):
         int, or 8 when shared (the ints are those of views already built)."""
         need = self.__dict__.get("_bytes", 8 * (self.n + 1 + len(self.targets)))
         need += 48 * self.n + (8 if shared else 40) * entries
-        _check_bytes(need, f"an adjacency view of a graph with {self.n} vertices")
+        check_bytes(need, f"an adjacency view of a graph with {self.n} vertices")
         self.__dict__["_bytes"] = need
 
     def _pairs(self) -> Iterator[tuple[int, int]]:

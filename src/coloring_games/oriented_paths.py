@@ -13,24 +13,28 @@ is O(K^2) in time. Observed values split into "rare" ones, members of a
 small XOR-closed set, and "common" ones; classify_rare_common reports that
 split for a computed table.
 
-The tables are numpy arrays, but numpy is imported on the first fill, load
-or report, not with this module: the engine, the searches and the CLI's other
-commands never pay for it.
+The tables are stdlib uint16 arrays (array('H')), compared, saved, loaded
+and reported on without numpy. Only the fill imports numpy, to read and write
+them through views that share their memory, so loading, inspecting or
+exporting a table file needs neither numpy nor the search engine.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import struct
+import sys
+from array import array
+from collections import Counter
 from typing import TYPE_CHECKING, BinaryIO, Iterator, NamedTuple, TextIO
 
-from .games import Move, Position
-from .graphs import Frozen, MemoryBudgetExceeded, build_family, byte_budget
+from .graphs import Frozen, check_bytes, build_family
 from .rulesets import BLUE, RED, OrientedBlueRed
 
 if TYPE_CHECKING:
-    import numpy as np
+    from .games import Move, Position
 
 CLASS_A = "A"
 CLASS_B = "B"
@@ -79,11 +83,12 @@ class GrundyTable(Frozen):
 
     gB is not stored (gB[k] == gA[k] by the mirror symmetry); gC[1] is a
     0 sentinel for the unrealizable one-vertex C class and is never read.
+    The arrays are array('H') and read-only by contract.
     """
 
-    def __init__(self, K: int, gA: np.ndarray, gC: np.ndarray, gD: np.ndarray) -> None:
+    def __init__(self, K: int, gA: array, gC: array, gD: array) -> None:
         for arr in (gA, gC, gD):
-            if arr.dtype != "uint16" or arr.shape != (K + 1,):
+            if not isinstance(arr, array) or arr.typecode != "H" or len(arr) != K + 1:
                 raise ValueError("table arrays must be uint16 of length K+1")
         self.__dict__.update(K=K, gA=gA, gC=gC, gD=gD)
 
@@ -98,7 +103,7 @@ class GrundyTable(Frozen):
         if klass == CLASS_C and length == 1:
             raise ValueError("a one-vertex path cannot be class C")
         arr = {CLASS_A: self.gA, CLASS_B: self.gA, CLASS_C: self.gC, CLASS_D: self.gD}
-        return int(arr[klass][length])
+        return arr[klass][length]
 
 
 def build_class_position(klass: str, k: int) -> Position:
@@ -107,6 +112,8 @@ def build_class_position(klass: str, k: int) -> Position:
         raise ValueError(f"unknown path class {klass!r}")
     if k < 1 or (klass == CLASS_C and k < 2):
         raise ValueError(f"class {klass} needs a longer path than k={k}")
+    from .games import Position
+
     coloring: list[int | None] = [None] * k
     if klass in (CLASS_A, CLASS_C):
         coloring[0] = BLUE
@@ -126,6 +133,8 @@ def class_move_options(
     Vertices in the returned moves are 0-based; parts with length <= 0 are
     omitted.
     """
+    from .games import Move
+
     if klass not in PATH_CLASSES:
         raise ValueError(f"unknown path class {klass!r}")
     first_blue = klass in (CLASS_A, CLASS_C)
@@ -156,12 +165,13 @@ def class_move_options(
 
 # ---- fill ----------------------------------------------------------------------
 
-def _mex(seen: np.ndarray, top: int, *families: np.ndarray) -> int:
+def _mex(seen, top: int, *families) -> int:
     """Least value in no option family, where every option is a XOR of table
     values <= top, so every option lies below 1 << top.bit_length().
 
-    seen is bool scratch space of at least 2**16 + 1 entries, enough for any
-    top that fits in 16 bits; one fill passes the same array to every call.
+    seen (bool) and the families (uint16) are numpy arrays; seen has at least
+    2**16 + 1 entries, enough for any top that fits in 16 bits, and one fill
+    passes the same array to every call.
     """
     bound = 1 << top.bit_length()
     seen = seen[: bound + 1]  # the mex is at most bound
@@ -174,22 +184,24 @@ def _mex(seen: np.ndarray, top: int, *families: np.ndarray) -> int:
     return first
 
 
-def _splits(X: np.ndarray, rY: np.ndarray, r: int, lo: int, hi: int) -> np.ndarray:
+def _splits(X, rY, r: int, lo: int, hi: int):
     """X[j] ^ Y[k-1-j] for lo <= j <= hi, with rY = Y[::-1] and r = len(Y) - k."""
     hi = max(hi, lo - 1)
     return X[lo : hi + 1] ^ rY[r + lo : r + hi + 1]
 
 
-def _fill(gA: np.ndarray, gC: np.ndarray, gD: np.ndarray, start: int, K: int) -> None:
+def _fill(gA: array, gC: array, gD: array, start: int, K: int) -> None:
     """Fill lengths start..K in place; the lengths below start are already set.
 
-    Every option family is a run of splits X_j + Y_{k-1-j}, read as a forward
+    The kernel works on numpy views that share the arrays' memory. Every
+    option family is a run of splits X_j + Y_{k-1-j}, read as a forward
     view of X XOR a reversed view of Y, so no index arrays are built. Each
     class feeds the next one at the same length (C_k into A_k, A_k into D_k),
     so the mex bound is taken again before each class.
     """
     import numpy as np
 
+    gA, gC, gD = (np.frombuffer(arr, dtype=np.uint16) for arr in (gA, gC, gD))
     seen = np.zeros((1 << 16) + 1, dtype=bool)
     n = gA.size
     rA, rC, rD = gA[::-1], gC[::-1], gD[::-1]
@@ -218,11 +230,7 @@ def _fill(gA: np.ndarray, gC: np.ndarray, gD: np.ndarray, start: int, K: int) ->
 
 
 def _check_budget(K: int) -> None:
-    need = 6 * (K + 1)  # three uint16 arrays
-    if need > byte_budget():
-        raise MemoryBudgetExceeded(
-            f"tables to K={K} need about {need} bytes, over the configured budget"
-        )
+    check_bytes(6 * (K + 1), f"a table to K={K}")  # three uint16 arrays
 
 
 def compute_tables(K: int) -> GrundyTable:
@@ -240,17 +248,11 @@ def extend_table(table: GrundyTable, K: int) -> GrundyTable:
 
 
 def _compute(base: GrundyTable | None, K: int) -> GrundyTable:
-    import numpy as np
-
     _check_budget(K)
     start = (base.K if base else 0) + 1
-    gA = np.zeros(K + 1, dtype=np.uint16)
-    gC = np.zeros(K + 1, dtype=np.uint16)
-    gD = np.zeros(K + 1, dtype=np.uint16)
-    if base is not None:
-        gA[: base.K + 1] = base.gA
-        gC[: base.K + 1] = base.gC
-        gD[: base.K + 1] = base.gD
+    head = (base.gA, base.gC, base.gD) if base else (array("H", [0]),) * 3
+    tail = array("H", bytes(2 * (K + 1 - start)))  # zeros for lengths start..K
+    gA, gC, gD = (arr + tail for arr in head)
     _fill(gA, gC, gD, start, K)
     return GrundyTable(K=K, gA=gA, gC=gC, gD=gD)
 
@@ -300,16 +302,11 @@ class RareCommonReport(NamedTuple):
 
 
 def classify_rare_common(table: GrundyTable) -> RareCommonReport:
-    import numpy as np
-
-    counts: dict[int, int] = {}
+    counts: Counter[int] = Counter()
     largest: dict[str, int] = {}
     for name, arr, lo in ((CLASS_A, table.gA, 1), (CLASS_C, table.gC, 2), (CLASS_D, table.gD, 1)):
-        vals = arr[lo:]
-        for v, n in zip(*np.unique(vals, return_counts=True)):
-            counts[int(v)] = counts.get(int(v), 0) + int(n)
-        rare_mask = np.fromiter((int(v) in _RARE for v in vals), bool, count=vals.size)
-        largest[name] = int(np.nonzero(rare_mask)[0].max() + lo) if rare_mask.any() else 0
+        counts.update(arr[lo:])
+        largest[name] = next((k for k in range(table.K, lo - 1, -1) if arr[k] in _RARE), 0)
     rare = tuple(sorted(v for v in counts if v in _RARE))
     common = tuple(sorted(v for v in counts if v not in _RARE))
     return RareCommonReport(
@@ -333,6 +330,8 @@ def winning_move_AB(k: int, klass: str) -> Move:
     part with a Red vertex and kills v_{k/2+2}. B mirrors A with the path
     reversed and colors swapped. Vertices are returned 0-based.
     """
+    from .games import Move
+
     if klass not in (CLASS_A, CLASS_B):
         raise ValueError("prescribed moves exist for classes A and B only")
     if k <= 3:
@@ -353,51 +352,70 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sHQ")
 
 
+def _little_endian(arr: array) -> array:
+    """arr, or on a big-endian host a byteswapped copy: the order of the
+    file's values, from the host's and back."""
+    if sys.byteorder == "big":
+        arr = array("H", arr)
+        arr.byteswap()
+    return arr
+
+
 def save_table(table: GrundyTable, dest: str | BinaryIO) -> None:
     """Binary format: {magic, version, K} header, three little-endian uint16
-    arrays of length K+1 (A, C, D), then a 64-bit checksum of the rest."""
+    arrays of length K+1 (A, C, D), then a 64-bit checksum of the rest.
+
+    A path is written through a temporary file in the same directory and
+    renamed over dest, so a run killed mid-save keeps the previous file."""
     header = _HEADER.pack(_MAGIC, _VERSION, table.K)
-    body = b"".join(
-        arr.astype("<u2", copy=False).tobytes() for arr in (table.gA, table.gC, table.gD)
-    )
-    digest = hashlib.blake2b(header + body, digest_size=8).digest()
-    if isinstance(dest, str):
-        with open(dest, "wb") as fh:
-            fh.write(header + body + digest)
-    else:
-        dest.write(header + body + digest)
+    body = b"".join(_little_endian(arr).tobytes() for arr in (table.gA, table.gC, table.gD))
+    data = header + body + hashlib.blake2b(header + body, digest_size=8).digest()
+    if not isinstance(dest, str):
+        dest.write(data)
+        return
+    tmp = f"{dest}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, dest)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_table(src: str | BinaryIO) -> GrundyTable:
-    import numpy as np
-
-    if isinstance(src, str):
-        with open(src, "rb") as fh:
-            raw = fh.read()
-    else:
-        raw = src.read()
-    if len(raw) < _HEADER.size + 8:
+    """Read a table file. Its header is checked, and the table's size held to
+    the byte budget, before the body is read."""
+    with (open(src, "rb") if isinstance(src, str) else contextlib.nullcontext(src)) as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise TableFormatError("table file is truncated")
+        magic, version, K = _HEADER.unpack(header)
+        if magic != _MAGIC:
+            raise TableFormatError("not a Grundy table file (bad magic)")
+        if version != _VERSION:
+            raise TableVersionError(f"unsupported table version {version}")
+        _check_budget(K)
+        rest = fh.read()
+    if len(rest) < 8:
         raise TableFormatError("table file is truncated")
-    magic, version, K = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise TableFormatError("not a Grundy table file (bad magic)")
-    if version != _VERSION:
-        raise TableVersionError(f"unsupported table version {version}")
-    body, digest = raw[_HEADER.size : -8], raw[-8:]
-    if hashlib.blake2b(raw[:-8], digest_size=8).digest() != digest:
+    body, digest = rest[:-8], rest[-8:]
+    if hashlib.blake2b(header + body, digest_size=8).digest() != digest:
         raise TableChecksumError("table file checksum mismatch")
     expect = 3 * 2 * (K + 1)
     if len(body) != expect:
         raise TableFormatError(f"table body has {len(body)} bytes, expected {expect}")
-    arrays = np.frombuffer(body, dtype="<u2").astype(np.uint16).reshape(3, K + 1)
-    return GrundyTable(K=int(K), gA=arrays[0], gC=arrays[1], gD=arrays[2])
+    values = _little_endian(array("H", body))
+    return GrundyTable(K=K, gA=values[: K + 1], gC=values[K + 1 : 2 * K + 2],
+                       gD=values[2 * K + 2 :])
 
 
 def export_csv(table: GrundyTable, dest: str | TextIO) -> None:
     """One `k,gA,gC,gD` line per length, k = 1..K, no header."""
     lines = (
-        f"{k},{int(table.gA[k])},{int(table.gC[k])},{int(table.gD[k])}\n"
-        for k in range(1, table.K + 1)
+        f"{k},{a},{c},{d}\n"
+        for k, a, c, d in zip(range(1, table.K + 1), table.gA[1:], table.gC[1:], table.gD[1:])
     )
     if isinstance(dest, str):
         with open(dest, "w", encoding="utf-8") as fh:

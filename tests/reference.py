@@ -9,6 +9,8 @@ Blue-Red tables against.
 
 from __future__ import annotations
 
+import hashlib
+import struct
 from collections import deque
 from typing import Sequence
 
@@ -250,6 +252,14 @@ def naive_tables(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # every D length (in vertices) of value 0 up to 32768; none between 8084 and
 # 32768. The zeros up to 1600 are those of scalar_tables(1600); 3, 6, 11, 15
 # and 16 are also zeros of ref_grundy on the raw colorings.
+def table_file(K: int, body: bytes) -> bytes:
+    """A table file around a given body, written from the documented format:
+    a little-endian {magic CGBR, uint16 version 1, uint64 K} header, the
+    body, then the 8-byte blake2b digest of both."""
+    head = struct.pack("<4sHQ", b"CGBR", 1, K) + body
+    return head + hashlib.blake2b(head, digest_size=8).digest()
+
+
 D_ZEROS = [
     3, 6, 11, 15, 16, 22, 27, 32, 38, 43, 49, 55, 59, 65, 66, 81, 85, 92,
     97, 101, 141, 145, 151, 178, 523, 1251, 1376, 1456, 1526, 1538, 3625,

@@ -121,7 +121,7 @@ def test_criterion_04_blue_red_recursion(table_full):
             assert t.value(op.CLASS_B, k) == t.value(op.CLASS_A, k)
             if k > 14:
                 break  # the arrays are shared; spot-check the accessor only
-        assert (t.gA[4:] > 0).all(), "first-player classes vanish somewhere"
+        assert min(t.gA[4:]) > 0, "first-player classes vanish somewhere"
 
 
 def test_criterion_05_d_class_census(table_full):

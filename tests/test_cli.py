@@ -26,7 +26,7 @@ from coloring_games.cli import (
 from coloring_games.games import TT_BYTES_ENV
 from coloring_games.graphs import parse_graph_text
 
-from reference import naive_tables
+from reference import D_ZEROS, naive_tables, table_file
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -586,7 +586,7 @@ def run_main(*argv: str) -> str:
     return f"from coloring_games.cli import main\nmain({list(argv)!r})\n"
 
 
-def test_commands_load_only_the_engine_they_run():
+def test_commands_load_only_the_engine_they_run(tmp_path):
     # no command loads dataclasses or inspect, which only numpy brings in
     solve = loaded_after(run_main("solve", "--ruleset", "proper", "--k", "3",
                                   "--graph", "path:5", "--method", "search"))
@@ -599,9 +599,23 @@ def test_commands_load_only_the_engine_they_run():
     assert reduce == ["cli", "coloring_games", "games", "graphs", "reductions", "rulesets"]
     verify = loaded_after(run_main("verify", "sequential", "--exhaustive", "--n", "4"))
     assert verify == ["cli", "coloring_games", "graphs", "rulesets", "sequential"]
+    # only a fill loads numpy; no table command loads the search engine
+    fill = ["cli", "coloring_games", "graphs", "hashlib", "inspect", "numpy",
+            "oriented_paths", "rulesets"]
     for argv in (("grundy-seq", "--kmax", "20"), ("p-positions", "--class", "D", "--kmax", "20")):
-        tables = loaded_after(run_main(*argv))
-        assert "numpy" in tables and "dataclasses" not in tables, argv
+        assert loaded_after(run_main(*argv)) == fill, argv
+    table = save_small_table(tmp_path)
+    for argv in (("tables", "info", "--table", table), ("tables", "export-csv", "--table", table)):
+        assert loaded_after(run_main(*argv)) == [
+            "cli", "coloring_games", "graphs", "hashlib", "oriented_paths", "rulesets"], argv
+
+
+def save_small_table(directory: Path) -> str:
+    from coloring_games import oriented_paths as op
+
+    path = str(directory / "t.bin")
+    op.save_table(op.compute_tables(100), path)
+    return path
 
 
 @pytest.mark.parametrize("module", ["cli", "games", "graphs", "oriented_paths",
@@ -668,6 +682,40 @@ print(codes)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0]"
     assert "verified equivalent" in proc.stderr
+
+
+def test_table_files_read_without_numpy(tmp_path):
+    table = save_small_table(tmp_path)
+    proc = fresh_python("-c", f"""
+import sys
+sys.modules["numpy"] = None
+from coloring_games.cli import main
+codes = [main(argv) for argv in (
+    ["tables", "info", "--table", {table!r}, "--format", "json"],
+    ["tables", "export-csv", "--table", {table!r}],
+)]
+print(codes)
+""")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "[0, 0]"
+    assert json.loads(lines[0])["d_p_positions"] == sum(k <= 100 for k in D_ZEROS)
+    assert lines[1] == "1,0,0,1" and len(lines) == 1 + 100 + 1
+
+
+def test_table_commands_refuse_an_oversized_table(capsys, monkeypatch, tmp_path):
+    # a hand-made K=200,000 file of zeros (1.2 MB of values): the load
+    # checks the header against the budget before it reads the body
+    K = 200_000
+    big = tmp_path / "big.bin"
+    big.write_bytes(table_file(K, bytes(6 * (K + 1))))
+    monkeypatch.setenv(TT_BYTES_ENV, "500000")
+    for argv in (["tables", "info", "--table", str(big)],
+                 ["tables", "compute", "--kmax", str(K), "--out", str(tmp_path / "c.bin")]):
+        assert main(argv) == EXIT_BUDGET, argv
+        err = capsys.readouterr().err
+        assert err == (f"error: a table to K={K} needs at least {6 * (K + 1)} bytes, "
+                       "over the configured budget\n"), argv
 
 
 def test_grundy_seq_loads_numpy_for_the_fill():

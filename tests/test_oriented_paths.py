@@ -2,8 +2,11 @@
 against the search engine on small lengths, against a from-scratch scalar
 recursion on moderate lengths, and against frozen landmark values."""
 
+import hashlib
 import io
+import os
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 from coloring_games import games, oriented_paths as op
 from coloring_games.rulesets import BLUE, RED
 
-from reference import D_ZEROS, naive_tables, ref_grundy, scalar_tables
+from reference import D_ZEROS, naive_tables, ref_grundy, scalar_tables, table_file
 
 # landmark values, frozen from the k <= 12 engine cross-check plus the
 # recursion continued past it
@@ -324,9 +327,60 @@ def test_csv_export_deterministic(table):
 
 
 def test_table_array_validation():
+    zeros = array("H", [0] * 4)
     with pytest.raises(ValueError):
-        op.GrundyTable(K=3, gA=np.zeros(4, np.uint16), gC=np.zeros(4, np.uint16),
-                       gD=np.zeros(3, np.uint16))
+        op.GrundyTable(K=3, gA=zeros, gC=zeros, gD=array("H", [0] * 3))
     with pytest.raises(ValueError):
-        op.GrundyTable(K=3, gA=np.zeros(4, np.int32), gC=np.zeros(4, np.uint16),
-                       gD=np.zeros(4, np.uint16))
+        op.GrundyTable(K=3, gA=array("i", [0] * 4), gC=zeros, gD=zeros)
+    with pytest.raises(ValueError):  # a numpy array holds the same values, but is refused
+        op.GrundyTable(K=3, gA=np.zeros(4, np.uint16), gC=zeros, gD=zeros)
+
+
+def test_table_file_bytes_are_frozen():
+    # the sha256 of this file as written before the tables became array('H')
+    buf = io.BytesIO()
+    op.save_table(op.compute_tables(200), buf)
+    assert len(buf.getvalue()) == 14 + 6 * 201 + 8
+    assert hashlib.sha256(buf.getvalue()).hexdigest() == (
+        "ef021ac75cda6191709d30162d6c71cb903bc7728ed16ee2741e917db1f81525")
+
+
+def test_load_reads_little_endian_values_above_255():
+    K = 2
+    values = [0, 256, 65535, 0, 0, 511, 0, 1, 4660]  # A, then C, then D
+    body = b"".join(v.to_bytes(2, "little") for v in values)
+    back = op.load_table(io.BytesIO(table_file(K, body)))
+    assert (back.gA.tolist(), back.gC.tolist(), back.gD.tolist()) == (
+        values[0:3], values[3:6], values[6:9])
+
+
+def test_load_checks_the_budget_before_the_body(monkeypatch):
+    class HeaderOnly(io.BytesIO):
+        def read(self, size=-1):
+            if self.tell() > 0:
+                raise AssertionError("the body was read")
+            return super().read(size)
+
+    K = 200_000
+    monkeypatch.setenv(games.TT_BYTES_ENV, "500000")
+    with pytest.raises(games.MemoryBudgetExceeded, match=r"needs at least 1200006 bytes"):
+        op.load_table(HeaderOnly(table_file(K, bytes(6 * (K + 1)))))
+
+
+def test_interrupted_save_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = str(tmp_path / "t.bin")
+    old = op.compute_tables(100)
+    op.save_table(old, path)
+
+    class FailingWrite(io.FileIO):
+        def write(self, data):
+            super().write(data[: len(data) // 2])
+            raise OSError("disk went away")
+
+    monkeypatch.setattr(op, "open", lambda name, mode: FailingWrite(name, mode),
+                        raising=False)
+    with pytest.raises(OSError, match="disk went away"):
+        op.save_table(op.compute_tables(150), path)
+    monkeypatch.undo()
+    assert op.load_table(path) == old
+    assert os.listdir(tmp_path) == ["t.bin"]

@@ -21,8 +21,6 @@ from coloring_games.rulesets import (
 
 EDGE = make_graph(2, [(0, 1)])
 EDGE_REPR = "Graph(n=2, directed=False, edges=frozenset({(0, 1)}))"
-# one set of arrays, so that two tables made from it compare equal: arrays
-# compare elementwise, and only identical ones pass a value comparison
 TABLE = op.compute_tables(3)
 REDUCED = reductions.reduce_to_proper_k(EDGE, 1)
 KAYLES_EDGE = games.Position.start(EDGE, 1, ProperColoring())
@@ -48,9 +46,10 @@ CASES = [
     ("position", lambda: games.Position.start(EDGE, 2, ProperColoring()),
      f"Position(graph={EDGE_REPR}, k=2, ruleset=ProperColoring(), coloring=(None, None))",
      True),
-    ("grundy-table", lambda: op.GrundyTable(K=3, gA=TABLE.gA, gC=TABLE.gC, gD=TABLE.gD),
-     "GrundyTable(K=3, gA=array([0, 0, 1, 1], dtype=uint16), "
-     "gC=array([0, 0, 0, 0], dtype=uint16), gD=array([0, 1, 2, 0], dtype=uint16))", False),
+    ("grundy-table", lambda: op.GrundyTable(K=3, gA=array("H", TABLE.gA),
+                                            gC=array("H", TABLE.gC), gD=array("H", TABLE.gD)),
+     "GrundyTable(K=3, gA=array('H', [0, 0, 1, 1]), gC=array('H', [0, 0, 0, 0]), "
+     "gD=array('H', [0, 1, 2, 0]))", False),
     ("rare-common-report", lambda: op.classify_rare_common(TABLE),
      "RareCommonReport(K=3, value_counts={0: 4, 1: 3, 2: 1}, rare_values=(0, 1, 2), "
      "common_values=(), largest_rare_index={'A': 3, 'C': 3, 'D': 3}, max_value=2)", False),
@@ -111,6 +110,18 @@ def test_different_values_compare_unequal(a, b):
     assert a != b and not a == b
 
 
+def test_tables_compare_by_value(tmp_path):
+    path = str(tmp_path / "t.bin")
+    op.save_table(op.compute_tables(50), path)
+    a, b = op.load_table(path), op.compute_tables(50)
+    assert a.gA is not b.gA
+    assert a == b and not a != b
+    gD = array("H", b.gD)
+    gD[7] ^= 1
+    changed = op.GrundyTable(K=50, gA=b.gA, gC=b.gC, gD=gD)
+    assert changed != b and not changed == b
+
+
 @pytest.mark.parametrize("make, error, message", [
     (lambda: DistanceColoring(0), ValueError, "distance parameter d must be >= 1"),
     (lambda: DistanceColoring(d=-1), ValueError, "distance parameter d must be >= 1"),
@@ -136,7 +147,9 @@ def test_different_values_compare_unequal(a, b):
      ValueError, "mapped vertices must start uncolored"),
     (lambda: op.GrundyTable(K=3, gA=TABLE.gA[:3], gC=TABLE.gC, gD=TABLE.gD), ValueError,
      "table arrays must be uint16 of length K+1"),
-    (lambda: op.GrundyTable(K=3, gA=TABLE.gA, gC=TABLE.gC, gD=TABLE.gD.astype(np.int64)),
+    (lambda: op.GrundyTable(K=3, gA=TABLE.gA, gC=TABLE.gC, gD=array("q", TABLE.gD)),
+     ValueError, "table arrays must be uint16 of length K+1"),
+    (lambda: op.GrundyTable(K=3, gA=TABLE.gA, gC=TABLE.gC, gD=np.array(TABLE.gD, np.uint16)),
      ValueError, "table arrays must be uint16 of length K+1"),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
 def test_constructors_keep_their_checks(make, error, message):
