@@ -14,7 +14,7 @@ small XOR-closed set, and "common" ones; classify_rare_common reports that
 split for a computed table.
 
 The tables are stdlib uint16 arrays (array('H')), compared, saved, loaded
-and reported on without numpy. Only the fill imports numpy, to read and write
+and reported on without numpy. Only the fill loads numpy, to read and write
 them through views that share their memory, so loading, inspecting or
 exporting a table file needs neither numpy nor the search engine.
 """
