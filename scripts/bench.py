@@ -39,8 +39,17 @@ records the best wall time and the most VmHWM growth from just before
 `import coloring_games.cli` to just after the command, and whether the
 command loaded numpy.
 
+Last, a row `graph_data` (and `graph_data_baseline`) measures two requests
+on GRAPH_N-vertex directed paths that should build no edge set, each in
+GRAPH_RUNS fresh interpreters per source tree, interleaved the same way:
+- oriented_start: an uncolored oriented k=3 Position.start, its best wall
+  time (untraced, on one graph) and the most bytes it left allocated
+  (tracemalloc, after a full gc.collect, on a second graph);
+- involution_solve: `solve --ruleset proper --k 2 --method involution`, its
+  best wall time and the most VmHWM growth across the cli.main call.
+
 Example:
-    PYTHONDONTWRITEBYTECODE=1 python scripts/bench.py --out BENCH_19.json \
+    PYTHONDONTWRITEBYTECODE=1 python scripts/bench.py --out BENCH_20.json \
         --baseline ../parent/src
 """
 
@@ -68,6 +77,8 @@ from workloads import DEFAULT_SEED, PathTables, SearchCold, SequentialPaths
 REPEATS = 3  # untraced solves per instance
 IMPORT_RUNS = 25  # fresh interpreters timing the import, per source tree
 TABLE_RUNS = 7  # fresh interpreters per table command, per source tree
+GRAPH_RUNS = 5  # fresh interpreters per graph_data case, per source tree
+GRAPH_N = 200_000  # vertices of the graph_data directed paths
 
 
 def cold_position(argv: list[str]) -> games.Position:
@@ -216,6 +227,45 @@ def measure_tables(sources: dict[str, str]) -> dict[str, dict]:
     } for name in sources}
 
 
+ORIENTED_START_CHILD = """
+import gc, json, sys, time, tracemalloc
+from coloring_games.games import Position
+from coloring_games.graphs import build_family
+from coloring_games.rulesets import OrientedColoring
+timed, traced = (build_family("directed_path", int(sys.argv[1])) for _ in range(2))
+t0 = time.perf_counter()
+Position.start(timed, 3, OrientedColoring())
+wall = time.perf_counter() - t0
+gc.collect()
+tracemalloc.start()
+pos = Position.start(traced, 3, OrientedColoring())
+gc.collect()
+print(json.dumps({"wall_s": wall, "retained_bytes": tracemalloc.get_traced_memory()[0]}))
+"""
+
+
+def measure_graph_data(sources: dict[str, str]) -> dict[str, dict]:
+    """A row per source tree, named graph_data plus the tree's suffix."""
+    argv = ["solve", "--ruleset", "proper", "--k", "2", "--graph", f"dpath:{GRAPH_N}",
+            "--method", "involution"]
+    probes = interleave(sources, GRAPH_RUNS, lambda src: (
+        json.loads(fresh(src, "-c", ORIENTED_START_CHILD, str(GRAPH_N))),
+        run_cli(src, argv, False)))
+    return {f"graph_data{name}": {
+        "n": GRAPH_N,
+        "runs": GRAPH_RUNS,
+        "oriented_start": {
+            "wall_s": round(min(p[0]["wall_s"] for p in probes[name]), 4),
+            "retained_bytes": max(p[0]["retained_bytes"] for p in probes[name]),
+        },
+        "involution_solve": {
+            "argv": argv,
+            "wall_s": round(min(p[1]["wall_s"] for p in probes[name]), 4),
+            "peak_rss_growth_bytes": max(p[1]["grown_kb"] for p in probes[name]) * 1024,
+        },
+    } for name in sources}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="JSON file to write")
@@ -247,6 +297,13 @@ def main() -> int:
             print(f"{name + ' ' + cmd:<27} {r['wall_s']:>8.3f} s best "
                   f"{r['peak_rss_growth_bytes']:>9} B peak RSS growth, "
                   f"numpy loaded: {r['numpy_loaded']}")
+    graph_rows = measure_graph_data(sources)
+    for name, row in graph_rows.items():
+        start, solve = row["oriented_start"], row["involution_solve"]
+        print(f"{name + ' oriented start':<34} {start['wall_s']:>8.3f} s best "
+              f"{start['retained_bytes']:>9} B retained")
+        print(f"{name + ' involution':<34} {solve['wall_s']:>8.3f} s best "
+              f"{solve['peak_rss_growth_bytes']:>9} B peak RSS growth")
     doc = {
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -255,6 +312,7 @@ def main() -> int:
         "sequential": seq_row,
         **import_rows,
         **table_rows,
+        **graph_rows,
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)

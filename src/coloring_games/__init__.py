@@ -33,7 +33,6 @@ _EXPORTS = {
         "Graph",
         "GraphDocument",
         "GraphFormatError",
-        "Involution",
         "InvolutionSearchBudget",
         "UnknownFamilyError",
         "build_family",

@@ -485,7 +485,7 @@ def _suite_reductions(args) -> list[dict]:
             rep = reductions.verify_equivalence(
                 games.Position.start(g, 1, ProperColoring()), _reduce(to, g, k))
             if not rep.equivalent:
-                fails.append((g.n, sorted(g.edges), rep.reason))
+                fails.append((g.n, list(g.pairs()), rep.reason))
         checks.append({
             "check": f"reduction {name} on census n<={n}",
             "ok": not fails,

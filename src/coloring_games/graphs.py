@@ -8,9 +8,10 @@ sorted CSR (compressed sparse row) rows in array('q'):
 targets[offsets[v]:offsets[v+1]] lists v's row in ascending order. An
 undirected graph has one such pair, in which every edge sits in both
 endpoints' rows; a digraph keeps its out rows there, and its in rows are
-transposed from them when in_adj is first read. The edge set of (min, max)
-pairs or (tail, head) arcs, the adjacency tuples and the degrees are derived
-from the rows.
+transposed from them when in_adj is first read. Everything else is derived
+from the rows when it is read: the pairs, streamed in ascending order; the
+adjacency tuples, one view for an undirected graph, whose edges are arcs
+both ways; the degrees; and the edge set, which no engine path builds.
 Graphs are immutable and compare and hash by value, so they can serve as
 transposition-table keys.
 
@@ -207,7 +208,8 @@ class Graph(Frozen):
     out rows of a digraph. The arrays are read-only by contract.
     Equality and hash look at n, directed and the rows, never at family.
     Each adjacency view is built on first use, once the byte budget admits
-    it together with the rows and the views built before it.
+    it together with the rows and the views built before it; an undirected
+    graph has one, adj, which out_adj and in_adj return.
     """
 
     n: int
@@ -267,8 +269,9 @@ class Graph(Frozen):
         check_bytes(need, f"an adjacency view of a graph with {self.n} vertices")
         self.__dict__["_bytes"] = need
 
-    def _pairs(self) -> Iterator[tuple[int, int]]:
-        """Edges in ascending order: (min, max) pairs or (tail, head) arcs."""
+    def pairs(self) -> Iterator[tuple[int, int]]:
+        """Edges in ascending order, (min, max) pairs or (tail, head) arcs,
+        streamed from the rows; nothing is kept."""
         pairs = zip(_row_ids(self.offsets), self.targets)
         if self.directed:
             return pairs
@@ -276,8 +279,9 @@ class Graph(Frozen):
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
-        """The edge set, built on first use."""
-        return frozenset(self._pairs())
+        """The edge set, built on first use and not charged; for repr and
+        outside callers, since the engine reads pairs() instead."""
+        return frozenset(self.pairs())
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
@@ -291,28 +295,21 @@ class Graph(Frozen):
 
     @cached_property
     def out_adj(self) -> tuple[tuple[int, ...], ...]:
-        """Arc heads per tail; for an undirected graph, the neighbors above v."""
-        # an undirected graph's rows hold each edge twice, this view once
-        self._charge(len(self.targets) // (2 - self.directed))
-        if self.directed:
-            return _row_tuples(self.offsets, self.targets)
-        off, tgt = self.offsets, self.targets
-        return tuple(
-            tuple(tgt[bisect_left(tgt, v, off[v], off[v + 1]) : off[v + 1]])
-            for v in range(self.n)
-        )
+        """Arc heads per tail. An undirected edge is an arc both ways, so an
+        undirected graph's out_adj is its adj, the same object."""
+        if not self.directed:
+            return self.adj
+        self._charge(len(self.targets))
+        return _row_tuples(self.offsets, self.targets)
 
     @cached_property
     def in_adj(self) -> tuple[tuple[int, ...], ...]:
-        """Arc tails per head; for an undirected graph, the neighbors below v."""
-        self._charge(len(self.targets) // (2 - self.directed))
-        if self.directed:  # the out rows transposed: tails sorted by head
-            return _row_tuples(*_rows(self.n, self.targets, _row_ids(self.offsets)))
-        off, tgt = self.offsets, self.targets
-        return tuple(
-            tuple(tgt[off[v] : bisect_left(tgt, v, off[v], off[v + 1])])
-            for v in range(self.n)
-        )
+        """Arc tails per head; an undirected graph's in_adj is its adj."""
+        if not self.directed:
+            return self.adj
+        self._charge(len(self.targets))
+        # the out rows transposed: tails sorted by head
+        return _row_tuples(*_rows(self.n, self.targets, _row_ids(self.offsets)))
 
     def has_edge(self, u: int, v: int) -> bool:
         """Edge {u, v}, or arc (u, v) in a digraph: a bisect in u's row."""
@@ -418,7 +415,7 @@ def parse_family_spec(spec: str) -> Graph:
 
 def underlying_graph(g: Graph) -> Graph:
     """Forget arc directions."""
-    return make_graph(g.n, g.edges) if g.directed else g
+    return make_graph(g.n, g.pairs()) if g.directed else g
 
 
 # ---- distances and power graphs ----------------------------------------
@@ -504,30 +501,13 @@ FIXED_POINT_FREE = "fixed-point-free"      # no fixed point at all
 _INVOLUTION_MODES = (SINGLE_FIXED_POINT, FIXED_POINT_FREE)
 
 
-class Involution(Frozen):
-    """An order-2 graph automorphism, stored as the full mapping."""
-
-    def __init__(self, mapping: tuple[int, ...], fixed_points: tuple[int, ...]) -> None:
-        for v, u in enumerate(mapping):
-            if mapping[u] != v:
-                raise ValueError("mapping is not an involution")
-        if tuple(fixed_points) != tuple(v for v, u in enumerate(mapping) if u == v):
-            raise ValueError("fixed_points inconsistent with mapping")
-        self.__dict__.update(mapping=mapping, fixed_points=fixed_points)
-
-    @classmethod
-    def from_mapping(cls, mapping: Sequence[int]) -> "Involution":
-        m = tuple(mapping)
-        return cls(m, tuple(v for v, u in enumerate(m) if u == v))
-
-
 def is_automorphism(g: Graph, mapping: Sequence[int]) -> bool:
     """Check that mapping preserves the edge set (direction included)."""
     try:
         check_order(g.n, mapping)
     except ValueError:
         return False
-    return all(g.has_edge(mapping[u], mapping[v]) for u, v in g._pairs())
+    return all(g.has_edge(mapping[u], mapping[v]) for u, v in g.pairs())
 
 
 # the backtracking search takes graphs of at most EXHAUSTIVE_CAP vertices
@@ -536,13 +516,15 @@ EXHAUSTIVE_CAP = 24
 NODE_BUDGET = 2_000_000
 
 
-def find_involution(g: Graph, mode: str) -> Involution | None:
+def find_involution(g: Graph, mode: str) -> tuple[int, ...] | None:
     """Search for an involutive automorphism with the given fixed-point shape.
 
     mode is SINGLE_FIXED_POINT (exactly one fixed vertex, and v is never
     adjacent to its image, so a pairing strategy can always answer on the
-    partner) or FIXED_POINT_FREE. Returns None only when nonexistence is
-    proven; raises InvolutionSearchBudget when the search is cut short
+    partner) or FIXED_POINT_FREE. Returns the mapping as a tuple, v to its
+    partner, or None when nonexistence is proven; the empty graph's
+    fixed-point-free mapping is (), which is falsy, so test the result
+    against None. Raises InvolutionSearchBudget when the search is cut short
     (n above EXHAUSTIVE_CAP, or the backtracking search passes NODE_BUDGET
     nodes). The family tag is not read.
     """
@@ -554,7 +536,7 @@ def find_involution(g: Graph, mode: str) -> Involution | None:
     if g.n % 2 != want_fixed % 2:
         return None
     if g.n == 0:
-        return None if want_fixed == 1 else Involution.from_mapping(())
+        return None if want_fixed == 1 else ()
 
     if g.n > EXHAUSTIVE_CAP:
         raise InvolutionSearchBudget(f"n={g.n} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
@@ -571,8 +553,8 @@ def find_involution(g: Graph, mode: str) -> Involution | None:
     out_adj, in_adj = g.out_adj, g.in_adj
 
     def consistent(v: int) -> bool:
-        # all edges between v and matched vertices must map to edges; for an
-        # undirected graph out_adj and in_adj split v's neighbours in two
+        # all edges between v and matched vertices must map to edges; an
+        # undirected graph's out_adj and in_adj are both its adj
         m = mapping[v]
         return all(mapping[w] < 0 or g.has_edge(m, mapping[w]) for w in out_adj[v]) and all(
             mapping[u] < 0 or g.has_edge(mapping[u], m) for u in in_adj[v]
@@ -606,7 +588,7 @@ def find_involution(g: Graph, mode: str) -> Involution | None:
 
     if rec(want_fixed):
         assert is_automorphism(g, mapping)
-        return Involution.from_mapping(mapping)
+        return tuple(mapping)
     return None
 
 
@@ -732,7 +714,7 @@ def format_graph_text(doc: GraphDocument) -> str:
     ]
     if doc.k is not None:
         lines.append(f"k {doc.k}")
-    for u, v in g._pairs():
+    for u, v in g.pairs():
         lines.append(f"edge {u} {v}")
     if doc.coloring is not None:
         for v, c in enumerate(doc.coloring):

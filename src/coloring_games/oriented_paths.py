@@ -92,6 +92,10 @@ class GrundyTable(Frozen):
                 raise ValueError("table arrays must be uint16 of length K+1")
         self.__dict__.update(K=K, gA=gA, gC=gC, gD=gD)
 
+    def __repr__(self) -> str:
+        # the arrays hold 3(K+1) values, so they are elided
+        return f"GrundyTable(K={self.K}, gA=..., gC=..., gD=...)"
+
     def value(self, klass: str, length: int) -> int:
         """Grundy value of a class position; lengths <= 0 are the empty path."""
         if klass not in PATH_CLASSES:

@@ -57,9 +57,9 @@ def _require_undirected(g: Graph) -> None:
 
 def _pinned_leaves(g: Graph, k: int, ruleset: Ruleset, directed: bool) -> ReducedInstance:
     """Vertex v becomes hub v*k, joined to its neighbours' hubs lower id to
-    higher id (g.edges pairs are (min, max)), plus leaves v*k+i painted i for
+    higher id (g.pairs() are (min, max)), plus leaves v*k+i painted i for
     i = 1..k-1, each joined from the hub."""
-    edges = [(u * k, w * k) for u, w in g.edges]
+    edges = [(u * k, w * k) for u, w in g.pairs()]
     coloring: list[int | None] = [None] * (g.n * k)
     for v in range(g.n):
         for i in range(1, k):
@@ -102,7 +102,7 @@ def reduce_to_oriented_br(g: Graph) -> ReducedInstance:
     outright, since a painted endpoint leaves one of the two arcs impossible
     to complete."""
     _require_undirected(g)
-    arcs = [a for u, w in g.edges for a in ((u, w), (w, u))]
+    arcs = [a for u, w in g.pairs() for a in ((u, w), (w, u))]
     pos = Position.start(make_graph(g.n, arcs, directed=True), 2, OrientedBlueRed())
     return ReducedInstance(pos, {v: v for v in range(g.n)})
 
@@ -120,9 +120,10 @@ def reduce_to_distance_2k(g: Graph, k: int) -> ReducedInstance:
         raise ValueError("the distance reduction needs k >= 2")
     per_edge = 3 + (k - 2)
     edges: list[tuple[int, int]] = []
-    n = g.n + per_edge * len(g.edges)
+    # the rows hold each edge twice
+    n = g.n + per_edge * (len(g.targets) // 2)
     coloring: list[int | None] = [None] * n
-    for idx, (u, w) in enumerate(sorted(g.edges)):
+    for idx, (u, w) in enumerate(g.pairs()):
         hub = g.n + idx * per_edge
         one, two = hub + 1, hub + 2
         edges += [(u, hub), (w, hub), (hub, two), (two, one)]

@@ -24,6 +24,7 @@ from functools import lru_cache, partial
 from typing import Callable, ClassVar, Sequence
 
 from .graphs import (
+    EXHAUSTIVE_CAP,
     FIXED_POINT_FREE,
     SINGLE_FIXED_POINT,
     Frozen,
@@ -83,7 +84,7 @@ class OrientedColoring(Ruleset):
 
     def used_pairs(self, g: Graph, colors: list[int]) -> set[tuple[int, int]]:
         """Color pairs on the arcs whose ends are both painted."""
-        return {(colors[x], colors[y]) for x, y in g.edges if colors[x] and colors[y]}
+        return {(colors[x], colors[y]) for x, y in g.pairs() if colors[x] and colors[y]}
 
     def move_ok(
         self, g: Graph, colors: list[int], v: int, c: int, used: set[tuple[int, int]]
@@ -274,19 +275,22 @@ def outcome_by_involution(g: Graph, k: int) -> str:
     first player a mirror strategy (N, any k). A fixed-point-free involution
     gives the second player an opposite-color mirror (P, k=2 only). Returns
     "unknown" when neither applies or the exhaustive search runs out of
-    budget, as it does above graphs.EXHAUSTIVE_CAP vertices. The proper rule
-    ignores arc directions, so the search runs on the underlying undirected
-    graph.
+    budget. Above graphs.EXHAUSTIVE_CAP vertices the search can only settle
+    parity or give up, never find a pairing, so "unknown" comes first there,
+    before anything is built. The proper rule ignores arc directions, so the
+    search runs on the underlying undirected graph.
     """
+    if g.n > EXHAUSTIVE_CAP:
+        return OUTCOME_UNKNOWN
     g = underlying_graph(g)
     try:
-        if find_involution(g, SINGLE_FIXED_POINT):
+        if find_involution(g, SINGLE_FIXED_POINT) is not None:
             return OUTCOME_N
     except InvolutionSearchBudget:
         pass
     if k == 2:
         try:
-            if find_involution(g, FIXED_POINT_FREE):
+            if find_involution(g, FIXED_POINT_FREE) is not None:
                 return OUTCOME_P
         except InvolutionSearchBudget:
             pass

@@ -305,14 +305,20 @@ class RefGraph:
         self.n, self.directed, self.edges = n, directed, frozenset(edges)
 
     def out_adj(self) -> tuple[tuple[int, ...], ...]:
+        # an undirected edge is an arc both ways
+        if not self.directed:
+            return self.adj()
         return tuple(tuple(sorted(b for a, b in self.edges if a == v)) for v in range(self.n))
 
     def in_adj(self) -> tuple[tuple[int, ...], ...]:
+        if not self.directed:
+            return self.adj()
         return tuple(tuple(sorted(a for a, b in self.edges if b == v)) for v in range(self.n))
 
     def adj(self) -> tuple[tuple[int, ...], ...]:
         return tuple(
-            tuple(sorted(set(o) | set(i))) for o, i in zip(self.out_adj(), self.in_adj())
+            tuple(sorted({w for e in self.edges if v in e for w in e if w != v}))
+            for v in range(self.n)
         )
 
     def has_edge(self, u: int, v: int) -> bool:

@@ -561,6 +561,72 @@ print(code, peak_kb() - before)
         assert grown_kb <= bound_mb * 1024, (argv, grown_kb)
 
 
+def test_large_digraphs_build_no_edge_set():
+    # the oriented rule reads the rows, so an uncolored start keeps only its
+    # coloring tuple (33.2 MB with the edge set); the pairing shortcut
+    # answers above its cap before it builds the underlying graph (64 MB)
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs Linux /proc/self/status")
+    proc = fresh_python("-c", """
+import gc, tracemalloc
+from coloring_games.games import Position
+from coloring_games.graphs import build_family
+from coloring_games.rulesets import OrientedColoring
+g = build_family("directed_path", 200000)
+gc.collect()
+tracemalloc.start()
+pos = Position.start(g, 3, OrientedColoring())
+gc.collect()
+print(tracemalloc.get_traced_memory()[0], "edges" in g.__dict__)
+""")
+    assert proc.returncode == 0, proc.stderr
+    traced, built = proc.stdout.split()
+    assert int(traced) <= 4_000_000 and built == "False", proc.stdout
+
+    argv = ["solve", "--ruleset", "proper", "--k", "2", "--graph", "dpath:200000",
+            "--method", "involution"]
+    proc = fresh_python("-c", f"""
+import re, sys
+from coloring_games.cli import main
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1))
+before = peak_kb()
+code = main({argv!r})
+sys.stdout.flush()
+print(code, peak_kb() - before, file=sys.stderr)
+""")
+    assert proc.returncode == 0, proc.stderr
+    code, grown_kb = map(int, proc.stderr.split())
+    assert code == EXIT_OK
+    assert proc.stdout == ("graph: dpath:200000\nruleset: proper\nk: 2\n"
+                           "outcome: unknown\nmethod: involution\n")
+    assert grown_kb <= 20 * 1024, grown_kb
+
+
+@pytest.mark.parametrize("argv", [
+    ["grundy-seq", "--kmax", "6000"],
+    ["sequential", "--graph", "path:300000", "--order", "random", "--seed", "1"],
+], ids=["grundy-seq", "sequential"])
+def test_closed_pipe_exits_quietly(argv):
+    # the output passes a pipe buffer, so a write fails once the reader has
+    # gone; main quiets stdout and exits 0 without a traceback
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen([sys.executable, "-m", "coloring_games.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": path})
+    try:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=300)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert len(head) == 10
+    assert (code, err) == (EXIT_OK, b"")
+
+
 LOADED = """
 import json, sys
 print(json.dumps(sorted(m.removeprefix("coloring_games.") for m in sys.modules
@@ -647,7 +713,7 @@ assert games is sys.modules["coloring_games.games"]
 print(len(pkg.__all__))
 """)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "69\n"
+    assert proc.stdout == "68\n"
 
 
 def test_parser_names_the_engine_constants():

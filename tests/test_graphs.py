@@ -14,7 +14,6 @@ from coloring_games.graphs import (
     Graph,
     GraphDocument,
     GraphFormatError,
-    Involution,
     InvolutionSearchBudget,
     MemoryBudgetExceeded,
     TT_BYTES_ENV,
@@ -104,6 +103,23 @@ def test_graph_contract_against_frozenset_model(case, rnd):
         fewer = sorted(ref.edges)[1:]
         assert make_graph(n, fewer, directed=directed) != g
     assert make_graph(n, ref.edges, directed=not directed) != g
+
+
+@settings(max_examples=100)
+@given(edge_lists())
+def test_pairs_stream_the_edge_set_in_order(case):
+    n, directed, pairs = case
+    g = make_graph(n, pairs, directed=directed)
+    assert list(g.pairs()) == sorted(RefGraph(n, directed, pairs).edges)
+    assert "edges" not in g.__dict__
+
+
+def test_undirected_graphs_keep_one_neighbour_view():
+    # an undirected edge is an arc both ways
+    for g in (build_family("path", 5), build_family("grid", 2, 3), make_graph(0, [])):
+        assert g.out_adj is g.adj and g.in_adj is g.adj
+    d = build_family("directed_path", 3)
+    assert d.out_adj == ((1,), (2,), ()) and d.in_adj == ((), (0,), (1,))
 
 
 def test_graph_rejects_huge_and_negative_endpoints():
@@ -289,15 +305,6 @@ def _oracle_involutions(g, mode):
     return out
 
 
-def test_involution_validation():
-    with pytest.raises(ValueError):
-        Involution.from_mapping((1, 2, 0))  # 3-cycle, not an involution
-    inv = Involution.from_mapping((1, 0, 2))
-    assert inv.fixed_points == (2,)
-    with pytest.raises(ValueError):
-        Involution(mapping=(1, 0, 2), fixed_points=())
-
-
 def test_is_automorphism():
     p = build_family("path", 4)
     assert is_automorphism(p, (3, 2, 1, 0))
@@ -320,9 +327,17 @@ def test_family_involutions_found_fast():
     for g, mode in cases:
         inv = find_involution(g, mode)
         assert inv is not None, (g.family, mode)
-        assert is_automorphism(g, inv.mapping)
+        assert is_automorphism(g, inv)
         want = 1 if mode == SINGLE_FIXED_POINT else 0
-        assert len(inv.fixed_points) == want
+        assert sum(u == v for v, u in enumerate(inv)) == want
+
+
+def test_find_involution_returns_the_mapping():
+    empty = make_graph(0, [])
+    assert find_involution(empty, FIXED_POINT_FREE) == ()
+    assert find_involution(empty, SINGLE_FIXED_POINT) is None
+    assert find_involution(build_family("path", 4), FIXED_POINT_FREE) == (3, 2, 1, 0)
+    assert find_involution(build_family("path", 5), SINGLE_FIXED_POINT) == (4, 3, 2, 1, 0)
 
 
 def test_directed_graphs_keep_arc_directions():
@@ -378,7 +393,7 @@ def test_involution_search_matches_exhaustive_oracle(g, mode):
     if found is None:
         assert oracle == []
     else:
-        assert tuple(found.mapping) in oracle
+        assert found in oracle
 
 
 # ---- text format -----------------------------------------------------------------

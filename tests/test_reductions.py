@@ -208,3 +208,17 @@ def test_proper_reduction_preserves_planarity():
         red_nx = nx.Graph(list(red.edges))
         red_nx.add_nodes_from(range(red.n))
         assert nx.check_planarity(red_nx)[0]
+
+
+@pytest.mark.parametrize("reduce", [
+    lambda g: rd.reduce_to_proper_k(g, 1),
+    lambda g: rd.reduce_to_proper_k(g, 3),
+    lambda g: rd.reduce_to_oriented_k(g, 3),
+    rd.reduce_to_oriented_br,
+    lambda g: rd.reduce_to_distance_2k(g, 3),
+], ids=["proper-k1", "proper-k3", "oriented-k3", "oriented-br", "distance-k3"])
+def test_reductions_build_no_edge_set(reduce):
+    g = build_family("path", 6)
+    inst = reduce(g)
+    assert set(inst.vertex_map) == set(range(6))
+    assert "edges" not in g.__dict__

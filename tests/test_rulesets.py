@@ -259,6 +259,29 @@ def test_outcome_by_involution_budget_is_unknown():
     assert outcome_by_involution(g, 2) == OUTCOME_UNKNOWN
 
 
+def test_outcome_by_involution_on_the_empty_graph():
+    # the empty graph's fixed-point-free mapping is (): falsy, but found
+    assert outcome_by_involution(make_graph(0, []), 2) == OUTCOME_P
+    assert outcome_by_involution(make_graph(0, []), 3) == OUTCOME_UNKNOWN
+
+
+def test_engine_paths_build_no_edge_set():
+    # the oriented rule and the pairing shortcut read the rows, not the
+    # uncharged frozenset Graph.edges
+    g = build_family("directed_cycle", 10)
+    assert grundy(Position.start(g, 3, OrientedColoring())) == 0
+    assert "edges" not in g.__dict__
+    # test_cli checks an oriented start on directed_path:200000 with its memory
+    for n, want in ((5, OUTCOME_N), (31, OUTCOME_UNKNOWN)):
+        g = make_graph(n, [(i, i + 1) for i in range(n - 1)], directed=True)
+        assert outcome_by_involution(g, 2) == want
+        assert "edges" not in g.__dict__
+    # above the search's cap nothing is built, not even the neighbour views
+    assert "adj" not in g.__dict__
+    # outside callers still get the edge set
+    assert g.edges == frozenset((i, i + 1) for i in range(30))
+
+
 def _named_families(max_n):
     """Every named family instance with at most max_n vertices; grids take
     2 to 4 sides of length >= 2, in every order, since the order changes

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from coloring_games import games, oriented_paths as op, reductions
-from coloring_games.graphs import GraphDocument, Involution, make_graph
+from coloring_games.graphs import GraphDocument, make_graph
 from coloring_games.rulesets import (
     DistanceColoring,
     OrientedBlueRed,
@@ -37,8 +37,6 @@ CASES = [
      "SequentialColoring(order=(2, 0, 1))", True),
     ("sequential-array", lambda: SequentialColoring(order=array("q", [2, 0, 1])),
      "SequentialColoring(order=(2, 0, 1))", True),
-    ("involution", lambda: Involution.from_mapping([1, 0, 2]),
-     "Involution(mapping=(1, 0, 2), fixed_points=(2,))", True),
     ("graph-document",
      lambda: GraphDocument(graph=make_graph(2, [(1, 0)]), k=2, coloring=(1, None)),
      f"GraphDocument(graph={EDGE_REPR}, k=2, coloring=(1, None), order=None)", True),
@@ -48,8 +46,7 @@ CASES = [
      True),
     ("grundy-table", lambda: op.GrundyTable(K=3, gA=array("H", TABLE.gA),
                                             gC=array("H", TABLE.gC), gD=array("H", TABLE.gD)),
-     "GrundyTable(K=3, gA=array('H', [0, 0, 1, 1]), gC=array('H', [0, 0, 0, 0]), "
-     "gD=array('H', [0, 1, 2, 0]))", False),
+     "GrundyTable(K=3, gA=..., gC=..., gD=...)", False),
     ("rare-common-report", lambda: op.classify_rare_common(TABLE),
      "RareCommonReport(K=3, value_counts={0: 4, 1: 3, 2: 1}, rare_values=(0, 1, 2), "
      "common_values=(), largest_rare_index={'A': 3, 'C': 3, 'D': 3}, max_value=2)", False),
@@ -103,7 +100,6 @@ def test_assignment_and_deletion_raise(_id, make, text, hashable):
      games.Position.start(EDGE, 2, ProperColoring(), coloring=(1, None))),
     (games.Position.start(EDGE, 2, ProperColoring()),
      games.Position.start(EDGE, 3, ProperColoring())),
-    (Involution.from_mapping((1, 0)), Involution.from_mapping((0, 1))),
     (GraphDocument(graph=EDGE), GraphDocument(graph=EDGE, k=2)),
 ], ids=lambda v: type(v).__name__)
 def test_different_values_compare_unequal(a, b):
@@ -126,8 +122,6 @@ def test_tables_compare_by_value(tmp_path):
     (lambda: DistanceColoring(0), ValueError, "distance parameter d must be >= 1"),
     (lambda: DistanceColoring(d=-1), ValueError, "distance parameter d must be >= 1"),
     (lambda: SequentialColoring(), ValueError, "sequential needs a visit order"),
-    (lambda: Involution((1, 2, 0), ()), ValueError, "mapping is not an involution"),
-    (lambda: Involution((1, 0, 2), ()), ValueError, "fixed_points inconsistent with mapping"),
     (lambda: GraphDocument(graph=EDGE, k=2, coloring=(3, None)), ValueError,
      "color 3 exceeds declared k=2"),
     (lambda: GraphDocument(graph=EDGE, coloring=(0, None)), ValueError,
