@@ -39,7 +39,7 @@ records the best wall time and the most VmHWM growth from just before
 `import coloring_games.cli` to just after the command, and whether the
 command loaded numpy.
 
-Last, a row `graph_data` (and `graph_data_baseline`) measures two requests
+Then a row `graph_data` (and `graph_data_baseline`) measures two requests
 on GRAPH_N-vertex directed paths that should build no edge set, each in
 GRAPH_RUNS fresh interpreters per source tree, interleaved the same way:
 - oriented_start: an uncolored oriented k=3 Position.start, its best wall
@@ -47,6 +47,15 @@ GRAPH_RUNS fresh interpreters per source tree, interleaved the same way:
   (tracemalloc, after a full gc.collect, on a second graph);
 - involution_solve: `solve --ruleset proper --k 2 --method involution`, its
   best wall time and the most VmHWM growth across the cli.main call.
+
+Last, a row `distance_start` (and `distance_start_baseline`) measures
+uncolored starts on `path:GRAPH_N`, each in DISTANCE_RUNS fresh interpreters
+per source tree, interleaved the same way:
+- start: Position.start under proper k=2 and under distance k=2 at d=2 and
+  d=8, its best wall time and the most VmHWM growth across the call;
+- closed_form_solve: `solve --ruleset distance --d 2 --k 2`, answered by
+  closed form, its best wall time and the most VmHWM growth across the
+  cli.main call, and its exit code under COLORING_GAMES_TT_BYTES=BUDGET_BYTES.
 
 Example:
     PYTHONDONTWRITEBYTECODE=1 python scripts/bench.py --out BENCH_20.json \
@@ -70,7 +79,7 @@ from typing import Callable
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmark")]
 
-from coloring_games import cli, games, oriented_paths as op, rulesets
+from coloring_games import cli, games, oriented_paths as op
 from run import IMPORT_PROBE
 from workloads import DEFAULT_SEED, PathTables, SearchCold, SequentialPaths
 
@@ -78,14 +87,15 @@ REPEATS = 3  # untraced solves per instance
 IMPORT_RUNS = 25  # fresh interpreters timing the import, per source tree
 TABLE_RUNS = 7  # fresh interpreters per table command, per source tree
 GRAPH_RUNS = 5  # fresh interpreters per graph_data case, per source tree
-GRAPH_N = 200_000  # vertices of the graph_data directed paths
+GRAPH_N = 200_000  # vertices of the graph_data directed paths and distance_start paths
+DISTANCE_RUNS = 5  # fresh interpreters per distance_start case, per source tree
+BUDGET_BYTES = 12_000_000  # the budget of distance_start's budgeted solve
 
 
 def cold_position(argv: list[str]) -> games.Position:
     """The uncolored position that `solve` with these options reads, with
     the solver and power-graph caches emptied."""
     games.clear_solver_cache()
-    rulesets._power.cache_clear()
     args = cli.build_parser().parse_args(["solve", *argv])
     graph, _source, doc = cli._load_graph(args)
     ruleset = cli._build_ruleset(args, doc)
@@ -135,13 +145,15 @@ def fresh(src: str, *args: str) -> str:
                           env=env, check=True).stdout
 
 
-CLI_CHILD = """
+PEAK_KB = """
 import json, os, re, sys, time
 
 def peak_kb():
     with open("/proc/self/status") as fh:
         return int(re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1))
+"""
 
+CLI_CHILD = PEAK_KB + """
 argv, with_import = json.loads(sys.argv[1]), sys.argv[2] == "1"
 sys.stdout, out = open(os.devnull, "w"), sys.stdout
 if not with_import:
@@ -266,6 +278,56 @@ def measure_graph_data(sources: dict[str, str]) -> dict[str, dict]:
     } for name in sources}
 
 
+DISTANCE_START_CHILD = PEAK_KB + """
+from coloring_games.games import Position
+from coloring_games.graphs import build_family
+from coloring_games.rulesets import DistanceColoring, ProperColoring
+n, d = map(int, sys.argv[1:])
+g = build_family("path", n)
+ruleset = DistanceColoring(d) if d else ProperColoring()
+before = peak_kb()
+t0 = time.perf_counter()
+Position.start(g, 2, ruleset)
+wall = time.perf_counter() - t0
+print(json.dumps({"wall_s": wall, "grown_kb": peak_kb() - before}))
+"""
+
+
+def budgeted_exit(src: str, argv: list[str]) -> int:
+    """The exit code of `python -m coloring_games.cli argv` in a fresh
+    interpreter with src first on its path, under BUDGET_BYTES."""
+    env = {**os.environ, "PYTHONPATH": src, games.TT_BYTES_ENV: str(BUDGET_BYTES)}
+    return subprocess.run([sys.executable, "-m", "coloring_games.cli", *argv],
+                          capture_output=True, env=env).returncode
+
+
+def measure_distance_start(sources: dict[str, str]) -> dict[str, dict]:
+    """A row per source tree, named distance_start plus the tree's suffix."""
+    starts = {"proper": 0, "distance_d2": 2, "distance_d8": 8}
+    argv = ["solve", "--ruleset", "distance", "--d", "2", "--k", "2",
+            "--graph", f"path:{GRAPH_N}"]
+    probes = interleave(sources, DISTANCE_RUNS, lambda src: (
+        {name: json.loads(fresh(src, "-c", DISTANCE_START_CHILD, str(GRAPH_N), str(d)))
+         for name, d in starts.items()},
+        run_cli(src, argv, False),
+        budgeted_exit(src, argv)))
+    return {f"distance_start{name}": {
+        "n": GRAPH_N,
+        "runs": DISTANCE_RUNS,
+        "start": {case: {
+            "wall_s": round(min(p[0][case]["wall_s"] for p in probes[name]), 4),
+            "peak_rss_growth_bytes": max(p[0][case]["grown_kb"] for p in probes[name]) * 1024,
+        } for case in starts},
+        "closed_form_solve": {
+            "argv": argv,
+            "wall_s": round(min(p[1]["wall_s"] for p in probes[name]), 4),
+            "peak_rss_growth_bytes": max(p[1]["grown_kb"] for p in probes[name]) * 1024,
+            "budget_bytes": BUDGET_BYTES,
+            "budget_exit_codes": sorted({p[2] for p in probes[name]}),
+        },
+    } for name in sources}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="JSON file to write")
@@ -304,6 +366,15 @@ def main() -> int:
               f"{start['retained_bytes']:>9} B retained")
         print(f"{name + ' involution':<34} {solve['wall_s']:>8.3f} s best "
               f"{solve['peak_rss_growth_bytes']:>9} B peak RSS growth")
+    distance_rows = measure_distance_start(sources)
+    for name, row in distance_rows.items():
+        for case, r in row["start"].items():
+            print(f"{name + ' start ' + case:<44} {r['wall_s']:>8.3f} s best "
+                  f"{r['peak_rss_growth_bytes']:>9} B peak RSS growth")
+        solve = row["closed_form_solve"]
+        print(f"{name + ' closed-form solve':<44} {solve['wall_s']:>8.3f} s best "
+              f"{solve['peak_rss_growth_bytes']:>9} B peak RSS growth, exit "
+              f"{solve['budget_exit_codes']} under {BUDGET_BYTES} B")
     doc = {
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -313,6 +384,7 @@ def main() -> int:
         **import_rows,
         **table_rows,
         **graph_rows,
+        **distance_rows,
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)

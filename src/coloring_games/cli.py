@@ -35,6 +35,7 @@ from typing import ContextManager, TextIO
 # games, oriented_paths, reductions and sequential are imported by the
 # handlers that use them, so a command loads only the engine it runs
 from .graphs import (
+    EXHAUSTIVE_CAP,
     Graph,
     GraphDocument,
     MemoryBudgetExceeded,
@@ -184,9 +185,10 @@ def cmd_solve(args, out: TextIO) -> int:
             method = "closed-form"
 
     if outcome == OUTCOME_UNKNOWN and args.method in ("auto", "involution") and uncolored:
-        solved_rs, solved_g = translate_for_solving(ruleset, g)
-        if isinstance(solved_rs, ProperColoring):
-            outcome = outcome_by_involution(solved_g, k)
+        if isinstance(ruleset, (ProperColoring, DistanceColoring)):
+            # above the cap the pairing answers unknown, so G^d is not built
+            paired = translate_for_solving(ruleset, g)[1] if g.n <= EXHAUSTIVE_CAP else g
+            outcome = outcome_by_involution(paired, k)
             if outcome != OUTCOME_UNKNOWN:
                 method = "involution"
 

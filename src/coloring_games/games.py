@@ -25,8 +25,8 @@ moves: it binds the ruleset's rule to the coloring once per call
 uncolored vertex of the ruleset's visit order. The loop is lazy, and a live
 level keeps its part as the mask and one byte per vertex of the part's span,
 picking the vertices from those bytes each time it walks them, so a level
-holds neither a move list nor a vertex list. Distance games are solved as
-proper games on the power graph.
+holds neither a move list nor a vertex list. Only the solver plays a
+distance game as the proper game on the power graph.
 
 Each solver counts the bytes of its own table against COLORING_GAMES_TT_BYTES,
 read when the solver is made: per entry, the key's size plus a dict slot.
@@ -131,12 +131,10 @@ def _moves(
 
 def legal_moves(position: Position) -> list[Move]:
     """All (vertex, color) moves legal from this position, sorted."""
-    ruleset, graph = rs.translate_for_solving(position.ruleset, position.graph)
     colors = [0 if c is None else c for c in position.coloring]
-    return [
-        Move(v, c)
-        for v, c in _moves(ruleset, graph, range(1, position.k + 1), colors, range(graph.n))
-    ]
+    moves = _moves(position.ruleset, position.graph, range(1, position.k + 1), colors,
+                   range(position.graph.n))
+    return [Move(v, c) for v, c in moves]
 
 
 def apply_move(position: Position, move: Move) -> Position:
@@ -144,12 +142,11 @@ def apply_move(position: Position, move: Move) -> Position:
     about this vertex and color only; under the sequential ruleset it offers
     the visit order's next vertex, which must be the move's."""
     v, c = move.vertex, move.color
-    ruleset, graph = rs.translate_for_solving(position.ruleset, position.graph)
     colors = [0 if x is None else x for x in position.coloring]
     if not (
-        v in range(graph.n)
+        v in range(position.graph.n)
         and c in range(1, position.k + 1)
-        and (v, c) in _moves(ruleset, graph, (c,), colors, (v,))
+        and (v, c) in _moves(position.ruleset, position.graph, (c,), colors, (v,))
     ):
         raise IllegalMoveError(f"{move} is not legal here")
     return _play(position, move)
@@ -383,9 +380,10 @@ def _solver_for(position: Position) -> _Solver:
 
 
 def clear_solver_cache() -> None:
-    """Drop all transposition tables and reset the byte budget accounting."""
+    """Drop all transposition tables and power graphs; reset the byte budget."""
     global _used
     _SOLVERS.clear()
+    rs._power.cache_clear()
     _used = 0
 
 

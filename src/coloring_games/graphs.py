@@ -2,9 +2,9 @@
 
 Vertices are 0-based integers 0..n-1. Graph(...) is the one constructor
 (make_graph forwards to it): it takes edges in any order and normalizes
-them. There is no component or distance helper here; the solver walks its
-own parts and power_graph runs a bounded BFS. A graph keeps its edges as
-sorted CSR (compressed sparse row) rows in array('q'):
+them. The solver walks its own parts; within, a breadth-first walk cut off
+at d hops, serves the distance rule and power_graph. A graph keeps its edges
+as sorted CSR (compressed sparse row) rows in array('q'):
 targets[offsets[v]:offsets[v+1]] lists v's row in ascending order. An
 undirected graph has one such pair, in which every edge sits in both
 endpoints' rows; a digraph keeps its out rows there, and its in rows are
@@ -29,7 +29,6 @@ import math
 import os
 from array import array
 from bisect import bisect_left
-from collections import deque
 from functools import cached_property
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
@@ -420,6 +419,22 @@ def underlying_graph(g: Graph) -> Graph:
 
 # ---- distances and power graphs ----------------------------------------
 
+def within(g: Graph, s: int, d: int) -> Iterator[int]:
+    """The vertices other than s within d hops of it, nearest first: a
+    breadth-first walk on g's adjacency tuples, cut off at depth d. Arc
+    directions are ignored."""
+    adj, dist, queue = g.adj, {s: 0}, [s]
+    for v in queue:  # grows as the walk reaches vertices, in order of distance
+        hops = dist[v] + 1
+        if hops > d:
+            break
+        for u in adj[v]:
+            if u not in dist:
+                dist[u] = hops
+                queue.append(u)
+                yield u
+
+
 def power_graph(g: Graph, d: int) -> Graph:
     """Graph on the same vertices joining every pair at hop distance <= d.
 
@@ -428,26 +443,10 @@ def power_graph(g: Graph, d: int) -> Graph:
     """
     if d < 1:
         raise ValueError("power exponent must be >= 1")
-
-    def pairs() -> Iterator[tuple[int, int]]:
-        # each source's pairs (s, v), v > s, in ascending order: make_graph
-        # then checks the budget on its endpoint buffer and needs no sort
-        for s in range(g.n):
-            # bounded BFS out to depth d
-            dist = {s: 0}
-            q = deque([s])
-            while q:
-                v = q.popleft()
-                if dist[v] == d:
-                    continue
-                for u in g.adj[v]:
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        q.append(u)
-            for v in sorted(v for v in dist if v > s):
-                yield s, v
-
-    return make_graph(g.n, pairs())
+    # each source's pairs (s, v), v > s, in ascending order: make_graph then
+    # checks the budget on its endpoint buffer and needs no sort
+    return make_graph(g.n, ((s, v) for s in range(g.n)
+                            for v in sorted(v for v in within(g, s, d) if v > s)))
 
 
 def connected_graph_census(n: int) -> list[Graph]:

@@ -8,14 +8,13 @@ Each ruleset states its rule once, as its move_ok method: may uncolored
 vertex v take color c, given a legal coloring in which 0 marks an uncolored
 vertex. Only the constraints touching v are checked. move_rule binds that
 method to one coloring, once, as the (g, colors, v, c) callable every caller
-uses; the oriented rule's set of used color pairs is built there. Distance
-games have no method of their own; translate_for_solving turns them into
-proper games on the power graph. A game's parameter is a field of its
-ruleset: the distance d, and the sequential game's visit order, a tuple that
-no other ruleset has. is_legal_coloring checks a whole partial coloring with
-the same rule: every painted vertex must be able to take its color with the
-rest of the coloring as it stands, and under the sequential ruleset the
-painted vertices must be a prefix of the visit order.
+uses; the oriented rule's set of used color pairs is built there. A game's
+parameter is a field of its ruleset: the distance d, and the sequential
+game's visit order, a tuple that no other ruleset has. is_legal_coloring
+checks a whole partial coloring with the same rule: every painted vertex
+must be able to take its color with the rest of the coloring as it stands,
+and under the sequential ruleset the painted vertices must be a prefix of
+the visit order.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from .graphs import (
     find_involution,
     power_graph,
     underlying_graph,
+    within,
 )
 
 BLUE = 1
@@ -153,8 +153,8 @@ class WeakColoring(Ruleset):
 
 
 class DistanceColoring(Ruleset):
-    """Vertices within hop distance d must differ; solved as ProperColoring
-    on the d-th power graph, so its live decomposition is the power graph's."""
+    """Vertices within hop distance d must differ. The search plays it as
+    proper on the d-th power graph, so its live parts are the power graph's."""
 
     token = "distance"
 
@@ -162,6 +162,9 @@ class DistanceColoring(Ruleset):
         if d < 1:
             raise ValueError("distance parameter d must be >= 1")
         self.__dict__["d"] = d
+
+    def move_ok(self, g: Graph, colors: list[int], v: int, c: int) -> bool:
+        return c not in map(colors.__getitem__, within(g, v, self.d))
 
 
 class SequentialColoring(Ruleset):
@@ -208,7 +211,7 @@ def _power(g: Graph, d: int) -> Graph:
 
 
 def translate_for_solving(ruleset: Ruleset, g: Graph) -> tuple[Ruleset, Graph]:
-    """Distance games are played as proper games on the power graph."""
+    """The game as the search plays it: distance as proper on the power graph."""
     if isinstance(ruleset, DistanceColoring):
         return ProperColoring(), _power(g, ruleset.d)
     return ruleset, g
@@ -217,11 +220,10 @@ def translate_for_solving(ruleset: Ruleset, g: Graph) -> tuple[Ruleset, Graph]:
 def move_rule(
     ruleset: Ruleset, g: Graph, colors: list[int]
 ) -> Callable[[Graph, list[int], int, int], bool]:
-    """The ruleset's move_ok(g, colors, v, c) bound to this coloring, for a
-    ruleset and graph already through translate_for_solving. Oriented's gets
-    the coloring's used pairs, built once here, so the callable answers for
-    this coloring only; clearing the vertex asked about is the one change
-    it allows."""
+    """The ruleset's move_ok(g, colors, v, c) bound to this coloring.
+    Oriented's gets the coloring's used pairs, built once here, so the
+    callable answers for this coloring only; clearing the vertex asked about
+    is the one change it allows."""
     if isinstance(ruleset, OrientedColoring):
         return partial(ruleset.move_ok, used=ruleset.used_pairs(g, colors))
     return ruleset.move_ok
@@ -249,7 +251,6 @@ def is_legal_coloring(
         if any(coloring[v] is None for v in ruleset.order[:painted]):
             return False
 
-    ruleset, g = translate_for_solving(ruleset, g)
     colors = [0 if c is None else c for c in coloring]
     move_ok = move_rule(ruleset, g, colors)
     for v, c in enumerate(coloring):

@@ -561,10 +561,11 @@ print(code, peak_kb() - before)
         assert grown_kb <= bound_mb * 1024, (argv, grown_kb)
 
 
-def test_large_digraphs_build_no_edge_set():
+def test_large_digraphs_build_no_edge_set(monkeypatch):
     # the oriented rule reads the rows, so an uncolored start keeps only its
     # coloring tuple (33.2 MB with the edge set); the pairing shortcut
     # answers above its cap before it builds the underlying graph (64 MB)
+    # or the power graph (whose adjacency tuples pass a 12 MB budget)
     if not os.path.exists("/proc/self/status"):
         pytest.skip("needs Linux /proc/self/status")
     proc = fresh_python("-c", """
@@ -583,25 +584,43 @@ print(tracemalloc.get_traced_memory()[0], "edges" in g.__dict__)
     traced, built = proc.stdout.split()
     assert int(traced) <= 4_000_000 and built == "False", proc.stdout
 
-    argv = ["solve", "--ruleset", "proper", "--k", "2", "--graph", "dpath:200000",
-            "--method", "involution"]
-    proc = fresh_python("-c", f"""
+    for argv, budget, head in (
+        (["solve", "--ruleset", "proper", "--k", "2", "--graph", "dpath:200000"],
+         None, "graph: dpath:200000\nruleset: proper\nk: 2\n"),
+        (["solve", "--ruleset", "distance", "--d", "2", "--k", "2",
+          "--graph", "path:200000"],
+         "12000000", "graph: path:200000\nruleset: distance\nk: 2\nd: 2\n"),
+    ):
+        if budget is not None:
+            monkeypatch.setenv(TT_BYTES_ENV, budget)
+        proc = fresh_python("-c", f"""
 import re, sys
 from coloring_games.cli import main
 def peak_kb():
     with open("/proc/self/status") as fh:
         return int(re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1))
 before = peak_kb()
-code = main({argv!r})
+code = main({argv + ["--method", "involution"]!r})
 sys.stdout.flush()
 print(code, peak_kb() - before, file=sys.stderr)
 """)
+        assert proc.returncode == 0, proc.stderr
+        code, grown_kb = map(int, proc.stderr.split())
+        assert code == EXIT_OK, argv
+        assert proc.stdout == head + "outcome: unknown\nmethod: involution\n"
+        assert grown_kb <= 20 * 1024, (argv, grown_kb)
+
+
+def test_distance_closed_form_fits_a_budget_the_power_graph_passes(monkeypatch):
+    # an uncolored distance start checks no painted vertex and the closed
+    # form reads only the family tag, so no power graph is built: its
+    # adjacency tuples alone need 30.4 MB here
+    monkeypatch.setenv(TT_BYTES_ENV, "12000000")
+    proc = fresh_python("-m", "coloring_games.cli", "solve", "--ruleset", "distance",
+                        "--d", "2", "--k", "2", "--graph", "path:200000")
     assert proc.returncode == 0, proc.stderr
-    code, grown_kb = map(int, proc.stderr.split())
-    assert code == EXIT_OK
-    assert proc.stdout == ("graph: dpath:200000\nruleset: proper\nk: 2\n"
-                           "outcome: unknown\nmethod: involution\n")
-    assert grown_kb <= 20 * 1024, grown_kb
+    assert proc.stdout == ("graph: path:200000\nruleset: distance\nk: 2\nd: 2\n"
+                           "outcome: P\ngrundy: 0\nmethod: closed-form\n")
 
 
 @pytest.mark.parametrize("argv", [

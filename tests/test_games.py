@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coloring_games import games
+from coloring_games import games, rulesets
 from coloring_games.games import (
     IllegalColoringError,
     IllegalMoveError,
@@ -338,6 +338,16 @@ def test_budget_drops_other_tables_before_it_fires(monkeypatch):
         assert grundy(Position.start(build_family("path", 3), 2, ProperColoring())) == 1
     finally:
         clear_solver_cache()
+
+
+def test_clear_solver_cache_releases_power_graphs():
+    # the search plays a distance game on the cached power graph, which the
+    # release must not outlive
+    clear_solver_cache()
+    grundy(Position.start(build_family("path", 7), 2, DistanceColoring(d=2)))
+    assert rulesets._power.cache_info().currsize == 1
+    clear_solver_cache()
+    assert rulesets._power.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("ruleset, k, graph", [

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coloring_games.games import Position, grundy
-from coloring_games.graphs import build_family, make_graph
+from coloring_games.graphs import build_family, make_graph, power_graph
 from coloring_games.rulesets import (
     BLUE,
     RED,
@@ -172,21 +172,25 @@ def test_legality_matches_reference(data, token):
 @settings(max_examples=80)
 def test_move_ok_matches_full_recheck(data, token):
     g, k, coloring, order = data.draw(colored_graphs(token))
-    ruleset, solved_g = translate_for_solving(ruleset_for(token, order), g)
+    game = ruleset_for(token, order)
     colors = [0 if c is None else c for c in coloring]
     painted = sum(1 for c in colors if c)
     if token == "sequential":
         verts = [order[painted]] if painted < g.n else []
     else:
         verts = [v for v in range(g.n) if colors[v] == 0]
-    move_ok = move_rule(ruleset, solved_g, colors)
+    move_ok = move_rule(game, g, colors)
+    if token == "distance":  # the search's form of the game: proper on G^d
+        power = power_graph(g, game.d)
+        proper_ok = move_rule(ProperColoring(), power, colors)
     for v in verts:
         for c in range(1, k + 1):
             after = list(coloring)
             after[v] = c
-            assert move_ok(solved_g, colors, v, c) == ref_legal(
-                token, g, k, after, order
-            ), (g.edges, coloring, v, c)
+            legal = ref_legal(token, g, k, after, order)
+            assert move_ok(g, colors, v, c) == legal, (g.edges, coloring, v, c)
+            if token == "distance":
+                assert proper_ok(power, colors, v, c) == legal, (g.edges, coloring, v, c)
 
 
 def _all_graphs(n, directed):
@@ -207,16 +211,18 @@ EXHAUSTIVE_KS = {"proper": (1, 2, 3), "distance": (1, 2, 3), "oriented": (3,),
 @pytest.mark.parametrize("token", TOKENS)
 def test_legality_exhaustive_against_reference(token):
     """is_legal_coloring and every move rule against ref_legal on every
-    labelled graph with n <= 4 and every coloring in the palette."""
+    labelled graph with n <= 4 and every coloring in the palette. Each rule
+    runs on the game's own graph; distance's is also checked in the form
+    the search plays it, as proper on the power graph."""
     checked = moves = 0
     palette = (None, *range(1, max(EXHAUSTIVE_KS[token]) + 1))
     for n in range(5):
         orders = list(itertools.permutations(range(n))) if token == "sequential" else [None]
         cols = list(itertools.product(palette, repeat=n))
         for g in _all_graphs(n, token in ("oriented", "oriented-br")):
+            power = power_graph(g, ruleset_for(token).d) if token == "distance" else None
             for k, order in itertools.product(EXHAUSTIVE_KS[token], orders):
                 game = ruleset_for(token, order)
-                ruleset, solved_g = translate_for_solving(game, g)
                 ref = {col: ref_legal(token, g, k, col, order) for col in cols}
                 for col, legal in ref.items():
                     checked += 1
@@ -230,13 +236,18 @@ def test_legality_exhaustive_against_reference(token):
                         verts = [v for v in range(n) if col[v] is None]
                     else:
                         verts = order[painted:painted + 1]
-                    move_ok = move_rule(ruleset, solved_g, colors)
+                    move_ok = move_rule(game, g, colors)
+                    if power is not None:
+                        proper_ok = move_rule(ProperColoring(), power, colors)
                     for v, c in itertools.product(verts, range(1, k + 1)):
                         after = list(col)
                         after[v] = c
                         moves += 1
-                        assert move_ok(solved_g, colors, v, c) == ref[tuple(after)], (
-                            g.edges, col, v, c)
+                        want = ref[tuple(after)]
+                        assert move_ok(g, colors, v, c) == want, (g.edges, col, v, c)
+                        if power is not None:
+                            assert proper_ok(power, colors, v, c) == want, (
+                                g.edges, col, v, c)
     assert checked > 1_000 and moves > 1_000
 
 
