@@ -48,7 +48,7 @@ GRAPH_RUNS fresh interpreters per source tree, interleaved the same way:
 - involution_solve: `solve --ruleset proper --k 2 --method involution`, its
   best wall time and the most VmHWM growth across the cli.main call.
 
-Last, a row `distance_start` (and `distance_start_baseline`) measures
+Then a row `distance_start` (and `distance_start_baseline`) measures
 uncolored starts on `path:GRAPH_N`, each in DISTANCE_RUNS fresh interpreters
 per source tree, interleaved the same way:
 - start: Position.start under proper k=2 and under distance k=2 at d=2 and
@@ -57,8 +57,23 @@ per source tree, interleaved the same way:
   closed form, its best wall time and the most VmHWM growth across the
   cli.main call, and its exit code under COLORING_GAMES_TT_BYTES=BUDGET_BYTES.
 
+Then a row `short_tables` (and `short_tables_baseline`) runs SHORT_TABLES,
+short Blue-Red fills and a `solve` that reads one, each in SHORT_RUNS fresh
+interpreters per source tree, interleaved the same way. Per command it
+records the best wall time and the most VmHWM growth from just before
+`import coloring_games.cli` to just after the command, and whether the
+command loaded numpy.
+
+Last, a row `short_fill_bound` times `grundy-seq --kmax K` for each K of
+BOUND_KS in fresh interpreters of this tree only, once with the stdlib
+kernel and once with numpy's (oriented_paths.SHORT_FILL_MAX set to K or to 0
+before the command), interleaved, BOUND_RUNS times each, with oriented_paths
+imported before the clock starts. It records both best times per K and the
+largest K at which the stdlib kernel was no slower than numpy's kernel with
+its import, the measurement SHORT_FILL_MAX is chosen from.
+
 Example:
-    PYTHONDONTWRITEBYTECODE=1 python scripts/bench.py --out BENCH_20.json \
+    PYTHONDONTWRITEBYTECODE=1 python scripts/bench.py --out BENCH_22.json \
         --baseline ../parent/src
 """
 
@@ -90,6 +105,16 @@ GRAPH_RUNS = 5  # fresh interpreters per graph_data case, per source tree
 GRAPH_N = 200_000  # vertices of the graph_data directed paths and distance_start paths
 DISTANCE_RUNS = 5  # fresh interpreters per distance_start case, per source tree
 BUDGET_BYTES = 12_000_000  # the budget of distance_start's budgeted solve
+SHORT_RUNS = 5  # fresh interpreters per short_tables command, per source tree
+SHORT_TABLES = {
+    "grundy_seq_40": ["grundy-seq", "--kmax", "40"],
+    "grundy_seq_1000": ["grundy-seq", "--kmax", "1000"],
+    "grundy_seq_2000": ["grundy-seq", "--kmax", "2000"],
+    "solve_dpath_100": ["solve", "--ruleset", "oriented-br", "--graph", "dpath:100"],
+}
+# short_fill_bound's sizes, in steps of 128 where the two kernels meet
+BOUND_KS = (256, 512, 768, 1024, 1152, 1280, 1408, 1536, 1664, 1792, 2048)
+BOUND_RUNS = 5  # fresh interpreters per K and kernel
 
 
 def cold_position(argv: list[str]) -> games.Position:
@@ -328,6 +353,57 @@ def measure_distance_start(sources: dict[str, str]) -> dict[str, dict]:
     } for name in sources}
 
 
+def measure_short_tables(sources: dict[str, str]) -> dict[str, dict]:
+    """A row per source tree, named short_tables plus the tree's suffix."""
+    probes = interleave(sources, SHORT_RUNS, lambda src: {
+        case: run_cli(src, argv, True) for case, argv in SHORT_TABLES.items()})
+    return {f"short_tables{name}": {
+        "runs": SHORT_RUNS,
+        **{case: {
+            "argv": argv,
+            "wall_s": round(min(p[case]["wall_s"] for p in probes[name]), 4),
+            "peak_rss_growth_bytes": max(p[case]["grown_kb"] for p in probes[name]) * 1024,
+            "numpy_loaded": probes[name][-1][case]["numpy_loaded"],
+        } for case, argv in SHORT_TABLES.items()},
+    } for name in sources}
+
+
+KERNEL_CHILD = """
+import json, os, sys, time
+from coloring_games import oriented_paths as op
+K, op.SHORT_FILL_MAX = map(int, sys.argv[1:])
+sys.stdout, out = open(os.devnull, "w"), sys.stdout
+t0 = time.perf_counter()
+from coloring_games.cli import main
+code = main(["grundy-seq", "--kmax", str(K)])
+wall = time.perf_counter() - t0
+print(json.dumps({"code": code, "wall_s": wall, "numpy_loaded": "numpy" in sys.modules}),
+      file=out)
+"""
+
+
+def measure_short_fill_bound() -> dict:
+    """Best fresh grundy-seq times per K under each kernel, on this tree."""
+    src = os.path.join(ROOT, "src")
+    rows = []
+    for K in BOUND_KS:
+        limits = {"stdlib": K, "numpy": 0}  # the SHORT_FILL_MAX that picks each kernel
+        probes = interleave(limits, BOUND_RUNS, lambda limit: json.loads(fresh(
+            src, "-c", KERNEL_CHILD, str(K), str(limit))))
+        for name, runs in probes.items():
+            if {(r["code"], r["numpy_loaded"]) for r in runs} != {(0, name == "numpy")}:
+                raise RuntimeError(f"K={K} under the {name} kernel: {runs}")
+        rows.append({"K": K, **{f"{name}_wall_s": round(min(r["wall_s"] for r in runs), 4)
+                                for name, runs in probes.items()}})
+    no_slower = [r["K"] for r in rows if r["stdlib_wall_s"] <= r["numpy_wall_s"]]
+    return {"short_fill_bound": {
+        "runs": BOUND_RUNS,
+        "short_fill_max": op.SHORT_FILL_MAX,
+        "sizes": rows,
+        "largest_k_stdlib_no_slower": max(no_slower, default=None),
+    }}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="JSON file to write")
@@ -375,6 +451,17 @@ def main() -> int:
         print(f"{name + ' closed-form solve':<44} {solve['wall_s']:>8.3f} s best "
               f"{solve['peak_rss_growth_bytes']:>9} B peak RSS growth, exit "
               f"{solve['budget_exit_codes']} under {BUDGET_BYTES} B")
+    short_rows = measure_short_tables(sources)
+    for name, row in short_rows.items():
+        for case in SHORT_TABLES:
+            r = row[case]
+            print(f"{name + ' ' + case:<44} {r['wall_s']:>8.3f} s best "
+                  f"{r['peak_rss_growth_bytes']:>9} B peak RSS growth, "
+                  f"numpy loaded: {r['numpy_loaded']}")
+    bound_row = measure_short_fill_bound()
+    for r in bound_row["short_fill_bound"]["sizes"]:
+        print(f"{'short_fill_bound K=' + str(r['K']):<44} {r['stdlib_wall_s']:>8.3f} s stdlib "
+              f"{r['numpy_wall_s']:>8.3f} s numpy")
     doc = {
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -385,6 +472,8 @@ def main() -> int:
         **table_rows,
         **graph_rows,
         **distance_rows,
+        **short_rows,
+        **bound_row,
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)

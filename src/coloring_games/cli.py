@@ -501,16 +501,17 @@ def _suite_closed_forms(args) -> list[dict]:
 
     checks = []
 
-    def engine(g, k, ruleset):
-        return games.outcome(games.Position.start(g, k, ruleset))
-
     def add(name, instances):
+        # the engine's value must give the claimed outcome, and equal the
+        # claimed value where the closed form gives one
         bad = []
         for g, k, ruleset in instances:
-            want, _ = closed_form_outcome(ruleset, k, g)
+            want, value = closed_form_outcome(ruleset, k, g)
             if want == OUTCOME_UNKNOWN:
                 bad.append((g.family, "no closed form"))
-            elif engine(g, k, ruleset) != want:
+                continue
+            got = games.grundy(games.Position.start(g, k, ruleset))
+            if (OUTCOME_N if got else OUTCOME_P) != want or value not in (None, got):
                 bad.append((g.family, want))
         checks.append({
             "check": name,
@@ -526,6 +527,8 @@ def _suite_closed_forms(args) -> list[dict]:
                         for n in range(3, 10)])
     add("blue-red directed cycles", [(build_family("directed_cycle", n), 2,
                                       OrientedBlueRed()) for n in range(4, 10)])
+    add("blue-red directed paths", [(build_family("directed_path", n), 2,
+                                     OrientedBlueRed()) for n in range(1, 13)])
     add("distance-2 paths", [(build_family("path", n), 2, DistanceColoring(2))
                              for n in range(3, 10)])
 
@@ -535,7 +538,7 @@ def _suite_closed_forms(args) -> list[dict]:
     for spec, want in pairings:
         g = parse_family_spec(spec)
         got = outcome_by_involution(g, 2)
-        if got != want or engine(g, 2, ProperColoring()) != want:
+        if got != want or games.outcome(games.Position.start(g, 2, ProperColoring())) != want:
             bad.append((spec, got))
     checks.append({
         "check": "involution pairings",

@@ -8,21 +8,24 @@ satisfy Mex recursions over split pairs, with lengths counted in vertices
 and any length <= 0 standing for the empty path (value 0). B mirrors A
 (reverse the path and swap colors), so only A, C, D are stored.
 
-The fill reads every option family as slice views of the stored arrays and
-is O(K^2) in time. Observed values split into "rare" ones, members of a
-small XOR-closed set, and "common" ones; classify_rare_common reports that
-split for a computed table.
+The fill reads every option family as a forward run of one stored array
+XOR a reversed run of another, and is O(K^2) in time. It has two kernels,
+picked by the target K alone: up to SHORT_FILL_MAX lengths, _short_fill XORs
+each family as one pair of packed ints in the standard library; above it,
+_fill reads the families as numpy views, whose import (about 0.1 s and
+13 MB) only a longer fill repays. Observed values split into "rare" ones,
+members of a small XOR-closed set, and "common" ones; classify_rare_common
+reports that split for a computed table.
 
 The tables are stdlib uint16 arrays (array('H')), compared, saved, loaded
-and reported on without numpy. Only the fill loads numpy, to read and write
-them through views that share their memory, so loading, inspecting or
-exporting a table file needs neither numpy nor the search engine.
+and reported on without numpy. Only a fill above SHORT_FILL_MAX loads numpy,
+so a short table, or loading, inspecting or exporting a table file, needs
+neither numpy nor the search engine.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import os
 import struct
 import sys
@@ -42,9 +45,14 @@ CLASS_C = "C"
 CLASS_D = "D"
 PATH_CLASSES = (CLASS_A, CLASS_B, CLASS_C, CLASS_D)
 
-# values grundy-seq accepts for --mode; both run the one fill
+# values grundy-seq accepts for --mode; both run the same fill, whose kernel
+# the target K picks (SHORT_FILL_MAX), not the mode
 MODE_NAIVE = "naive"
 MODE_ACCELERATED = "accelerated"
+
+# the longest table the stdlib kernel fills; a fresh grundy-seq up to this K
+# ran no slower with it than with numpy's kernel and import (BENCH_22.json)
+SHORT_FILL_MAX = 1536
 
 RARE_GENERATORS = (0, 1, 2, 3, 4, 5, 6, 7, 24, 40, 64, 136, 264, 520, 1032)
 
@@ -197,11 +205,12 @@ def _splits(X, rY, r: int, lo: int, hi: int):
 def _fill(gA: array, gC: array, gD: array, start: int, K: int) -> None:
     """Fill lengths start..K in place; the lengths below start are already set.
 
-    The kernel works on numpy views that share the arrays' memory. Every
-    option family is a run of splits X_j + Y_{k-1-j}, read as a forward
-    view of X XOR a reversed view of Y, so no index arrays are built. Each
-    class feeds the next one at the same length (C_k into A_k, A_k into D_k),
-    so the mex bound is taken again before each class.
+    This kernel, for K above SHORT_FILL_MAX, works on numpy views that share
+    the arrays' memory. Every option family is a run of splits
+    X_j + Y_{k-1-j}, read as a forward view of X XOR a reversed view of Y, so
+    no index arrays are built. Each class feeds the next one at the same
+    length (C_k into A_k, A_k into D_k), so the mex bound is taken again
+    before each class.
     """
     import numpy as np
 
@@ -233,6 +242,47 @@ def _fill(gA: array, gC: array, gD: array, start: int, K: int) -> None:
         top = max(top, int(gD[k]))
 
 
+def _short_fill(gA: array, gC: array, gD: array, start: int, K: int) -> None:
+    """_fill without numpy, for tables short enough that numpy's import would
+    cost more than the fill.
+
+    Every option family is one XOR of two packed ints: the run of X read
+    forward and the run of Y read from a reversed copy, both as raw bytes.
+    XOR acts bytewise and carries nothing across the 16-bit lanes, so the
+    result read back as uint16 holds exactly the options, in any host byte
+    order. The reversed copies are written in step with the arrays.
+    """
+    n = len(gA)
+    rA, rC, rD = gA[::-1], gC[::-1], gD[::-1]
+    A, C, D, RA, RC, RD = map(memoryview, (gA, gC, gD, rA, rC, rD))
+
+    def splits(X, rY, r: int, lo: int, hi: int):
+        """X[j] ^ Y[k-1-j] for lo <= j <= hi, with rY = Y[::-1] and r = n - k."""
+        if hi < lo:
+            return ()
+        x = (int.from_bytes(X[lo : hi + 1], "little")
+             ^ int.from_bytes(rY[r + lo : r + hi + 1], "little"))
+        return memoryview(x.to_bytes(2 * (hi + 1 - lo), "little")).cast("H")
+
+    def mex(*families) -> int:
+        seen = set()
+        for opts in families:
+            seen.update(opts)
+        value = 0
+        while value in seen:
+            value += 1
+        return value
+
+    for k in range(start, K + 1):
+        r = n - k  # rY[r - 1] is Y[k]
+        # the families of _fill; A_k's Blue splits A_j + A_{k-1-j} are
+        # symmetric in j, so the first half of them holds every option
+        gC[k] = rC[r - 1] = c = mex(splits(A, RC, r, 1, k - 3))
+        gA[k] = rA[r - 1] = a = mex(splits(A, RA, r, 1, (k - 1) // 2),
+                                    splits(C, RD, r, 2, k - 1), (c,) if k > 1 else ())
+        gD[k] = rD[r - 1] = mex(splits(D, RA, r, 0, k - 2), (a,))
+
+
 def _check_budget(K: int) -> None:
     check_bytes(6 * (K + 1), f"a table to K={K}")  # three uint16 arrays
 
@@ -257,7 +307,7 @@ def _compute(base: GrundyTable | None, K: int) -> GrundyTable:
     head = (base.gA, base.gC, base.gD) if base else (array("H", [0]),) * 3
     tail = array("H", bytes(2 * (K + 1 - start)))  # zeros for lengths start..K
     gA, gC, gD = (arr + tail for arr in head)
-    _fill(gA, gC, gD, start, K)
+    (_short_fill if K <= SHORT_FILL_MAX else _fill)(gA, gC, gD, start, K)
     return GrundyTable(K=K, gA=gA, gC=gC, gD=gD)
 
 
@@ -371,6 +421,8 @@ def save_table(table: GrundyTable, dest: str | BinaryIO) -> None:
 
     A path is written through a temporary file in the same directory and
     renamed over dest, so a run killed mid-save keeps the previous file."""
+    import hashlib
+
     header = _HEADER.pack(_MAGIC, _VERSION, table.K)
     body = b"".join(_little_endian(arr).tobytes() for arr in (table.gA, table.gC, table.gD))
     data = header + body + hashlib.blake2b(header + body, digest_size=8).digest()
@@ -391,6 +443,8 @@ def save_table(table: GrundyTable, dest: str | BinaryIO) -> None:
 def load_table(src: str | BinaryIO) -> GrundyTable:
     """Read a table file. Its header is checked, and the table's size held to
     the byte budget, before the body is read."""
+    import hashlib
+
     with (open(src, "rb") if isinstance(src, str) else contextlib.nullcontext(src)) as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:

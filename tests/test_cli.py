@@ -25,6 +25,7 @@ from coloring_games.cli import (
 )
 from coloring_games.games import TT_BYTES_ENV
 from coloring_games.graphs import parse_graph_text
+from coloring_games.oriented_paths import SHORT_FILL_MAX
 
 from reference import D_ZEROS, naive_tables, table_file
 
@@ -383,7 +384,7 @@ def test_verify_suites_pass(capsys):
                "--exhaustive")[0] == EXIT_OK
     assert run(capsys, "verify", "reductions", "--n", "3")[0] == EXIT_OK
     code, out = run(capsys, "verify", "closed-forms")
-    assert code == EXIT_OK and "6/6 checks passed" in out
+    assert code == EXIT_OK and "7/7 checks passed" in out
 
 
 def test_verify_failure_exits_4(capsys, monkeypatch):
@@ -684,11 +685,16 @@ def test_commands_load_only_the_engine_they_run(tmp_path):
     assert reduce == ["cli", "coloring_games", "games", "graphs", "reductions", "rulesets"]
     verify = loaded_after(run_main("verify", "sequential", "--exhaustive", "--n", "4"))
     assert verify == ["cli", "coloring_games", "graphs", "rulesets", "sequential"]
-    # only a fill loads numpy; no table command loads the search engine
-    fill = ["cli", "coloring_games", "graphs", "hashlib", "inspect", "numpy",
-            "oriented_paths", "rulesets"]
+    # only a fill above SHORT_FILL_MAX loads numpy; no table command loads
+    # the search engine
+    short = ["cli", "coloring_games", "graphs", "oriented_paths", "rulesets"]
     for argv in (("grundy-seq", "--kmax", "20"), ("p-positions", "--class", "D", "--kmax", "20")):
-        assert loaded_after(run_main(*argv)) == fill, argv
+        assert loaded_after(run_main(*argv)) == short, argv
+    assert loaded_after(run_main("grundy-seq", "--kmax", str(SHORT_FILL_MAX + 1))) == [
+        "cli", "coloring_games", "graphs", "inspect", "numpy", "oriented_paths", "rulesets"]
+    # the uncolored directed path is answered from the short table
+    dpath = loaded_after(run_main("solve", "--ruleset", "oriented-br", "--graph", "dpath:40"))
+    assert dpath == ["cli", "coloring_games", "games", "graphs", "oriented_paths", "rulesets"]
     table = save_small_table(tmp_path)
     for argv in (("tables", "info", "--table", table), ("tables", "export-csv", "--table", table)):
         assert loaded_after(run_main(*argv)) == [
@@ -804,11 +810,32 @@ def test_table_commands_refuse_an_oversized_table(capsys, monkeypatch, tmp_path)
 
 
 def test_grundy_seq_loads_numpy_for_the_fill():
-    proc = fresh_python("-m", "coloring_games.cli", "grundy-seq", "--kmax", "50")
+    K = SHORT_FILL_MAX + 1  # the shortest fill that numpy's kernel runs
+    proc = fresh_python("-m", "coloring_games.cli", "grundy-seq", "--kmax", str(K))
     assert proc.returncode == 0, proc.stderr
     rows = [tuple(map(int, line.split(","))) for line in proc.stdout.splitlines()[:-1]]
-    gA, gC, gD = naive_tables(50)
-    assert rows == [(k, gA[k], gC[k], gD[k]) for k in range(1, 51)]
+    gA, gC, gD = naive_tables(K)
+    assert rows == [(k, gA[k], gC[k], gD[k]) for k in range(1, K + 1)]
+
+
+def test_short_tables_fill_without_numpy():
+    # a None entry makes every import of numpy raise ImportError
+    proc = fresh_python("-c", """
+import json, sys
+sys.modules["numpy"] = None
+from coloring_games import oriented_paths as op
+from coloring_games.cli import main
+t = op.compute_tables(40)
+print(json.dumps([t.gA.tolist(), t.gC.tolist(), t.gD.tolist()]))
+main(["solve", "--ruleset", "oriented-br", "--graph", "dpath:100", "--format", "json"])
+""")
+    assert proc.returncode == 0, proc.stderr
+    tables, solve = proc.stdout.splitlines()
+    assert json.loads(tables) == [arr.tolist() for arr in naive_tables(40)]
+    gD = naive_tables(100)[2]
+    assert json.loads(solve) == {"graph": "dpath:100", "grundy": int(gD[100]), "k": 2,
+                                 "method": "closed-form", "outcome": "N" if gD[100] else "P",
+                                 "ruleset": "oriented-br"}
 
 
 def test_cached_parser_carries_nothing_between_calls(capsys):

@@ -146,7 +146,9 @@ def _assert_matches_reference(t):
 
 
 def test_accelerated_matches_naive():
-    _assert_matches_reference(op.compute_tables(600))
+    # the stdlib kernel up to SHORT_FILL_MAX, numpy's above it
+    for K in (1, 2, 3, 600, op.SHORT_FILL_MAX, op.SHORT_FILL_MAX + 1):
+        _assert_matches_reference(op.compute_tables(K))
 
 
 def test_accelerated_extend_matches_naive_full():
@@ -156,6 +158,13 @@ def test_accelerated_extend_matches_naive_full():
     assert ext.gA[:121].tolist() == t120.gA.tolist()
     _assert_matches_reference(t300)
     _assert_matches_reference(ext)
+    # a chain that hands over from the stdlib kernel to numpy's
+    t900 = op.compute_tables(900)
+    short = op.extend_table(t900, op.SHORT_FILL_MAX)
+    long = op.extend_table(short, op.SHORT_FILL_MAX + 300)
+    assert long.gD[:901].tolist() == t900.gD.tolist()
+    _assert_matches_reference(short)
+    _assert_matches_reference(long)
 
 
 def test_bad_mode_and_bounds():

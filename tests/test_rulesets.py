@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from coloring_games.games import Position, grundy
 from coloring_games.graphs import build_family, make_graph, power_graph
+from coloring_games.oriented_paths import SHORT_FILL_MAX
 from coloring_games.rulesets import (
     BLUE,
     RED,
@@ -346,6 +347,12 @@ def test_closed_form_spots():
     assert closed_form_outcome(DistanceColoring(d=2), 2, build_family("path", 21)) == (OUTCOME_N, None)
     assert closed_form_outcome(OrientedBlueRed(), 2, build_family("directed_cycle", 9)) == (OUTCOME_P, 0)
     assert closed_form_outcome(OrientedBlueRed(), 2, build_family("directed_cycle", 3)) == (OUTCOME_UNKNOWN, None)
+    # an uncolored directed path is class D, answered from the table up to
+    # the stdlib fill's bound and searched above it
+    assert closed_form_outcome(OrientedBlueRed(), 2, build_family("directed_path", 3)) == (OUTCOME_P, 0)
+    assert closed_form_outcome(OrientedBlueRed(), 2, build_family("directed_path", 40)) == (OUTCOME_N, 3)
+    assert closed_form_outcome(OrientedBlueRed(), 2, build_family(
+        "directed_path", SHORT_FILL_MAX + 1)) == (OUTCOME_UNKNOWN, None)
     untagged = make_graph(3, [(0, 1)])
     assert closed_form_outcome(ProperColoring(), 2, untagged) == (OUTCOME_UNKNOWN, None)
     # sequential: the linear path decision holds for k=2 only; on this order
@@ -386,6 +393,8 @@ def test_closed_forms_agree_with_search():
         cases.append((DistanceColoring(d=2), 2, build_family("cycle", n)))
     for n in (4, 5, 6, 7):
         cases.append((OrientedBlueRed(), 2, build_family("directed_cycle", n)))
+    for n in range(1, 11):
+        cases.append((OrientedBlueRed(), 2, build_family("directed_path", n)))
     # the proper rule ignores arc directions, so directed families take the
     # closed forms of their undirected shapes
     for k in (1, 2, 3):
@@ -404,4 +413,4 @@ def test_closed_forms_agree_with_search():
         if value is not None:
             assert got == value, (ruleset.token, k, g.family)
         checked += 1
-    assert checked >= 76
+    assert checked >= 86
