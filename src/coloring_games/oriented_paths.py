@@ -26,6 +26,7 @@ neither numpy nor the search engine.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import os
 import struct
 import sys
@@ -51,7 +52,10 @@ MODE_NAIVE = "naive"
 MODE_ACCELERATED = "accelerated"
 
 # the longest table the stdlib kernel fills; a fresh grundy-seq up to this K
-# ran no slower with it than with numpy's kernel and import (BENCH_22.json)
+# ran no slower with it than with numpy's kernel and import (BENCH_22.json).
+# It also bounds the directed paths that rulesets.closed_form_outcome answers
+# from a table, so that solve never loads numpy: moving it changes which
+# dpath:n solve answers by closed form and which it searches.
 SHORT_FILL_MAX = 1536
 
 RARE_GENERATORS = (0, 1, 2, 3, 4, 5, 6, 7, 24, 40, 64, 136, 264, 520, 1032)
@@ -421,8 +425,6 @@ def save_table(table: GrundyTable, dest: str | BinaryIO) -> None:
 
     A path is written through a temporary file in the same directory and
     renamed over dest, so a run killed mid-save keeps the previous file."""
-    import hashlib
-
     header = _HEADER.pack(_MAGIC, _VERSION, table.K)
     body = b"".join(_little_endian(arr).tobytes() for arr in (table.gA, table.gC, table.gD))
     data = header + body + hashlib.blake2b(header + body, digest_size=8).digest()
@@ -443,8 +445,6 @@ def save_table(table: GrundyTable, dest: str | BinaryIO) -> None:
 def load_table(src: str | BinaryIO) -> GrundyTable:
     """Read a table file. Its header is checked, and the table's size held to
     the byte budget, before the body is read."""
-    import hashlib
-
     with (open(src, "rb") if isinstance(src, str) else contextlib.nullcontext(src)) as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:

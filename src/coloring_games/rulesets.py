@@ -8,14 +8,13 @@ Each ruleset states its rule once, as its move_ok method: may uncolored
 vertex v take color c, given a legal coloring in which 0 marks an uncolored
 vertex. Only the constraints touching v are checked. move_rule binds that
 method to one coloring, once, as the (g, colors, v, c) callable every caller
-uses; the oriented rule's set of used color pairs is built there, and the
-distance rule keeps the colors around the vertex it was last asked about.
-A game's parameter is a field of its ruleset: the distance d, and the
-sequential game's visit order, a tuple that no other ruleset has.
-is_legal_coloring checks a whole partial coloring with the same rule: every
-painted vertex must be able to take its color with the rest of the coloring
-as it stands, and under the sequential ruleset the painted vertices must be
-a prefix of the visit order.
+uses; the oriented rule's set of used color pairs is built there. A game's
+parameter is a field of its ruleset: the distance d, and the sequential
+game's visit order, a tuple that no other ruleset has. is_legal_coloring
+checks a whole partial coloring with the same rule: every painted vertex
+must be able to take its color with the rest of the coloring as it stands,
+and under the sequential ruleset the painted vertices must be a prefix of
+the visit order.
 """
 
 from __future__ import annotations
@@ -164,12 +163,8 @@ class DistanceColoring(Ruleset):
             raise ValueError("distance parameter d must be >= 1")
         self.__dict__["d"] = d
 
-    def ball_colors(self, g: Graph, colors: list[int], v: int) -> set[int]:
-        """The colors (0 for uncolored) within d hops of v, v excluded."""
-        return set(map(colors.__getitem__, within(g, v, self.d)))
-
     def move_ok(self, g: Graph, colors: list[int], v: int, c: int) -> bool:
-        return c not in self.ball_colors(g, colors, v)
+        return c not in map(colors.__getitem__, within(g, v, self.d))
 
 
 class SequentialColoring(Ruleset):
@@ -226,22 +221,11 @@ def move_rule(
     ruleset: Ruleset, g: Graph, colors: list[int]
 ) -> Callable[[Graph, list[int], int, int], bool]:
     """The ruleset's move_ok(g, colors, v, c) bound to this coloring.
-    Oriented's gets the coloring's used pairs, built once here; distance's
-    keeps the colors of the last vertex's ball, so the palette asked of one
-    vertex walks its ball once. The callable answers for this coloring only;
-    clearing the vertex asked about is the one change it allows."""
+    Oriented's gets the coloring's used pairs, built once here, so the
+    callable answers for this coloring only; clearing the vertex asked about
+    is the one change it allows."""
     if isinstance(ruleset, OrientedColoring):
         return partial(ruleset.move_ok, used=ruleset.used_pairs(g, colors))
-    if isinstance(ruleset, DistanceColoring):
-        ball_of, ball = None, set()
-
-        def distance_ok(g: Graph, colors: list[int], v: int, c: int) -> bool:
-            nonlocal ball_of, ball
-            if v != ball_of:
-                ball_of, ball = v, ruleset.ball_colors(g, colors, v)
-            return c not in ball
-
-        return distance_ok
     return ruleset.move_ok
 
 

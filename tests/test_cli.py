@@ -687,14 +687,16 @@ def test_commands_load_only_the_engine_they_run(tmp_path):
     assert verify == ["cli", "coloring_games", "graphs", "rulesets", "sequential"]
     # only a fill above SHORT_FILL_MAX loads numpy; no table command loads
     # the search engine
-    short = ["cli", "coloring_games", "graphs", "oriented_paths", "rulesets"]
+    short = ["cli", "coloring_games", "graphs", "hashlib", "oriented_paths", "rulesets"]
     for argv in (("grundy-seq", "--kmax", "20"), ("p-positions", "--class", "D", "--kmax", "20")):
         assert loaded_after(run_main(*argv)) == short, argv
     assert loaded_after(run_main("grundy-seq", "--kmax", str(SHORT_FILL_MAX + 1))) == [
-        "cli", "coloring_games", "graphs", "inspect", "numpy", "oriented_paths", "rulesets"]
+        "cli", "coloring_games", "graphs", "hashlib", "inspect", "numpy", "oriented_paths",
+        "rulesets"]
     # the uncolored directed path is answered from the short table
     dpath = loaded_after(run_main("solve", "--ruleset", "oriented-br", "--graph", "dpath:40"))
-    assert dpath == ["cli", "coloring_games", "games", "graphs", "oriented_paths", "rulesets"]
+    assert dpath == ["cli", "coloring_games", "games", "graphs", "hashlib", "oriented_paths",
+                     "rulesets"]
     table = save_small_table(tmp_path)
     for argv in (("tables", "info", "--table", table), ("tables", "export-csv", "--table", table)):
         assert loaded_after(run_main(*argv)) == [
