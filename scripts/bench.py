@@ -62,7 +62,8 @@ short Blue-Red fills and a `solve` that reads one, each in SHORT_RUNS fresh
 interpreters per source tree, interleaved the same way. Per command it
 records the best wall time and the most VmHWM growth from just before
 `import coloring_games.cli` to just after the command, and whether the
-command loaded numpy.
+command loaded numpy. A row `fills` (and `fills_baseline`) does the same for
+FILLS, `grundy-seq` at K=10^4 and 2*10^4, in FILL_RUNS interpreters each.
 
 Last, a row `short_fill_bound` times `grundy-seq --kmax K` for each K of
 BOUND_KS in fresh interpreters of this tree only, once with the stdlib
@@ -73,7 +74,7 @@ largest K at which the stdlib kernel was no slower than numpy's kernel with
 its import, the measurement SHORT_FILL_MAX is chosen from.
 
 Example:
-    PYTHONDONTWRITEBYTECODE=1 python scripts/bench.py --out BENCH_22.json \
+    PYTHONDONTWRITEBYTECODE=1 python scripts/bench.py --out BENCH_23.json \
         --baseline ../parent/src
 """
 
@@ -112,8 +113,11 @@ SHORT_TABLES = {
     "grundy_seq_2000": ["grundy-seq", "--kmax", "2000"],
     "solve_dpath_100": ["solve", "--ruleset", "oriented-br", "--graph", "dpath:100"],
 }
-# short_fill_bound's sizes, in steps of 128 where the two kernels meet
-BOUND_KS = (256, 512, 768, 1024, 1152, 1280, 1408, 1536, 1664, 1792, 2048)
+FILL_RUNS = 3  # fresh interpreters per fills command, per source tree
+FILLS = {f"grundy_seq_{K}": ["grundy-seq", "--kmax", str(K)] for K in (10_000, 20_000)}
+# short_fill_bound's sizes, in steps of 512 where the two kernels meet
+BOUND_KS = (1024, 2048, 4096, 6144, 7168, 8192, 8704, 9216, 9728, 10240, 10752, 11264,
+            12288, 16384)
 BOUND_RUNS = 5  # fresh interpreters per K and kernel
 
 
@@ -353,18 +357,19 @@ def measure_distance_start(sources: dict[str, str]) -> dict[str, dict]:
     } for name in sources}
 
 
-def measure_short_tables(sources: dict[str, str]) -> dict[str, dict]:
-    """A row per source tree, named short_tables plus the tree's suffix."""
-    probes = interleave(sources, SHORT_RUNS, lambda src: {
-        case: run_cli(src, argv, True) for case, argv in SHORT_TABLES.items()})
-    return {f"short_tables{name}": {
-        "runs": SHORT_RUNS,
+def measure_commands(sources: dict[str, str], row: str, commands: dict[str, list[str]],
+                     runs: int) -> dict[str, dict]:
+    """A row per source tree, named row plus the tree's suffix."""
+    probes = interleave(sources, runs, lambda src: {
+        case: run_cli(src, argv, True) for case, argv in commands.items()})
+    return {f"{row}{name}": {
+        "runs": runs,
         **{case: {
             "argv": argv,
             "wall_s": round(min(p[case]["wall_s"] for p in probes[name]), 4),
             "peak_rss_growth_bytes": max(p[case]["grown_kb"] for p in probes[name]) * 1024,
             "numpy_loaded": probes[name][-1][case]["numpy_loaded"],
-        } for case, argv in SHORT_TABLES.items()},
+        } for case, argv in commands.items()},
     } for name in sources}
 
 
@@ -451,13 +456,16 @@ def main() -> int:
         print(f"{name + ' closed-form solve':<44} {solve['wall_s']:>8.3f} s best "
               f"{solve['peak_rss_growth_bytes']:>9} B peak RSS growth, exit "
               f"{solve['budget_exit_codes']} under {BUDGET_BYTES} B")
-    short_rows = measure_short_tables(sources)
-    for name, row in short_rows.items():
-        for case in SHORT_TABLES:
-            r = row[case]
-            print(f"{name + ' ' + case:<44} {r['wall_s']:>8.3f} s best "
-                  f"{r['peak_rss_growth_bytes']:>9} B peak RSS growth, "
-                  f"numpy loaded: {r['numpy_loaded']}")
+    command_rows = {}
+    for row_name, commands, runs in (("short_tables", SHORT_TABLES, SHORT_RUNS),
+                                     ("fills", FILLS, FILL_RUNS)):
+        for name, row in measure_commands(sources, row_name, commands, runs).items():
+            command_rows[name] = row
+            for case in commands:
+                r = row[case]
+                print(f"{name + ' ' + case:<44} {r['wall_s']:>8.3f} s best "
+                      f"{r['peak_rss_growth_bytes']:>9} B peak RSS growth, "
+                      f"numpy loaded: {r['numpy_loaded']}")
     bound_row = measure_short_fill_bound()
     for r in bound_row["short_fill_bound"]["sizes"]:
         print(f"{'short_fill_bound K=' + str(r['K']):<44} {r['stdlib_wall_s']:>8.3f} s stdlib "
@@ -472,7 +480,7 @@ def main() -> int:
         **table_rows,
         **graph_rows,
         **distance_rows,
-        **short_rows,
+        **command_rows,
         **bound_row,
     }
     with open(args.out, "w") as fh:

@@ -13,8 +13,9 @@ Subcommands:
 
 Exit codes: 0 computed, 2 parse or usage error, 3 memory budget exceeded or
 search recursion too deep for the interpreter's stack (for example
-oriented-br on dpath:2500), 4 verification failure. All output is
-deterministic for fixed flags; the random suites demand an explicit --seed.
+--method search on oriented-br dpath:2500), 4 verification failure. All
+output is deterministic for fixed flags; the random suites demand an
+explicit --seed.
 The COLORING_GAMES_TT_BYTES environment variable caps the bytes of each
 graph, checked before it is built, and of the solver and class tables.
 """

@@ -10,12 +10,13 @@ and any length <= 0 standing for the empty path (value 0). B mirrors A
 
 The fill reads every option family as a forward run of one stored array
 XOR a reversed run of another, and is O(K^2) in time. It has two kernels,
-picked by the target K alone: up to SHORT_FILL_MAX lengths, _short_fill XORs
-each family as one pair of packed ints in the standard library; above it,
-_fill reads the families as numpy views, whose import (about 0.1 s and
-13 MB) only a longer fill repays. Observed values split into "rare" ones,
-members of a small XOR-closed set, and "common" ones; classify_rare_common
-reports that split for a computed table.
+picked by the target K alone: up to SHORT_FILL_MAX lengths, _short_fill
+keeps each class as byte planes packed into Python ints, XORs each family
+plane by plane and takes its mex with bytes.translate, all in the standard
+library; above it, _fill reads the families as numpy views, which is faster
+there, repaying numpy's import (about 0.06-0.1 s and 13 MB). Observed
+values split into "rare" ones, members of a small XOR-closed set, and
+"common" ones; classify_rare_common reports that split for a computed table.
 
 The tables are stdlib uint16 arrays (array('H')), compared, saved, loaded
 and reported on without numpy. Only a fill above SHORT_FILL_MAX loads numpy,
@@ -52,11 +53,11 @@ MODE_NAIVE = "naive"
 MODE_ACCELERATED = "accelerated"
 
 # the longest table the stdlib kernel fills; a fresh grundy-seq up to this K
-# ran no slower with it than with numpy's kernel and import (BENCH_22.json).
+# ran no slower with it than with numpy's kernel and import (BENCH_23.json).
 # It also bounds the directed paths that rulesets.closed_form_outcome answers
 # from a table, so that solve never loads numpy: moving it changes which
 # dpath:n solve answers by closed form and which it searches.
-SHORT_FILL_MAX = 1536
+SHORT_FILL_MAX = 9728
 
 RARE_GENERATORS = (0, 1, 2, 3, 4, 5, 6, 7, 24, 40, 64, 136, 264, 520, 1032)
 
@@ -229,12 +230,13 @@ def _fill(gA: array, gC: array, gD: array, start: int, K: int) -> None:
         # C_i + A_{k-1-i}; both are the splits A_j + C_{k-1-j}, 1 <= j <= k-3
         gC[k] = _mex(seen, top, _splits(gA, rC, r, 1, k - 3))
         top = max(top, int(gC[k]))
-        # A_k: Blue leaves A_{i-2} + A_{k+1-i}; Red leaves C_i + D_{k-1-i},
-        # which is C_k alone for Red on v_k (k > 1)
+        # A_k: Blue leaves A_{i-2} + A_{k+1-i}, splits symmetric in j = i - 2,
+        # so the first half of them holds every option; Red leaves
+        # C_i + D_{k-1-i}, which is C_k alone for Red on v_k (k > 1)
         gA[k] = _mex(
             seen,
             top,
-            _splits(gA, rA, r, 1, k - 2),
+            _splits(gA, rA, r, 1, (k - 1) // 2),
             _splits(gC, rD, r, 2, k - 1),
             gC[k : k + 1] if k > 1 else gC[:0],
         )
@@ -246,45 +248,104 @@ def _fill(gA: array, gC: array, gD: array, start: int, K: int) -> None:
         top = max(top, int(gD[k]))
 
 
+_BYTES = bytes(range(256))
+
+
+def _planes(arr: array, nhigh: int) -> list[bytes]:
+    """arr's values as byte planes, one byte lane per value: the low bytes,
+    then per bit 8 + b (b < nhigh) 0xFF where that bit is set, else 0x00.
+    The bytes are split from little-endian values, in any host byte order."""
+    raw = _little_endian(arr).tobytes()
+    high = raw[1::2]
+    return [raw[0::2], *(high.translate(bytes(0xFF * (x >> b & 1) for x in range(256)))
+                         for b in range(nhigh))]
+
+
+def _plane_mex(families, nhigh: int) -> int:
+    """Least value in no option family, for _short_fill.
+
+    A family of m options is a tuple (m, low, *high) of ints with one byte
+    lane per option, lane i at bits 8i..8i+7, as int.from_bytes reads the
+    planes of _planes; every option lies below 1 << (8 + nhigh). For bucket
+    h, the values 256h..256h+255, the lanes of options outside the bucket
+    are forced to 0xFF, so deleting every low byte from 0..255 leaves the
+    bucket's absent values, bar 255: that is present only where more lanes
+    hold 0xFF than were forced.
+    """
+    for h in range(1 << nhigh):
+        rest, seen = _BYTES, []
+        for m, low, *high in families:
+            forced = 0
+            for b, plane in enumerate(high):
+                forced |= plane ^ ((1 << 8 * m) - 1) if h >> b & 1 else plane
+            lanes = (low | forced).to_bytes(m, "little")
+            rest = rest.translate(None, lanes)
+            seen.append((lanes, forced))
+        if rest:
+            return 256 * h + rest[0]
+        if all(lanes.count(0xFF) == forced.bit_count() >> 3 for lanes, forced in seen):
+            return 256 * h + 0xFF
+    value = 256 << nhigh  # every value below it is an option
+    if value >> 16:
+        raise OverflowError("Grundy value does not fit in 16 bits")
+    return value
+
+
 def _short_fill(gA: array, gC: array, gD: array, start: int, K: int) -> None:
     """_fill without numpy, for tables short enough that numpy's import would
     cost more than the fill.
 
-    Every option family is one XOR of two packed ints: the run of X read
-    forward and the run of Y read from a reversed copy, both as raw bytes.
-    XOR acts bytewise and carries nothing across the 16-bit lanes, so the
-    result read back as uint16 holds exactly the options, in any host byte
-    order. The reversed copies are written in step with the arrays.
+    Each class is kept as byte planes (see _planes) packed into Python ints,
+    lane j holding length j, once forward and once reversed (lane K - j), so
+    every option family X_j + Y_{k-1-j} is a shift of each and one XOR per
+    plane, and _plane_mex takes its mex without a loop over the options.
+    Lanes above K in a reversed int are zero, so the split X_k + Y_{-1}
+    reads X_k alone: that is how C_k joins A_k's options and A_k joins D_k's.
+    A value that needs a higher bit adds a plane, zero for every length
+    before it.
     """
-    n = len(gA)
-    rA, rC, rD = gA[::-1], gC[::-1], gD[::-1]
-    A, C, D, RA, RC, RD = map(memoryview, (gA, gC, gD, rA, rC, rD))
+    arrs = (gA, gC, gD)
+    nhigh = max(0, max(max(arr[:start]) for arr in arrs).bit_length() - 8)
+    fwd: list[list[int]] = []
+    rev: list[list[int]] = []
+    for arr in arrs:
+        planes = _planes(arr[:start], nhigh)
+        fwd.append([int.from_bytes(p, "little") for p in planes])
+        rev.append([int.from_bytes(p[::-1], "little") << 8 * (K + 1 - start) for p in planes])
+    (A, C, D), (rA, rC, rD) = fwd, rev
 
-    def splits(X, rY, r: int, lo: int, hi: int):
-        """X[j] ^ Y[k-1-j] for lo <= j <= hi, with rY = Y[::-1] and r = n - k."""
-        if hi < lo:
+    def splits(X: list[int], rY: list[int], lo: int, hi: int) -> tuple:
+        """X_j + Y_{k-1-j} for lo <= j <= hi, as a family of _plane_mex."""
+        m = hi + 1 - lo
+        if m <= 0:
             return ()
-        x = (int.from_bytes(X[lo : hi + 1], "little")
-             ^ int.from_bytes(rY[r + lo : r + hi + 1], "little"))
-        return memoryview(x.to_bytes(2 * (hi + 1 - lo), "little")).cast("H")
+        f, r = 8 * lo, 8 * (K - k + 1 + lo)
+        if hi == k:  # X has no lane above k yet, and rY none above K
+            return ((m, *(x >> f ^ y >> r for x, y in zip(X, rY))),)
+        mask = (1 << 8 * m) - 1
+        return ((m, *((x >> f ^ y >> r) & mask for x, y in zip(X, rY))),)
 
-    def mex(*families) -> int:
-        seen = set()
-        for opts in families:
-            seen.update(opts)
-        value = 0
-        while value in seen:
-            value += 1
+    def put(X: list[int], rX: list[int], value: int) -> int:
+        nonlocal nhigh
+        while value >> (8 + nhigh):
+            for planes in fwd + rev:
+                planes.append(0)
+            nhigh += 1
+        lanes = [value & 0xFF, *(0xFF * (value >> b & 1) for b in range(8, 8 + nhigh))]
+        for p, lane in enumerate(lanes):
+            if lane:
+                X[p] |= lane << 8 * k
+                rX[p] |= lane << 8 * (K - k)
         return value
 
     for k in range(start, K + 1):
-        r = n - k  # rY[r - 1] is Y[k]
-        # the families of _fill; A_k's Blue splits A_j + A_{k-1-j} are
-        # symmetric in j, so the first half of them holds every option
-        gC[k] = rC[r - 1] = c = mex(splits(A, RC, r, 1, k - 3))
-        gA[k] = rA[r - 1] = a = mex(splits(A, RA, r, 1, (k - 1) // 2),
-                                    splits(C, RD, r, 2, k - 1), (c,) if k > 1 else ())
-        gD[k] = rD[r - 1] = mex(splits(D, RA, r, 0, k - 2), (a,))
+        # the families of _fill, D_k's read from their A side; A_k's Blue
+        # splits A_j + A_{k-1-j} are symmetric in j, so the first half of
+        # them holds every option
+        gC[k] = put(C, rC, _plane_mex(splits(A, rC, 1, k - 3), nhigh))
+        gA[k] = put(A, rA, _plane_mex(splits(A, rA, 1, (k - 1) // 2)
+                                      + splits(C, rD, 2, k), nhigh))
+        gD[k] = put(D, rD, _plane_mex(splits(A, rD, 1, k), nhigh))
 
 
 def _check_budget(K: int) -> None:

@@ -326,7 +326,8 @@ def test_search_with_a_huge_palette_answers_like_k3(capsys):
 
 
 def test_deep_search_exits_3_without_traceback(capsys):
-    code = main(["solve", "--ruleset", "oriented-br", "--graph", "dpath:2500"])
+    code = main(["solve", "--ruleset", "oriented-br", "--graph", "dpath:2500",
+                 "--method", "search"])
     err = capsys.readouterr().err
     assert code == EXIT_BUDGET
     assert "Traceback" not in err and "RecursionError" not in err
@@ -541,7 +542,8 @@ def test_deep_search_keeps_no_move_list_per_level():
     if not os.path.exists("/proc/self/status"):
         pytest.skip("needs Linux /proc/self/status")
     for argv, bound_mb in (
-        (["solve", "--ruleset", "oriented-br", "--graph", "dpath:2500"], 100),
+        (["solve", "--ruleset", "oriented-br", "--graph", "dpath:2500", "--method", "search"],
+         100),
         (["solve", "--ruleset", "distance", "--d", "1", "--k", "2", "--graph", "path:5000",
           "--method", "search"], 15),
     ):
@@ -688,7 +690,8 @@ def test_commands_load_only_the_engine_they_run(tmp_path):
     # only a fill above SHORT_FILL_MAX loads numpy; no table command loads
     # the search engine
     short = ["cli", "coloring_games", "graphs", "hashlib", "oriented_paths", "rulesets"]
-    for argv in (("grundy-seq", "--kmax", "20"), ("p-positions", "--class", "D", "--kmax", "20")):
+    for argv in (("grundy-seq", "--kmax", str(SHORT_FILL_MAX)),
+                 ("p-positions", "--class", "D", "--kmax", "20")):
         assert loaded_after(run_main(*argv)) == short, argv
     assert loaded_after(run_main("grundy-seq", "--kmax", str(SHORT_FILL_MAX + 1))) == [
         "cli", "coloring_games", "graphs", "hashlib", "inspect", "numpy", "oriented_paths",
@@ -813,8 +816,15 @@ def test_table_commands_refuse_an_oversized_table(capsys, monkeypatch, tmp_path)
 
 def test_grundy_seq_loads_numpy_for_the_fill():
     K = SHORT_FILL_MAX + 1  # the shortest fill that numpy's kernel runs
-    proc = fresh_python("-m", "coloring_games.cli", "grundy-seq", "--kmax", str(K))
+    proc = fresh_python("-c", f"""
+import sys
+from coloring_games.cli import main
+code = main(["grundy-seq", "--kmax", "{K}"])
+print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+""")
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "numpy loaded: True"
     rows = [tuple(map(int, line.split(","))) for line in proc.stdout.splitlines()[:-1]]
     gA, gC, gD = naive_tables(K)
     assert rows == [(k, gA[k], gC[k], gD[k]) for k in range(1, K + 1)]

@@ -138,33 +138,106 @@ def test_classification_report(table):
         assert table.value(name, idx) in rare
 
 
-def _assert_matches_reference(t):
-    gA, gC, gD = naive_tables(t.K)
-    assert t.gA.tolist() == gA.tolist()
-    assert t.gC.tolist() == gC.tolist()
-    assert t.gD.tolist() == gD.tolist()
+@pytest.fixture(scope="module")
+def reference():
+    # one reference fill, to the longest table compared here, sliced per
+    # table: a fill to each K would grow with SHORT_FILL_MAX
+    return naive_tables(op.SHORT_FILL_MAX + 300)
 
 
-def test_accelerated_matches_naive():
+def _assert_matches_reference(t, reference):
+    gA, gC, gD = (arr[: t.K + 1].tolist() for arr in reference)
+    assert t.gA.tolist() == gA
+    assert t.gC.tolist() == gC
+    assert t.gD.tolist() == gD
+
+
+def test_accelerated_matches_naive(reference):
     # the stdlib kernel up to SHORT_FILL_MAX, numpy's above it
     for K in (1, 2, 3, 600, op.SHORT_FILL_MAX, op.SHORT_FILL_MAX + 1):
-        _assert_matches_reference(op.compute_tables(K))
+        _assert_matches_reference(op.compute_tables(K), reference)
 
 
-def test_accelerated_extend_matches_naive_full():
+def test_accelerated_extend_matches_naive_full(reference):
     t120 = op.compute_tables(120)
     t300 = op.extend_table(t120, 300)
     ext = op.extend_table(t300, 450)
     assert ext.gA[:121].tolist() == t120.gA.tolist()
-    _assert_matches_reference(t300)
-    _assert_matches_reference(ext)
-    # a chain that hands over from the stdlib kernel to numpy's
+    _assert_matches_reference(t300, reference)
+    _assert_matches_reference(ext, reference)
+    # a chain that hands over from the stdlib kernel to numpy's. Every value
+    # to 900 fits in 8 bits and the first of 256 or more is D_4583, so the
+    # stdlib kernel adds a high plane within the second link and starts the
+    # third from a table that needs one
     t900 = op.compute_tables(900)
-    short = op.extend_table(t900, op.SHORT_FILL_MAX)
+    assert max(max(t900.gA), max(t900.gC), max(t900.gD)) < 256
+    mid = op.extend_table(t900, 5000)
+    short = op.extend_table(mid, op.SHORT_FILL_MAX)
     long = op.extend_table(short, op.SHORT_FILL_MAX + 300)
     assert long.gD[:901].tolist() == t900.gD.tolist()
-    _assert_matches_reference(short)
-    _assert_matches_reference(long)
+    for t in (mid, short, long):
+        _assert_matches_reference(t, reference)
+
+
+def _family(values, nhigh):
+    """values as an option family of op._plane_mex."""
+    planes = op._planes(array("H", values), nhigh)
+    return (len(values), *(int.from_bytes(p, "little") for p in planes))
+
+
+def _set_mex(families):
+    seen = set().union(*families)
+    return next(v for v in range(len(seen) + 1) if v not in seen)
+
+
+def _plane_mex_cases():
+    # lanes holding 0xFF in their low byte on either side of a bucket edge,
+    # full buckets, a bucket full but for 255, and families with no options
+    rng = random.Random(23)
+    cases = [[], [[]], [[], [3]], [list(range(256))], [list(range(512))],
+             [list(range(255))], [list(range(255)), [511, 767]],
+             [list(range(256)), list(range(256, 511)), [767, 1023]],
+             [[0xFF] * 9], [[0xFF, 0x1FF, 0x2FF]], [[0xFFFF] * 4]]
+    for edge in (256, 512):
+        for _ in range(40):
+            top = edge + rng.randrange(-3, 4)
+            values = list(range(top))
+            for _ in range(rng.randrange(3)):
+                values.remove(rng.choice(values))
+            values += rng.choices((0xFF, 0x1FF, 0x2FF, edge - 1, edge, edge + 255),
+                                  k=rng.randrange(8))
+            rng.shuffle(values)
+            cuts = sorted(rng.sample(range(len(values) + 1), rng.randrange(1, 4)))
+            cases.append([values[i:j] for i, j in zip([0, *cuts], [*cuts, len(values)])])
+    return cases
+
+
+def test_plane_mex_matches_a_set_mex():
+    for families in _plane_mex_cases():
+        top = max((v for fam in families for v in fam), default=0)
+        for nhigh in range(max(0, top.bit_length() - 8), 9):  # planes to spare too
+            got = op._plane_mex([_family(fam, nhigh) for fam in families], nhigh)
+            assert got == _set_mex(families), (families, nhigh)
+
+
+def test_plane_mex_on_full_uint16_options():
+    options = list(range(1 << 16))
+    with pytest.raises(OverflowError):
+        op._plane_mex([_family(options, 8)], 8)
+    options[40000] = 7
+    assert op._plane_mex([_family(options, 8)], 8) == 40000
+
+
+def test_planes_split_lanes_in_either_host_byte_order(monkeypatch):
+    values = array("H", [0, 1, 0xFF, 0x100, 0x1FF, 0x1234, 0xFFFF])
+    want = [bytes(v & 0xFF for v in values),
+            *(bytes(0xFF * (v >> b & 1) for v in values) for b in range(8, 16))]
+    assert op._planes(values, 8) == want
+    # the same values as a host of the other byte order holds them
+    swapped = array("H", values)
+    swapped.byteswap()
+    monkeypatch.setattr(op.sys, "byteorder", "big" if op.sys.byteorder == "little" else "little")
+    assert op._planes(swapped, 8) == want
 
 
 def test_bad_mode_and_bounds():
