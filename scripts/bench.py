@@ -63,7 +63,11 @@ interpreters per source tree, interleaved the same way. Per command it
 records the best wall time and the most VmHWM growth from just before
 `import coloring_games.cli` to just after the command, and whether the
 command loaded numpy. A row `fills` (and `fills_baseline`) does the same for
-FILLS, `grundy-seq` at K=10^4 and 2*10^4, in FILL_RUNS interpreters each.
+FILLS, `grundy-seq` at K=10^4 and 2*10^4, in FILL_RUNS interpreters each,
+and a row `start_up` (and `start_up_baseline`) for START_UP, one short
+command per command family, in START_UP_RUNS interpreters each: there the
+wall time is mostly the import and the first use of the modules a command
+loads.
 
 Last, a row `short_fill_bound` times `grundy-seq --kmax K` for each K of
 BOUND_KS in fresh interpreters of this tree only, once with the stdlib
@@ -71,10 +75,11 @@ kernel and once with numpy's (oriented_paths.SHORT_FILL_MAX set to K or to 0
 before the command), interleaved, BOUND_RUNS times each, with oriented_paths
 imported before the clock starts. It records both best times per K and the
 largest K at which the stdlib kernel was no slower than numpy's kernel with
-its import, the measurement SHORT_FILL_MAX is chosen from.
+its import, the measurement SHORT_FILL_MAX is chosen from. The row does not
+depend on the SHORT_FILL_MAX the tree holds, since each child sets its own.
 
 Example:
-    PYTHONDONTWRITEBYTECODE=1 python scripts/bench.py --out BENCH_23.json \
+    PYTHONDONTWRITEBYTECODE=1 python scripts/bench.py --out BENCH_24.json \
         --baseline ../parent/src
 """
 
@@ -96,6 +101,7 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmark")]
 
 from coloring_games import cli, games, oriented_paths as op
+from coloring_games.base import TT_BYTES_ENV
 from run import IMPORT_PROBE
 from workloads import DEFAULT_SEED, PathTables, SearchCold, SequentialPaths
 
@@ -115,6 +121,19 @@ SHORT_TABLES = {
 }
 FILL_RUNS = 3  # fresh interpreters per fills command, per source tree
 FILLS = {f"grundy_seq_{K}": ["grundy-seq", "--kmax", str(K)] for K in (10_000, 20_000)}
+START_UP_RUNS = 25  # fresh interpreters per start_up command, per source tree
+START_UP_TABLE_K = 100  # the K of the table file `tables info` reads
+START_UP = {
+    "grundy_seq_40": ["grundy-seq", "--kmax", "40"],
+    "p_positions_20": ["p-positions", "--kmax", "20"],
+    "tables_info": ["tables", "info", "--table"],  # the table file's path is appended
+    "solve_path_6": ["solve", "--ruleset", "proper", "--k", "2", "--graph", "path:6"],
+    "sequential_path_1000": ["sequential", "--graph", "path:1000", "--order", "random",
+                             "--seed", "1"],
+    "reduce_path_3": ["reduce", "--from", "kayles", "--to", "proper", "--k", "2",
+                      "--graph", "path:3", "--verify"],
+    "verify_sequential_4": ["verify", "sequential", "--exhaustive", "--n", "4"],
+}
 # short_fill_bound's sizes, in steps of 512 where the two kernels meet
 BOUND_KS = (1024, 2048, 4096, 6144, 7168, 8192, 8704, 9216, 9728, 10240, 10752, 11264,
             12288, 16384)
@@ -325,7 +344,7 @@ print(json.dumps({"wall_s": wall, "grown_kb": peak_kb() - before}))
 def budgeted_exit(src: str, argv: list[str]) -> int:
     """The exit code of `python -m coloring_games.cli argv` in a fresh
     interpreter with src first on its path, under BUDGET_BYTES."""
-    env = {**os.environ, "PYTHONPATH": src, games.TT_BYTES_ENV: str(BUDGET_BYTES)}
+    env = {**os.environ, "PYTHONPATH": src, TT_BYTES_ENV: str(BUDGET_BYTES)}
     return subprocess.run([sys.executable, "-m", "coloring_games.cli", *argv],
                           capture_output=True, env=env).returncode
 
@@ -403,7 +422,6 @@ def measure_short_fill_bound() -> dict:
     no_slower = [r["K"] for r in rows if r["stdlib_wall_s"] <= r["numpy_wall_s"]]
     return {"short_fill_bound": {
         "runs": BOUND_RUNS,
-        "short_fill_max": op.SHORT_FILL_MAX,
         "sizes": rows,
         "largest_k_stdlib_no_slower": max(no_slower, default=None),
     }}
@@ -457,15 +475,21 @@ def main() -> int:
               f"{solve['peak_rss_growth_bytes']:>9} B peak RSS growth, exit "
               f"{solve['budget_exit_codes']} under {BUDGET_BYTES} B")
     command_rows = {}
-    for row_name, commands, runs in (("short_tables", SHORT_TABLES, SHORT_RUNS),
-                                     ("fills", FILLS, FILL_RUNS)):
-        for name, row in measure_commands(sources, row_name, commands, runs).items():
-            command_rows[name] = row
-            for case in commands:
-                r = row[case]
-                print(f"{name + ' ' + case:<44} {r['wall_s']:>8.3f} s best "
-                      f"{r['peak_rss_growth_bytes']:>9} B peak RSS growth, "
-                      f"numpy loaded: {r['numpy_loaded']}")
+    with tempfile.TemporaryDirectory() as tmp:
+        table = os.path.join(tmp, "classes.bin")
+        op.save_table(op.compute_tables(START_UP_TABLE_K), table)
+        start_up = {case: argv + [table] if case == "tables_info" else argv
+                    for case, argv in START_UP.items()}
+        for row_name, commands, runs in (("short_tables", SHORT_TABLES, SHORT_RUNS),
+                                         ("fills", FILLS, FILL_RUNS),
+                                         ("start_up", start_up, START_UP_RUNS)):
+            for name, row in measure_commands(sources, row_name, commands, runs).items():
+                command_rows[name] = row
+                for case in commands:
+                    r = row[case]
+                    print(f"{name + ' ' + case:<44} {r['wall_s']:>8.3f} s best "
+                          f"{r['peak_rss_growth_bytes']:>9} B peak RSS growth, "
+                          f"numpy loaded: {r['numpy_loaded']}")
     bound_row = measure_short_fill_bound()
     for r in bound_row["short_fill_bound"]["sizes"]:
         print(f"{'short_fill_bound K=' + str(r['K']):<44} {r['stdlib_wall_s']:>8.3f} s stdlib "

@@ -12,10 +12,10 @@ import importlib
 
 # the submodule that defines each package-level name
 _EXPORTS = {
+    "base": ("MemoryBudgetExceeded",),
     "games": (
         "IllegalColoringError",
         "IllegalMoveError",
-        "MemoryBudgetExceeded",
         "Move",
         "Position",
         "apply_move",

@@ -25,42 +25,73 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import importlib
 import itertools
 import json
 import os
 import random
 import sys
 from array import array
-from typing import ContextManager, TextIO
+from typing import TYPE_CHECKING, ContextManager, TextIO
 
-# games, oriented_paths, reductions and sequential are imported by the
-# handlers that use them, so a command loads only the engine it runs
-from .graphs import (
-    EXHAUSTIVE_CAP,
-    Graph,
-    GraphDocument,
-    MemoryBudgetExceeded,
-    build_family,
-    check_order,
-    connected_graph_census,
-    format_graph_text,
-    load_graph_file,
-    parse_family_spec,
-)
-from .rulesets import (
-    OUTCOME_N,
-    OUTCOME_P,
-    OUTCOME_UNKNOWN,
-    DistanceColoring,
-    OrientedBlueRed,
-    ProperColoring,
-    RULESET_TOKENS,
-    SequentialColoring,
-    WeakColoring,
-    closed_form_outcome,
-    outcome_by_involution,
-    translate_for_solving,
-)
+from .base import MemoryBudgetExceeded
+
+if TYPE_CHECKING:
+    from .graphs import Graph, GraphDocument
+
+# Only base is imported here. graphs and rulesets load on first use, so the
+# table commands never compile them: _engine() binds the names below into
+# this module. _load_graph calls it, and so does each verify suite that
+# builds its own graphs; every other function that uses one of the names
+# runs after one of those. The handlers read each name from this module's
+# namespace when they run, so a wrapper set on this module, as
+# benchmark/tracer.py sets, sees every call. games, oriented_paths,
+# reductions and sequential are imported by the handlers that use them, so
+# a command loads only the engine it runs.
+_ENGINE = {
+    "graphs": (
+        "EXHAUSTIVE_CAP",
+        "GraphDocument",
+        "build_family",
+        "check_order",
+        "connected_graph_census",
+        "format_graph_text",
+        "load_graph_file",
+        "parse_family_spec",
+    ),
+    "rulesets": (
+        "OUTCOME_N",
+        "OUTCOME_P",
+        "OUTCOME_UNKNOWN",
+        "DistanceColoring",
+        "OrientedBlueRed",
+        "ProperColoring",
+        "RULESET_TOKENS",
+        "SequentialColoring",
+        "WeakColoring",
+        "closed_form_outcome",
+        "outcome_by_involution",
+        "translate_for_solving",
+    ),
+}
+
+
+@functools.cache
+def _engine() -> None:
+    """Bind the _ENGINE names into this module, keeping any already set."""
+    for module, names in _ENGINE.items():
+        source = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    # an _ENGINE name read from outside before a command bound it
+    if any(name in names for names in _ENGINE.values()):
+        _engine()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -124,6 +155,7 @@ def _destination(path: str | None, out: TextIO) -> ContextManager[TextIO]:
 
 def _load_graph(args) -> tuple[Graph, str, GraphDocument | None]:
     """Graph from --graph shorthand or --file, plus a printable source name."""
+    _engine()
     spec, path = args.graph, args.file
     if spec and path:
         raise ValueError("give --graph or --file, not both")
@@ -434,6 +466,7 @@ def _suite_recursion(args) -> list[dict]:
 def _suite_sequential(args) -> list[dict]:
     from . import sequential as seq
 
+    _engine()
     n = args.n or 6
     checks = []
     if args.exhaustive:
@@ -471,6 +504,7 @@ def _suite_sequential(args) -> list[dict]:
 def _suite_reductions(args) -> list[dict]:
     from . import games, reductions
 
+    _engine()
     n = args.n or 4
     # every reduce target, at k=2 and 3 unless its ruleset fixes k
     variants = []
@@ -500,6 +534,7 @@ def _suite_reductions(args) -> list[dict]:
 def _suite_closed_forms(args) -> list[dict]:
     from . import games
 
+    _engine()
     checks = []
 
     def add(name, instances):
@@ -645,7 +680,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="outcome and Grundy value of one position")
     _add_graph_inputs(p)
-    p.add_argument("--ruleset", choices=sorted(RULESET_TOKENS), required=True)
+    # sorted(rulesets.RULESET_TOKENS), spelled out so that building the
+    # parser loads no ruleset code
+    p.add_argument("--ruleset", choices=("distance", "oriented", "oriented-br", "proper",
+                                         "sequential", "weak"), required=True)
     p.add_argument("--k", type=int, help="number of colors")
     p.add_argument("--d", type=int, help="distance bound (distance ruleset only)")
     p.add_argument("--method", choices=("auto", "closed-form", "involution", "search"),

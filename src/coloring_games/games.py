@@ -42,7 +42,8 @@ from itertools import compress, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import rulesets as rs
-from .graphs import TT_BYTES_ENV, Frozen, Graph, MemoryBudgetExceeded, byte_budget
+from .base import TT_BYTES_ENV, Frozen, MemoryBudgetExceeded, byte_budget
+from .graphs import Graph
 from .rulesets import Ruleset, is_legal_coloring
 
 Nimber = int

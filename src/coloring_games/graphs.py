@@ -15,23 +15,22 @@ both ways; the degrees; and the edge set, which no engine path builds.
 Graphs are immutable and compare and hash by value, so they can serve as
 transposition-table keys.
 
-Two input checks live here, the lowest module, so that every caller shares
-them: check_order for visit orders, and the byte budget read from
-COLORING_GAMES_TT_BYTES, which a graph's sizes are checked against before it
-is built, and its adjacency tuples before they are built, and which the
-solver and class tables also count against.
+check_order, the visit-order check, lives here so that every caller shares
+it. A graph's sizes are checked against the byte budget (base.check_bytes)
+before it is built, and its adjacency tuples before they are built.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from array import array
 from bisect import bisect_left
 from functools import cached_property
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
+
+from .base import Frozen, check_bytes
 
 
 class UnknownFamilyError(ValueError):
@@ -46,42 +45,12 @@ class InvolutionSearchBudget(RuntimeError):
     """Exhaustive involution search would exceed its budget; existence unknown."""
 
 
-class MemoryBudgetExceeded(RuntimeError):
-    """A graph, solver table or class table would pass the configured byte budget."""
-
-
-# ---- byte budget -----------------------------------------------------------
-
-TT_BYTES_ENV = "COLORING_GAMES_TT_BYTES"
-_DEFAULT_TT_BYTES = 1 << 30
-
-
-def byte_budget() -> int:
-    """Memory cap for graphs and tables, from COLORING_GAMES_TT_BYTES (default 1 GiB)."""
-    raw = os.environ.get(TT_BYTES_ENV)
-    if raw is None:
-        return _DEFAULT_TT_BYTES
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ValueError(f"{TT_BYTES_ENV} must be an integer, got {raw!r}") from None
-    if val <= 0:
-        raise ValueError(f"{TT_BYTES_ENV} must be positive")
-    return val
-
+# ---- input checks ----------------------------------------------------------
 
 def _check_graph_budget(n: int, m: int, directed: bool, what: str) -> None:
     """Refuse, before building it, a graph on at least n vertices and m edges
     whose rows plus the endpoint buffer they are sorted from pass the budget."""
     check_bytes(8 * ((1 + directed) * (n + 1) + 4 * m), what)
-
-
-def check_bytes(need: int, what: str) -> None:
-    """Refuse what, which needs at least need bytes, if that passes the budget."""
-    if need > byte_budget():
-        raise MemoryBudgetExceeded(
-            f"{what} needs at least {need} bytes, over the configured budget"
-        )
 
 
 def check_order(n: int, order: Sequence[int]) -> None:
@@ -172,29 +141,6 @@ def _csr(n: int, directed: bool, edges: Iterable[tuple[int, int]]) -> tuple[arra
 
 
 # ---- graphs --------------------------------------------------------------
-
-class Frozen:
-    """An immutable value. Its __init__ fills the instance dict with its
-    fields, in order, and it compares, hashes and prints by them; every
-    assignment and deletion raises AttributeError."""
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(vars(self).values()))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={val!r}" for name, val in vars(self).items())
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name: str, *value: object) -> None:
-        raise AttributeError(f"{type(self).__name__}.{name} is immutable")
-
-    __delattr__ = __setattr__
-
 
 class Graph(Frozen):
     """Immutable simple graph (no loops, no multi-edges) on sorted CSR rows.

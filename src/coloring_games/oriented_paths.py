@@ -21,7 +21,9 @@ values split into "rare" ones, members of a small XOR-closed set, and
 The tables are stdlib uint16 arrays (array('H')), compared, saved, loaded
 and reported on without numpy. Only a fill above SHORT_FILL_MAX loads numpy,
 so a short table, or loading, inspecting or exporting a table file, needs
-neither numpy nor the search engine.
+no numpy. Nor does it need the engine: at module level this file imports
+only base (Frozen and the byte budget), and build_class_position and the
+move helpers import graphs, rulesets and games when they are called.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from array import array
 from collections import Counter
 from typing import TYPE_CHECKING, BinaryIO, Iterator, NamedTuple, TextIO
 
-from .graphs import Frozen, check_bytes, build_family
-from .rulesets import BLUE, RED, OrientedBlueRed
+from .base import Frozen, check_bytes
 
 if TYPE_CHECKING:
     from .games import Move, Position
@@ -130,6 +131,8 @@ def build_class_position(klass: str, k: int) -> Position:
     if k < 1 or (klass == CLASS_C and k < 2):
         raise ValueError(f"class {klass} needs a longer path than k={k}")
     from .games import Position
+    from .graphs import build_family
+    from .rulesets import BLUE, RED, OrientedBlueRed
 
     coloring: list[int | None] = [None] * k
     if klass in (CLASS_A, CLASS_C):
@@ -151,6 +154,7 @@ def class_move_options(
     omitted.
     """
     from .games import Move
+    from .rulesets import BLUE, RED
 
     if klass not in PATH_CLASSES:
         raise ValueError(f"unknown path class {klass!r}")
@@ -450,6 +454,7 @@ def winning_move_AB(k: int, klass: str) -> Move:
     reversed and colors swapped. Vertices are returned 0-based.
     """
     from .games import Move
+    from .rulesets import BLUE, RED
 
     if klass not in (CLASS_A, CLASS_B):
         raise ValueError("prescribed moves exist for classes A and B only")

@@ -16,8 +16,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import games
+from .base import Frozen
 from .games import Position
-from .graphs import Frozen, Graph, make_graph
+from .graphs import Graph, make_graph
 from .rulesets import (
     DistanceColoring,
     OrientedBlueRed,

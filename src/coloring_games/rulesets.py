@@ -22,11 +22,11 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from typing import Callable, ClassVar, Sequence
 
+from .base import Frozen
 from .graphs import (
     EXHAUSTIVE_CAP,
     FIXED_POINT_FREE,
     SINGLE_FIXED_POINT,
-    Frozen,
     Graph,
     InvolutionSearchBudget,
     check_order,

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: records, exit codes, file round trips."""
 
+import importlib
 import io
 import itertools
 import json
@@ -23,7 +24,7 @@ from coloring_games.cli import (
     build_parser,
     main,
 )
-from coloring_games.games import TT_BYTES_ENV
+from coloring_games.base import TT_BYTES_ENV
 from coloring_games.graphs import parse_graph_text
 from coloring_games.oriented_paths import SHORT_FILL_MAX
 
@@ -666,44 +667,50 @@ def loaded_after(code: str) -> list[str]:
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    assert loaded_after("import coloring_games.cli") == [
-        "cli", "coloring_games", "graphs", "rulesets"]
+    assert loaded_after("import coloring_games.cli") == ["base", "cli", "coloring_games"]
 
 
 def run_main(*argv: str) -> str:
     return f"from coloring_games.cli import main\nmain({list(argv)!r})\n"
 
 
+# a prelude that sets a fresh interpreter's kernel bound to LOW_BOUND, as
+# scripts/bench.py's KERNEL_CHILD does, so that numpy's kernel runs at a short K
+LOW_BOUND = 40
+SET_LOW_BOUND = ("from coloring_games import oriented_paths as op\n"
+                 f"op.SHORT_FILL_MAX = {LOW_BOUND}\n")
+
+
 def test_commands_load_only_the_engine_they_run(tmp_path):
     # no command loads dataclasses or inspect, which only numpy brings in
     solve = loaded_after(run_main("solve", "--ruleset", "proper", "--k", "3",
                                   "--graph", "path:5", "--method", "search"))
-    assert solve == ["cli", "coloring_games", "games", "graphs", "rulesets"]
+    assert solve == ["base", "cli", "coloring_games", "games", "graphs", "rulesets"]
     sequential = loaded_after(run_main("sequential", "--graph", "path:9",
                                        "--order", "random", "--seed", "1"))
-    assert sequential == ["cli", "coloring_games", "graphs", "rulesets", "sequential"]
+    assert sequential == ["base", "cli", "coloring_games", "graphs", "rulesets", "sequential"]
     reduce = loaded_after(run_main("reduce", "--from", "kayles", "--to", "proper", "--k", "2",
                                    "--graph", "path:3", "--verify"))
-    assert reduce == ["cli", "coloring_games", "games", "graphs", "reductions", "rulesets"]
+    assert reduce == ["base", "cli", "coloring_games", "games", "graphs", "reductions",
+                      "rulesets"]
     verify = loaded_after(run_main("verify", "sequential", "--exhaustive", "--n", "4"))
-    assert verify == ["cli", "coloring_games", "graphs", "rulesets", "sequential"]
+    assert verify == ["base", "cli", "coloring_games", "graphs", "rulesets", "sequential"]
     # only a fill above SHORT_FILL_MAX loads numpy; no table command loads
-    # the search engine
-    short = ["cli", "coloring_games", "graphs", "hashlib", "oriented_paths", "rulesets"]
+    # the graph, ruleset or search engine
+    short = ["base", "cli", "coloring_games", "hashlib", "oriented_paths"]
     for argv in (("grundy-seq", "--kmax", str(SHORT_FILL_MAX)),
                  ("p-positions", "--class", "D", "--kmax", "20")):
         assert loaded_after(run_main(*argv)) == short, argv
-    assert loaded_after(run_main("grundy-seq", "--kmax", str(SHORT_FILL_MAX + 1))) == [
-        "cli", "coloring_games", "graphs", "hashlib", "inspect", "numpy", "oriented_paths",
-        "rulesets"]
+    low = SET_LOW_BOUND + run_main("grundy-seq", "--kmax", str(LOW_BOUND + 1))
+    assert loaded_after(low) == [
+        "base", "cli", "coloring_games", "hashlib", "inspect", "numpy", "oriented_paths"]
     # the uncolored directed path is answered from the short table
     dpath = loaded_after(run_main("solve", "--ruleset", "oriented-br", "--graph", "dpath:40"))
-    assert dpath == ["cli", "coloring_games", "games", "graphs", "hashlib", "oriented_paths",
-                     "rulesets"]
+    assert dpath == ["base", "cli", "coloring_games", "games", "graphs", "hashlib",
+                     "oriented_paths", "rulesets"]
     table = save_small_table(tmp_path)
     for argv in (("tables", "info", "--table", table), ("tables", "export-csv", "--table", table)):
-        assert loaded_after(run_main(*argv)) == [
-            "cli", "coloring_games", "graphs", "hashlib", "oriented_paths", "rulesets"], argv
+        assert loaded_after(run_main(*argv)) == short, argv
 
 
 def save_small_table(directory: Path) -> str:
@@ -714,7 +721,7 @@ def save_small_table(directory: Path) -> str:
     return path
 
 
-@pytest.mark.parametrize("module", ["cli", "games", "graphs", "oriented_paths",
+@pytest.mark.parametrize("module", ["base", "cli", "games", "graphs", "oriented_paths",
                                     "reductions", "rulesets", "sequential"])
 def test_each_module_imports_first(module):
     # an import cycle can show under one import order only
@@ -747,7 +754,7 @@ print(len(pkg.__all__))
 
 
 def test_parser_names_the_engine_constants():
-    from coloring_games import oriented_paths as op, reductions
+    from coloring_games import oriented_paths as op, reductions, rulesets
 
     def option(command, dest):
         sub = next(a for a in build_parser()._actions if a.dest == "command")
@@ -758,7 +765,31 @@ def test_parser_names_the_engine_constants():
     mode = option("grundy-seq", "mode")
     assert (mode.choices, mode.default) == ((op.MODE_NAIVE, op.MODE_ACCELERATED),
                                             op.MODE_NAIVE)
+    assert list(option("solve", "ruleset").choices) == sorted(rulesets.RULESET_TOKENS)
     assert all(callable(getattr(reductions, name)) for name in _REDUCERS.values())
+
+
+def test_engine_names_are_looked_up_on_the_cli_module(capsys, monkeypatch):
+    # benchmark/tracer.py wraps graphs and rulesets functions by their names
+    # on this module, so each must resolve there and each call go through it
+    from coloring_games import cli, rulesets
+
+    for module, names in cli._ENGINE.items():
+        source = importlib.import_module(f"coloring_games.{module}")
+        for name in names:
+            assert getattr(cli, name) is getattr(source, name), name
+    with pytest.raises(AttributeError):
+        cli.no_such_name
+    calls = []
+
+    def closed_form(*args):
+        calls.append(args)
+        return rulesets.closed_form_outcome(*args)
+
+    monkeypatch.setattr(cli, "closed_form_outcome", closed_form)
+    code, out = run(capsys, "solve", "--ruleset", "proper", "--k", "2", "--graph", "path:6")
+    assert code == EXIT_OK and "method: closed-form" in out
+    assert len(calls) == 1
 
 
 def test_commands_off_the_tables_run_without_numpy():
@@ -815,8 +846,8 @@ def test_table_commands_refuse_an_oversized_table(capsys, monkeypatch, tmp_path)
 
 
 def test_grundy_seq_loads_numpy_for_the_fill():
-    K = SHORT_FILL_MAX + 1  # the shortest fill that numpy's kernel runs
-    proc = fresh_python("-c", f"""
+    K = LOW_BOUND + 1  # the shortest fill that numpy's kernel runs under that bound
+    proc = fresh_python("-c", SET_LOW_BOUND + f"""
 import sys
 from coloring_games.cli import main
 code = main(["grundy-seq", "--kmax", "{K}"])

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coloring_games import games, rulesets
+from coloring_games.base import TT_BYTES_ENV, MemoryBudgetExceeded
 from coloring_games.games import (
     IllegalColoringError,
     IllegalMoveError,
-    MemoryBudgetExceeded,
     Move,
     Position,
-    TT_BYTES_ENV,
     apply_move,
     best_move,
     clear_solver_cache,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coloring_games.base import TT_BYTES_ENV, MemoryBudgetExceeded
 from coloring_games.graphs import (
     FIXED_POINT_FREE,
     SINGLE_FIXED_POINT,
@@ -15,8 +16,6 @@ from coloring_games.graphs import (
     GraphDocument,
     GraphFormatError,
     InvolutionSearchBudget,
-    MemoryBudgetExceeded,
-    TT_BYTES_ENV,
     UnknownFamilyError,
     build_family,
     find_involution,

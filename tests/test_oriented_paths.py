@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coloring_games import games, oriented_paths as op
+from coloring_games import base, games, oriented_paths as op
 from coloring_games.rulesets import BLUE, RED
 
 from reference import D_ZEROS, naive_tables, ref_grundy, scalar_tables, table_file
@@ -265,8 +265,8 @@ def test_d_zero_census_to_32768():
 
 
 def test_budget_guard(monkeypatch):
-    monkeypatch.setenv(games.TT_BYTES_ENV, "100")
-    with pytest.raises(games.MemoryBudgetExceeded):
+    monkeypatch.setenv(base.TT_BYTES_ENV, "100")
+    with pytest.raises(base.MemoryBudgetExceeded):
         op.compute_tables(1000)
 
 
@@ -444,8 +444,8 @@ def test_load_checks_the_budget_before_the_body(monkeypatch):
             return super().read(size)
 
     K = 200_000
-    monkeypatch.setenv(games.TT_BYTES_ENV, "500000")
-    with pytest.raises(games.MemoryBudgetExceeded, match=r"needs at least 1200006 bytes"):
+    monkeypatch.setenv(base.TT_BYTES_ENV, "500000")
+    with pytest.raises(base.MemoryBudgetExceeded, match=r"needs at least 1200006 bytes"):
         op.load_table(HeaderOnly(table_file(K, bytes(6 * (K + 1)))))
 
 
