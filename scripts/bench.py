@@ -12,9 +12,9 @@ with games.grundy, each from empty caches, and records per instance:
 Then it runs the sequential-paths workload's n=10^6 request (its argv taken
 from benchmark/workloads.py) through cli.main in REPEATS fresh interpreters,
 stdout to /dev/null, and records:
-- wall_s: best time of the cli.main call;
+- wall_s: best time of `import coloring_games.cli` and the cli.main call;
 - peak_rss_growth_bytes: the most the interpreter's peak RSS grew across
-  the call (VmHWM from /proc/self/status, so Linux only). It equals the
+  them (VmHWM from /proc/self/status, so Linux only). It equals the
   ru_maxrss growth of a process started from a small one; a child's
   ru_maxrss starts at its parent's peak, which would hide the request;
 - bytes_per_vertex: that growth over n.
@@ -46,7 +46,8 @@ GRAPH_RUNS fresh interpreters per source tree, interleaved the same way:
   time (untraced, on one graph) and the most bytes it left allocated
   (tracemalloc, after a full gc.collect, on a second graph);
 - involution_solve: `solve --ruleset proper --k 2 --method involution`, its
-  best wall time and the most VmHWM growth across the cli.main call.
+  best wall time and the most VmHWM growth across `import coloring_games.cli`
+  and the cli.main call.
 
 Then a row `distance_start` (and `distance_start_baseline`) measures
 uncolored starts on `path:GRAPH_N`, each in DISTANCE_RUNS fresh interpreters
@@ -54,8 +55,12 @@ per source tree, interleaved the same way:
 - start: Position.start under proper k=2 and under distance k=2 at d=2 and
   d=8, its best wall time and the most VmHWM growth across the call;
 - closed_form_solve: `solve --ruleset distance --d 2 --k 2`, answered by
-  closed form, its best wall time and the most VmHWM growth across the
-  cli.main call, and its exit code under COLORING_GAMES_TT_BYTES=BUDGET_BYTES.
+  closed form, its best wall time and the most VmHWM growth across
+  `import coloring_games.cli` and the cli.main call, and its exit code under
+  COLORING_GAMES_TT_BYTES=BUDGET_BYTES.
+
+Every cli.main row is timed from before the import, since main imports the
+handler module of the command it runs.
 
 Then a row `short_tables` (and `short_tables_baseline`) runs SHORT_TABLES,
 short Blue-Red fills and a `solve` that reads one, each in SHORT_RUNS fresh
@@ -73,13 +78,14 @@ Last, a row `short_fill_bound` times `grundy-seq --kmax K` for each K of
 BOUND_KS in fresh interpreters of this tree only, once with the stdlib
 kernel and once with numpy's (oriented_paths.SHORT_FILL_MAX set to K or to 0
 before the command), interleaved, BOUND_RUNS times each, with oriented_paths
-imported before the clock starts. It records both best times per K and the
-largest K at which the stdlib kernel was no slower than numpy's kernel with
-its import, the measurement SHORT_FILL_MAX is chosen from. The row does not
-depend on the SHORT_FILL_MAX the tree holds, since each child sets its own.
+imported before the clock starts. It records the median and quartiles of
+both kernels' times per K and the largest K at which the stdlib kernel's
+median was no slower than that of numpy's kernel with its import, the
+measurement SHORT_FILL_MAX is chosen from. The row does not depend on the
+SHORT_FILL_MAX the tree holds, since each child sets its own.
 
 Example:
-    PYTHONDONTWRITEBYTECODE=1 python scripts/bench.py --out BENCH_24.json \
+    PYTHONDONTWRITEBYTECODE=1 python scripts/bench.py --out BENCH_25.json \
         --baseline ../parent/src
 """
 
@@ -100,7 +106,7 @@ from typing import Callable
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmark")]
 
-from coloring_games import cli, games, oriented_paths as op
+from coloring_games import cli, cli_solve, games, oriented_paths as op
 from coloring_games.base import TT_BYTES_ENV
 from run import IMPORT_PROBE
 from workloads import DEFAULT_SEED, PathTables, SearchCold, SequentialPaths
@@ -137,7 +143,7 @@ START_UP = {
 # short_fill_bound's sizes, in steps of 512 where the two kernels meet
 BOUND_KS = (1024, 2048, 4096, 6144, 7168, 8192, 8704, 9216, 9728, 10240, 10752, 11264,
             12288, 16384)
-BOUND_RUNS = 5  # fresh interpreters per K and kernel
+BOUND_RUNS = 11  # fresh interpreters per K and kernel
 
 
 def cold_position(argv: list[str]) -> games.Position:
@@ -146,8 +152,8 @@ def cold_position(argv: list[str]) -> games.Position:
     games.clear_solver_cache()
     args = cli.build_parser().parse_args(["solve", *argv])
     graph, _source, doc = cli._load_graph(args)
-    ruleset = cli._build_ruleset(args, doc)
-    return games.Position.start(graph, cli._resolve_k(args, doc, ruleset), ruleset)
+    ruleset = cli_solve._build_ruleset(args, doc)
+    return games.Position.start(graph, cli_solve._resolve_k(args, doc, ruleset), ruleset)
 
 
 def measure(argv: list[str]) -> dict:
@@ -231,7 +237,7 @@ def measure_sequential() -> dict:
     workload = SequentialPaths(seed=DEFAULT_SEED, work=Path(ROOT))
     workload.make()
     argv = workload.requests[0]
-    runs = [run_cli(os.path.join(ROOT, "src"), argv, False) for _ in range(REPEATS)]
+    runs = [run_cli(os.path.join(ROOT, "src"), argv, True) for _ in range(REPEATS)]
     grown = max(r["grown_kb"] for r in runs) * 1024
     return {
         "argv": argv,
@@ -310,7 +316,7 @@ def measure_graph_data(sources: dict[str, str]) -> dict[str, dict]:
             "--method", "involution"]
     probes = interleave(sources, GRAPH_RUNS, lambda src: (
         json.loads(fresh(src, "-c", ORIENTED_START_CHILD, str(GRAPH_N))),
-        run_cli(src, argv, False)))
+        run_cli(src, argv, True)))
     return {f"graph_data{name}": {
         "n": GRAPH_N,
         "runs": GRAPH_RUNS,
@@ -357,7 +363,7 @@ def measure_distance_start(sources: dict[str, str]) -> dict[str, dict]:
     probes = interleave(sources, DISTANCE_RUNS, lambda src: (
         {name: json.loads(fresh(src, "-c", DISTANCE_START_CHILD, str(GRAPH_N), str(d)))
          for name, d in starts.items()},
-        run_cli(src, argv, False),
+        run_cli(src, argv, True),
         budgeted_exit(src, argv)))
     return {f"distance_start{name}": {
         "n": GRAPH_N,
@@ -406,8 +412,14 @@ print(json.dumps({"code": code, "wall_s": wall, "numpy_loaded": "numpy" in sys.m
 """
 
 
+def quartiles(times: list[float]) -> dict:
+    """Median and first and third quartiles of times, in seconds."""
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"median_s": round(median, 4), "q1_s": round(q1, 4), "q3_s": round(q3, 4)}
+
+
 def measure_short_fill_bound() -> dict:
-    """Best fresh grundy-seq times per K under each kernel, on this tree."""
+    """Fresh grundy-seq times per K under each kernel, on this tree."""
     src = os.path.join(ROOT, "src")
     rows = []
     for K in BOUND_KS:
@@ -417,13 +429,13 @@ def measure_short_fill_bound() -> dict:
         for name, runs in probes.items():
             if {(r["code"], r["numpy_loaded"]) for r in runs} != {(0, name == "numpy")}:
                 raise RuntimeError(f"K={K} under the {name} kernel: {runs}")
-        rows.append({"K": K, **{f"{name}_wall_s": round(min(r["wall_s"] for r in runs), 4)
+        rows.append({"K": K, **{name: quartiles([r["wall_s"] for r in runs])
                                 for name, runs in probes.items()}})
-    no_slower = [r["K"] for r in rows if r["stdlib_wall_s"] <= r["numpy_wall_s"]]
+    no_slower = [r["K"] for r in rows if r["stdlib"]["median_s"] <= r["numpy"]["median_s"]]
     return {"short_fill_bound": {
         "runs": BOUND_RUNS,
         "sizes": rows,
-        "largest_k_stdlib_no_slower": max(no_slower, default=None),
+        "largest_k_stdlib_median_no_slower": max(no_slower, default=None),
     }}
 
 
@@ -492,8 +504,10 @@ def main() -> int:
                           f"numpy loaded: {r['numpy_loaded']}")
     bound_row = measure_short_fill_bound()
     for r in bound_row["short_fill_bound"]["sizes"]:
-        print(f"{'short_fill_bound K=' + str(r['K']):<44} {r['stdlib_wall_s']:>8.3f} s stdlib "
-              f"{r['numpy_wall_s']:>8.3f} s numpy")
+        print(f"{'short_fill_bound K=' + str(r['K']):<44} "
+              + "  ".join(f"{name} {r[name]['median_s']:.3f} s "
+                          f"[{r[name]['q1_s']:.3f}, {r[name]['q3_s']:.3f}]"
+                          for name in ("stdlib", "numpy")))
     doc = {
         "python": platform.python_version(),
         "machine": platform.machine(),

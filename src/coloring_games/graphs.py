@@ -398,42 +398,46 @@ def power_graph(g: Graph, d: int) -> Graph:
 def connected_graph_census(n: int) -> list[Graph]:
     """One representative per isomorphism class of connected graphs on n vertices.
 
-    Exhaustive over edge subsets, so capped at n <= 6 (112 classes); classes
-    are deduplicated by marking every permutation image of each accepted
-    representative.
+    Exhaustive over edge subsets, so capped at n <= 6 (112 classes). A subset
+    is a mask over the vertex pairs; the first connected mask of each class
+    is its representative, and every permutation image of it is claimed, from
+    the pair bits each permutation maps each pair to.
     """
     if not 1 <= n <= 6:
         raise ValueError("census enumeration is exhaustive only for 1 <= n <= 6")
     pairs = list(itertools.combinations(range(n), 2))
-    bit_of = {p: 1 << i for i, p in enumerate(pairs)}
+    index = {p: i for i, p in enumerate(pairs)}
+    images = [[1 << index[min(perm[u], perm[v]), max(perm[u], perm[v])] for u, v in pairs]
+              for perm in itertools.permutations(range(n))]
+    everyone = (1 << n) - 1
 
     def connected(mask: int) -> bool:
-        adj = [[] for _ in range(n)]
-        for (u, v), bit in bit_of.items():
-            if mask & bit:
-                adj[u].append(v)
-                adj[v].append(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == n
+        nbrs = [0] * n
+        for i, (u, v) in enumerate(pairs):
+            if mask >> i & 1:
+                nbrs[u] |= 1 << v
+                nbrs[v] |= 1 << u
+        reached = frontier = 1
+        while frontier:
+            grown = 0
+            for v in range(n):
+                if frontier >> v & 1:
+                    grown |= nbrs[v]
+            frontier = grown & ~reached
+            reached |= frontier
+        return reached == everyone
 
     out: list[Graph] = []
     claimed: set[int] = set()
     for mask in range(1 << len(pairs)):
         if mask in claimed or not connected(mask):
             continue
-        edges = [p for p, bit in bit_of.items() if mask & bit]
-        out.append(make_graph(n, edges))
-        for perm in itertools.permutations(range(n)):
+        present = [i for i in range(len(pairs)) if mask >> i & 1]
+        out.append(make_graph(n, [pairs[i] for i in present]))
+        for bits in images:
             image = 0
-            for u, v in edges:
-                a, b = perm[u], perm[v]
-                image |= bit_of[(min(a, b), max(a, b))]
+            for i in present:
+                image |= bits[i]
             claimed.add(image)
     return out
 

@@ -10,13 +10,14 @@ Blue-Red tables against.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import struct
 from collections import deque
 from typing import Sequence
 
 import numpy as np
 
-from coloring_games.graphs import Graph
+from coloring_games.graphs import Graph, make_graph
 
 BLUE, RED = 1, 2
 
@@ -337,3 +338,41 @@ class RefGraph:
             comps.add(frozenset(comp))
             left -= comp
         return comps
+
+
+def connected_graph_census(n: int) -> list[Graph]:
+    """One connected graph per isomorphism class on n <= 6 vertices: the
+    first edge mask of each class, found by an adjacency-list search, with
+    every permutation image of it marked from its edge list."""
+    pairs = list(itertools.combinations(range(n), 2))
+    bit_of = {p: 1 << i for i, p in enumerate(pairs)}
+
+    def connected(mask: int) -> bool:
+        adj = [[] for _ in range(n)]
+        for (u, v), bit in bit_of.items():
+            if mask & bit:
+                adj[u].append(v)
+                adj[v].append(u)
+        seen = {0}
+        stack = [0]
+        while stack:
+            for u in adj[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return len(seen) == n
+
+    out = []
+    claimed = set()
+    for mask in range(1 << len(pairs)):
+        if mask in claimed or not connected(mask):
+            continue
+        edges = [p for p, bit in bit_of.items() if mask & bit]
+        out.append(make_graph(n, edges))
+        for perm in itertools.permutations(range(n)):
+            image = 0
+            for u, v in edges:
+                a, b = perm[u], perm[v]
+                image |= bit_of[(min(a, b), max(a, b))]
+            claimed.add(image)
+    return out

@@ -19,11 +19,10 @@ from coloring_games.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
-    _REDUCERS,
-    _emit,
     build_parser,
     main,
 )
+from coloring_games.cli_output import emit
 from coloring_games.base import TT_BYTES_ENV
 from coloring_games.graphs import parse_graph_text
 from coloring_games.oriented_paths import SHORT_FILL_MAX
@@ -668,6 +667,9 @@ def loaded_after(code: str) -> list[str]:
 
 def test_cli_import_leaves_numpy_unloaded():
     assert loaded_after("import coloring_games.cli") == ["base", "cli", "coloring_games"]
+    # json is imported by the handlers' output module, not by the parser
+    proc = fresh_python("-c", "import sys, coloring_games.cli; print('json' in sys.modules)")
+    assert proc.stdout == "False\n", proc.stderr
 
 
 def run_main(*argv: str) -> str:
@@ -681,36 +683,53 @@ SET_LOW_BOUND = ("from coloring_games import oriented_paths as op\n"
                  f"op.SHORT_FILL_MAX = {LOW_BOUND}\n")
 
 
+# the modules main imports to run a command, one per command family
+HANDLERS = ["cli_reduce", "cli_sequential", "cli_solve", "cli_tables", "cli_verify"]
+
+
 def test_commands_load_only_the_engine_they_run(tmp_path):
-    # no command loads dataclasses or inspect, which only numpy brings in
-    solve = loaded_after(run_main("solve", "--ruleset", "proper", "--k", "3",
-                                  "--graph", "path:5", "--method", "search"))
-    assert solve == ["base", "cli", "coloring_games", "games", "graphs", "rulesets"]
-    sequential = loaded_after(run_main("sequential", "--graph", "path:9",
-                                       "--order", "random", "--seed", "1"))
-    assert sequential == ["base", "cli", "coloring_games", "graphs", "rulesets", "sequential"]
-    reduce = loaded_after(run_main("reduce", "--from", "kayles", "--to", "proper", "--k", "2",
-                                   "--graph", "path:3", "--verify"))
-    assert reduce == ["base", "cli", "coloring_games", "games", "graphs", "reductions",
-                      "rulesets"]
-    verify = loaded_after(run_main("verify", "sequential", "--exhaustive", "--n", "4"))
-    assert verify == ["base", "cli", "coloring_games", "graphs", "rulesets", "sequential"]
+    # each command loads its own handler module and no other command's; no
+    # command loads dataclasses or inspect, which only numpy brings in
+    def loaded_by(handler, code):
+        loaded = loaded_after(code)
+        assert [m for m in loaded if m in HANDLERS] == [handler], loaded
+        return loaded
+
+    solve = loaded_by("cli_solve", run_main("solve", "--ruleset", "proper", "--k", "3",
+                                            "--graph", "path:5", "--method", "search"))
+    assert solve == ["base", "cli", "cli_output", "cli_solve", "coloring_games", "games",
+                     "graphs", "rulesets"]
+    sequential = loaded_by("cli_sequential", run_main("sequential", "--graph", "path:9",
+                                                      "--order", "random", "--seed", "1"))
+    assert sequential == ["base", "cli", "cli_output", "cli_sequential", "coloring_games",
+                          "graphs", "rulesets", "sequential"]
+    reduce = loaded_by("cli_reduce", run_main("reduce", "--from", "kayles", "--to", "proper",
+                                              "--k", "2", "--graph", "path:3", "--verify"))
+    assert reduce == ["base", "cli", "cli_output", "cli_reduce", "coloring_games", "games",
+                      "graphs", "reductions", "rulesets"]
+    verify = loaded_by("cli_verify", run_main("verify", "sequential", "--exhaustive",
+                                              "--n", "4"))
+    assert verify == ["base", "cli", "cli_output", "cli_verify", "coloring_games", "graphs",
+                      "rulesets", "sequential"]
     # only a fill above SHORT_FILL_MAX loads numpy; no table command loads
     # the graph, ruleset or search engine
-    short = ["base", "cli", "coloring_games", "hashlib", "oriented_paths"]
+    short = ["base", "cli", "cli_output", "cli_tables", "coloring_games", "hashlib",
+             "oriented_paths"]
     for argv in (("grundy-seq", "--kmax", str(SHORT_FILL_MAX)),
                  ("p-positions", "--class", "D", "--kmax", "20")):
-        assert loaded_after(run_main(*argv)) == short, argv
+        assert loaded_by("cli_tables", run_main(*argv)) == short, argv
     low = SET_LOW_BOUND + run_main("grundy-seq", "--kmax", str(LOW_BOUND + 1))
-    assert loaded_after(low) == [
-        "base", "cli", "coloring_games", "hashlib", "inspect", "numpy", "oriented_paths"]
+    assert loaded_by("cli_tables", low) == [
+        "base", "cli", "cli_output", "cli_tables", "coloring_games", "hashlib", "inspect",
+        "numpy", "oriented_paths"]
     # the uncolored directed path is answered from the short table
-    dpath = loaded_after(run_main("solve", "--ruleset", "oriented-br", "--graph", "dpath:40"))
-    assert dpath == ["base", "cli", "coloring_games", "games", "graphs", "hashlib",
-                     "oriented_paths", "rulesets"]
+    dpath = loaded_by("cli_solve", run_main("solve", "--ruleset", "oriented-br",
+                                            "--graph", "dpath:40"))
+    assert dpath == ["base", "cli", "cli_output", "cli_solve", "coloring_games", "games",
+                     "graphs", "hashlib", "oriented_paths", "rulesets"]
     table = save_small_table(tmp_path)
     for argv in (("tables", "info", "--table", table), ("tables", "export-csv", "--table", table)):
-        assert loaded_after(run_main(*argv)) == short, argv
+        assert loaded_by("cli_tables", run_main(*argv)) == short, argv
 
 
 def save_small_table(directory: Path) -> str:
@@ -721,8 +740,9 @@ def save_small_table(directory: Path) -> str:
     return path
 
 
-@pytest.mark.parametrize("module", ["base", "cli", "games", "graphs", "oriented_paths",
-                                    "reductions", "rulesets", "sequential"])
+@pytest.mark.parametrize("module", ["base", "cli", "cli_output", *HANDLERS, "games", "graphs",
+                                    "oriented_paths", "reductions", "rulesets",
+                                    "sequential"])
 def test_each_module_imports_first(module):
     # an import cycle can show under one import order only
     proc = fresh_python("-c", f"import coloring_games.{module}")
@@ -754,7 +774,7 @@ print(len(pkg.__all__))
 
 
 def test_parser_names_the_engine_constants():
-    from coloring_games import oriented_paths as op, reductions, rulesets
+    from coloring_games import cli_reduce, cli_verify, oriented_paths as op, reductions, rulesets
 
     def option(command, dest):
         sub = next(a for a in build_parser()._actions if a.dest == "command")
@@ -766,7 +786,9 @@ def test_parser_names_the_engine_constants():
     assert (mode.choices, mode.default) == ((op.MODE_NAIVE, op.MODE_ACCELERATED),
                                             op.MODE_NAIVE)
     assert list(option("solve", "ruleset").choices) == sorted(rulesets.RULESET_TOKENS)
-    assert all(callable(getattr(reductions, name)) for name in _REDUCERS.values())
+    assert option("reduce", "to").choices == tuple(sorted(cli_reduce.REDUCERS))
+    assert all(callable(getattr(reductions, name)) for name in cli_reduce.REDUCERS.values())
+    assert option("verify", "suite").choices == tuple(sorted(cli_verify.SUITES))
 
 
 def test_engine_names_are_looked_up_on_the_cli_module(capsys, monkeypatch):
@@ -780,6 +802,13 @@ def test_engine_names_are_looked_up_on_the_cli_module(capsys, monkeypatch):
             assert getattr(cli, name) is getattr(source, name), name
     with pytest.raises(AttributeError):
         cli.no_such_name
+    # a handler that bound one of these functions at import would call it
+    # past a wrapper set on this module
+    wrapped = {name for names in cli._ENGINE.values() for name in names
+               if callable(getattr(cli, name))}
+    for handler in HANDLERS:
+        module = importlib.import_module(f"coloring_games.{handler}")
+        assert not wrapped & set(vars(module)), handler
     calls = []
 
     def closed_form(*args):
@@ -904,7 +933,7 @@ def test_text_lists_print_as_one_join(fmt, kind, items):
     # 10,000 items cross the write chunk boundary
     val = kind(items)
     out = io.StringIO()
-    _emit({"n": 1, "key": val, "winning_move": {"vertex": 3, "color": 1}}, fmt, out)
+    emit({"n": 1, "key": val, "winning_move": {"vertex": 3, "color": 1}}, fmt, out)
     if fmt == "json":
         want = json.dumps({"n": 1, "key": list(items),
                            "winning_move": {"vertex": 3, "color": 1}}, sort_keys=True)

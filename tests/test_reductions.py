@@ -8,7 +8,7 @@ from coloring_games import games, reductions as rd
 from coloring_games.games import Position
 from coloring_games.graphs import build_family, connected_graph_census, make_graph
 from coloring_games.rulesets import ProperColoring
-from reference import bfs_dist
+from reference import bfs_dist, connected_graph_census as reference_census
 
 
 def kayles(g):
@@ -24,6 +24,13 @@ def test_census_counts():
         connected_graph_census(7)
     with pytest.raises(ValueError):
         connected_graph_census(0)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_census_matches_reference(n):
+    # the same representatives, in the same order, as the plain enumeration
+    assert [g.edges for g in connected_graph_census(n)] == [
+        g.edges for g in reference_census(n)]
 
 
 def test_census_members_are_connected_and_distinct():
