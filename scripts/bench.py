@@ -1,96 +1,46 @@
-"""Cold-cache search numbers and the million-vertex sequential request, as JSON.
+"""Fixed CLI requests timed in fresh interpreters against a baseline tree, as JSON.
 
-Solves the six uncolored positions of the benchmark's search-cold workload
-with games.grundy, each from empty caches, and records per instance:
-- wall_s: best of REPEATS untraced solves;
-- grundy and tt_entries: the value and the size of the solver's table;
-- charged_bytes: what the solver counted against COLORING_GAMES_TT_BYTES;
-- tracemalloc_bytes: what the solve left allocated (the table and the
-  solver's own buffers, after a full gc.collect), from one more solve traced
-  by tracemalloc after the graph and the solver were built.
+Every timed row is one command, run RUNS or QUICK_RUNS times in fresh
+interpreters with a source tree first on the path: the benchmark's
+IMPORT_PROBE alone, or coloring_games.cli.main(argv) timed from before
+`import coloring_games.cli`, with stdout discarded. A run reports its exit
+code, its wall time, its VmHWM growth (read from /proc/self/status, so Linux
+only) and whether numpy loaded. A `solve --method search` run also reports
+the Grundy value, the table entries and the bytes charged against
+COLORING_GAMES_TT_BYTES.
 
-Then it runs the sequential-paths workload's n=10^6 request (its argv taken
-from benchmark/workloads.py) through cli.main in REPEATS fresh interpreters,
-stdout to /dev/null, and records:
-- wall_s: best time of `import coloring_games.cli` and the cli.main call;
-- peak_rss_growth_bytes: the most the interpreter's peak RSS grew across
-  them (VmHWM from /proc/self/status, so Linux only). It equals the
-  ru_maxrss growth of a process started from a small one; a child's
-  ru_maxrss starts at its parent's peak, which would hide the request;
-- bytes_per_vertex: that growth over n.
+With --baseline SRC (the src directory of another checkout, such as the
+parent commit's) the runs of the two trees alternate, and each round swaps
+which tree goes first. A row gives each tree's median and quartiles of wall
+time and peak growth. Per metric it also gives the pairs each tree won (ties
+count for neither) and a verdict. The verdict is "faster" or "slower" (for
+peak growth, "smaller" or "larger") only when one tree wins at least 9 in 10
+of at least 10 pairs and the medians differ by more than the baseline's
+quartile spread and by more than 2% of its median. Otherwise it is
+"unresolved". Rows with "runs": 1 ran once per tree and carry no verdict.
 
-Last it times start-up: the benchmark's own IMPORT_PROBE (imported from
-benchmark/run.py, a fresh `import coloring_games.cli`, which setup_s counts)
-in IMPORT_RUNS fresh interpreters, and records the median and minimum
-seconds, the package modules the import loaded, whether it loaded
-dataclasses and inspect, whether the package had a bytecode cache before
-the first probe, and whether the interpreters ran without writing one
-(PYTHONDONTWRITEBYTECODE), since a cached import skips compiling the
-sources. With --baseline SRC (the src directory of another checkout, such
-as the parent commit's) the same probe runs on that tree too, interleaved
-with this one's and alternating which goes first, into a second row,
-import_baseline.
+The rows are:
+- the search set: the search-cold instances plus SEARCH_EXTRA;
+- start-up: IMPORT_PROBE, and START_UP, one short command per family;
+- grundy-seq at K=10^4, and at K=10^5 once;
+- the sequential-paths million-vertex request, with its growth per vertex;
+- LARGE, requests on 200,000-vertex paths;
+- TABLES at the path-tables K;
+- the Tier-1 wall time, once per tree;
+- short_fill_bound, on this tree only. It times grundy-seq for each K of
+  BOUND_KS under the stdlib kernel and under numpy's, with SHORT_FILL_MAX set
+  before the clock starts. It gives the largest K at which the stdlib
+  median was no slower, the figure SHORT_FILL_MAX is chosen from.
 
-Then it saves a table file to the path-tables workload's K (8084) and runs
-`tables info` and `tables export-csv` on it, stdout to /dev/null, each in
-TABLE_RUNS fresh interpreters per source tree, interleaved the same way,
-into a row `tables` (and `tables_baseline` with --baseline). Per command it
-records the best wall time and the most VmHWM growth from just before
-`import coloring_games.cli` to just after the command, and whether the
-command loaded numpy.
-
-Then a row `graph_data` (and `graph_data_baseline`) measures two requests
-on GRAPH_N-vertex directed paths that should build no edge set, each in
-GRAPH_RUNS fresh interpreters per source tree, interleaved the same way:
-- oriented_start: an uncolored oriented k=3 Position.start, its best wall
-  time (untraced, on one graph) and the most bytes it left allocated
-  (tracemalloc, after a full gc.collect, on a second graph);
-- involution_solve: `solve --ruleset proper --k 2 --method involution`, its
-  best wall time and the most VmHWM growth across `import coloring_games.cli`
-  and the cli.main call.
-
-Then a row `distance_start` (and `distance_start_baseline`) measures
-uncolored starts on `path:GRAPH_N`, each in DISTANCE_RUNS fresh interpreters
-per source tree, interleaved the same way:
-- start: Position.start under proper k=2 and under distance k=2 at d=2 and
-  d=8, its best wall time and the most VmHWM growth across the call;
-- closed_form_solve: `solve --ruleset distance --d 2 --k 2`, answered by
-  closed form, its best wall time and the most VmHWM growth across
-  `import coloring_games.cli` and the cli.main call, and its exit code under
-  COLORING_GAMES_TT_BYTES=BUDGET_BYTES.
-
-Every cli.main row is timed from before the import, since main imports the
-handler module of the command it runs.
-
-Then a row `short_tables` (and `short_tables_baseline`) runs SHORT_TABLES,
-short Blue-Red fills and a `solve` that reads one, each in SHORT_RUNS fresh
-interpreters per source tree, interleaved the same way. Per command it
-records the best wall time and the most VmHWM growth from just before
-`import coloring_games.cli` to just after the command, and whether the
-command loaded numpy. A row `fills` (and `fills_baseline`) does the same for
-FILLS, `grundy-seq` at K=10^4 and 2*10^4, in FILL_RUNS interpreters each,
-and a row `start_up` (and `start_up_baseline`) for START_UP, one short
-command per command family, in START_UP_RUNS interpreters each: there the
-wall time is mostly the import and the first use of the modules a command
-loads.
-
-Last, a row `short_fill_bound` times `grundy-seq --kmax K` for each K of
-BOUND_KS in fresh interpreters of this tree only, once with the stdlib
-kernel and once with numpy's (oriented_paths.SHORT_FILL_MAX set to K or to 0
-before the command), interleaved, BOUND_RUNS times each, with oriented_paths
-imported before the clock starts. It records the median and quartiles of
-both kernels' times per K and the largest K at which the stdlib kernel's
-median was no slower than that of numpy's kernel with its import, the
-measurement SHORT_FILL_MAX is chosen from. The row does not depend on the
-SHORT_FILL_MAX the tree holds, since each child sets its own.
+Both trees' bytecode caches are compiled first, so that every run of either
+tree imports from cache, even under PYTHONDONTWRITEBYTECODE.
 
 Example:
-    PYTHONDONTWRITEBYTECODE=1 python scripts/bench.py --out BENCH_25.json \
-        --baseline ../parent/src
+    python scripts/bench.py --out BENCH_27.json --baseline ../parent/src
 """
 
 import argparse
-import gc
+import compileall
 import json
 import os
 import platform
@@ -99,37 +49,33 @@ import subprocess
 import sys
 import tempfile
 import time
-import tracemalloc
 from pathlib import Path
 from typing import Callable
 
-ROOT = os.path.join(os.path.dirname(__file__), "..")
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmark")]
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+SRC = os.path.join(ROOT, "src")
+sys.path[:0] = [SRC, os.path.join(ROOT, "benchmark")]
 
-from coloring_games import cli, cli_solve, games, oriented_paths as op
-from coloring_games.base import TT_BYTES_ENV
+from coloring_games import oriented_paths as op
 from run import IMPORT_PROBE
 from workloads import DEFAULT_SEED, PathTables, SearchCold, SequentialPaths
 
-REPEATS = 3  # untraced solves per instance
-IMPORT_RUNS = 25  # fresh interpreters timing the import, per source tree
-TABLE_RUNS = 7  # fresh interpreters per table command, per source tree
-GRAPH_RUNS = 5  # fresh interpreters per graph_data case, per source tree
-GRAPH_N = 200_000  # vertices of the graph_data directed paths and distance_start paths
-DISTANCE_RUNS = 5  # fresh interpreters per distance_start case, per source tree
-BUDGET_BYTES = 12_000_000  # the budget of distance_start's budgeted solve
-SHORT_RUNS = 5  # fresh interpreters per short_tables command, per source tree
-SHORT_TABLES = {
-    "grundy_seq_40": ["grundy-seq", "--kmax", "40"],
-    "grundy_seq_1000": ["grundy-seq", "--kmax", "1000"],
-    "grundy_seq_2000": ["grundy-seq", "--kmax", "2000"],
-    "solve_dpath_100": ["solve", "--ruleset", "oriented-br", "--graph", "dpath:100"],
-}
-FILL_RUNS = 3  # fresh interpreters per fills command, per source tree
-FILLS = {f"grundy_seq_{K}": ["grundy-seq", "--kmax", str(K)] for K in (10_000, 20_000)}
-START_UP_RUNS = 25  # fresh interpreters per start_up command, per source tree
+RUNS = 10  # fresh interpreters per tree for a row of seconds per run
+QUICK_RUNS = 25  # the same for a row of under two seconds per run
+MIN_PAIRS = 10  # fewer pairs than this give no verdict
+# nor does a median gap within this share of the baseline's median: VmHWM
+# counts 4 kB pages, and identical code in two checkouts differed by up to two
+# in every pair, where one is 0.84% of the import's growth
+MIN_GAP = 0.02
+SEARCH_EXTRA = [
+    ("distance-2 path:17", ["--ruleset", "distance", "--d", "2", "--k", "2",
+                            "--graph", "path:17"]),
+    ("proper k=2 grid:4,4", ["--ruleset", "proper", "--k", "2", "--graph", "grid:4,4"]),
+    ("weak cycle:13", ["--ruleset", "weak", "--graph", "cycle:13"]),
+]
 START_UP_TABLE_K = 100  # the K of the table file `tables info` reads
 START_UP = {
+    "import": None,  # IMPORT_PROBE alone
     "grundy_seq_40": ["grundy-seq", "--kmax", "40"],
     "p_positions_20": ["p-positions", "--kmax", "20"],
     "tables_info": ["tables", "info", "--table"],  # the table file's path is appended
@@ -140,50 +86,68 @@ START_UP = {
                       "--graph", "path:3", "--verify"],
     "verify_sequential_4": ["verify", "sequential", "--exhaustive", "--n", "4"],
 }
+LARGE_N = 200_000
+LARGE = {
+    "distance_d2_closed_form": ["solve", "--ruleset", "distance", "--d", "2", "--k", "2",
+                                "--graph", f"path:{LARGE_N}"],
+    # no closed form answers d=8, so this times the start and the check
+    "distance_d8_closed_form": ["solve", "--ruleset", "distance", "--d", "8", "--k", "2",
+                                "--graph", f"path:{LARGE_N}", "--method", "closed-form"],
+    "proper_k2_involution": ["solve", "--ruleset", "proper", "--k", "2",
+                             "--graph", f"dpath:{LARGE_N}", "--method", "involution"],
+    "oriented_k3_start": ["solve", "--ruleset", "oriented", "--k", "3",
+                          "--graph", f"dpath:{LARGE_N}", "--method", "closed-form"],
+}
+TABLES = ("info", "export-csv")  # `tables` commands on a PathTables.KMAX file
 # short_fill_bound's sizes, in steps of 512 where the two kernels meet
 BOUND_KS = (1024, 2048, 4096, 6144, 7168, 8192, 8704, 9216, 9728, 10240, 10752, 11264,
             12288, 16384)
 BOUND_RUNS = 11  # fresh interpreters per K and kernel
+SEARCH_FIELDS = ("grundy", "tt_entries", "charged_bytes")
+
+CHILD = f"PROBE = {IMPORT_PROBE!r}\n" + """
+import io, json, os, re, sys, time
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1))
+
+argv, bound = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+if bound is not None:  # short_fill_bound picks the kernel before the clock starts
+    from coloring_games import oriented_paths as op
+    op.SHORT_FILL_MAX = bound
+search = argv is not None and argv[0] == "solve" and "search" in argv
+sys.stdout, out = io.StringIO() if search else open(os.devnull, "w"), sys.stdout
+before = peak_kb()
+t0 = time.perf_counter()
+if argv is None:
+    exec(PROBE)
+    code = 0
+else:
+    from coloring_games.cli import main
+    code = main(argv)
+wall = time.perf_counter() - t0
+run = {"exit_code": code, "wall_s": wall, "grown_kb": peak_kb() - before,
+       "numpy_loaded": "numpy" in sys.modules}
+if search:
+    (solver,) = sys.modules["coloring_games.games"]._SOLVERS.values()
+    run.update(grundy=json.loads(sys.stdout.getvalue())["grundy"],
+               tt_entries=len(solver.table), charged_bytes=solver.bytes)
+print(json.dumps(run), file=out)
+"""
 
 
-def cold_position(argv: list[str]) -> games.Position:
-    """The uncolored position that `solve` with these options reads, with
-    the solver and power-graph caches emptied."""
-    games.clear_solver_cache()
-    args = cli.build_parser().parse_args(["solve", *argv])
-    graph, _source, doc = cli._load_graph(args)
-    ruleset = cli_solve._build_ruleset(args, doc)
-    return games.Position.start(graph, cli_solve._resolve_k(args, doc, ruleset), ruleset)
+def run_child(src: str, argv: list[str] | None, bound: int | None = None) -> dict:
+    """One run of CHILD in a fresh interpreter with src first on its path."""
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argv), json.dumps(bound)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    if proc.returncode:
+        raise RuntimeError(f"{argv} under {src}: {proc.stderr}")
+    return json.loads(proc.stdout)
 
 
-def measure(argv: list[str]) -> dict:
-    wall = float("inf")
-    for _ in range(REPEATS):
-        pos = cold_position(argv)
-        t0 = time.perf_counter()
-        games.grundy(pos)
-        wall = min(wall, time.perf_counter() - t0)
-
-    pos = cold_position(argv)
-    solver = games._solver_for(pos)  # built untraced, like the graph
-    gc.collect()
-    tracemalloc.start()
-    before = tracemalloc.get_traced_memory()[0]
-    value = games.grundy(pos)
-    gc.collect()  # a full collection also empties the free lists of small objects
-    grown = tracemalloc.get_traced_memory()[0] - before
-    tracemalloc.stop()
-    return {
-        "wall_s": round(wall, 4),
-        "grundy": value,
-        "tt_entries": len(solver.table),
-        "charged_bytes": solver.bytes,
-        "tracemalloc_bytes": grown,
-    }
-
-
-def interleave(sources: dict[str, str], runs: int, probe: Callable[[str], object]) -> dict:
-    """probe(src) runs times per named source tree. The trees take turns, in
+def interleave(sources: dict[str, object], runs: int, probe: Callable) -> dict[str, list]:
+    """probe(source) runs times per named source. The sources take turns, in
     reverse order every other round, so that host drift falls on each alike."""
     results: dict[str, list] = {name: [] for name in sources}
     for i in range(runs):
@@ -192,251 +156,108 @@ def interleave(sources: dict[str, str], runs: int, probe: Callable[[str], object
     return results
 
 
-def fresh(src: str, *args: str) -> str:
-    """stdout of a fresh interpreter with src first on its path."""
-    env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, check=True).stdout
+def quartiles(values: list[float], digits: int | None = 4) -> dict:
+    """Median and first and third quartiles of values (all three the value
+    itself for a single one), rounded to digits (None: to integers)."""
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": round(median, digits), "q1": round(q1, digits), "q3": round(q3, digits)}
 
 
-PEAK_KB = """
-import json, os, re, sys, time
-
-def peak_kb():
-    with open("/proc/self/status") as fh:
-        return int(re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1))
-"""
-
-CLI_CHILD = PEAK_KB + """
-argv, with_import = json.loads(sys.argv[1]), sys.argv[2] == "1"
-sys.stdout, out = open(os.devnull, "w"), sys.stdout
-if not with_import:
-    from coloring_games.cli import main
-before = peak_kb()
-t0 = time.perf_counter()
-from coloring_games.cli import main
-code = main(argv)
-wall = time.perf_counter() - t0
-print(json.dumps({"code": code, "wall_s": wall, "grown_kb": peak_kb() - before,
-                  "numpy_loaded": "numpy" in sys.modules}), file=out)
-"""
+def verdict(ours: list[float], base: list[float], better: str = "faster",
+            worse: str = "slower") -> dict:
+    """The pairs (ours[i], base[i]) each side won, lower winning and ties
+    counting for neither, and better or worse when one side won at least 9
+    in 10 of at least MIN_PAIRS pairs and the medians differ by more than
+    base's quartile spread and MIN_GAP of its median; "unresolved" otherwise."""
+    won = sum(a < b for a, b in zip(ours, base))
+    lost = sum(a > b for a, b in zip(ours, base))
+    q1, median, q3 = statistics.quantiles(base, n=4)
+    gap = statistics.median(ours) - median
+    word = "unresolved"
+    if len(base) >= MIN_PAIRS and abs(gap) > max(q3 - q1, MIN_GAP * median):
+        if gap < 0 and 10 * won >= 9 * len(base):
+            word = better
+        elif gap > 0 and 10 * lost >= 9 * len(base):
+            word = worse
+    return {"won": won, "lost": lost, "verdict": word}
 
 
-def run_cli(src: str, argv: list[str], with_import: bool) -> dict:
-    """cli.main(argv) in a fresh interpreter with src first on its path: its
-    exit code, wall time and VmHWM growth, from just before the call or,
-    with_import, before `import coloring_games.cli`; and whether it loaded
-    numpy."""
-    run = json.loads(fresh(src, "-c", CLI_CHILD, json.dumps(argv), str(int(with_import))))
-    if run["code"] != 0:
-        raise RuntimeError(f"{argv} exited {run['code']} under {src}")
-    return run
+def same(runs: list[dict], key: str):
+    """The one value key takes in every run."""
+    values = {run[key] for run in runs}
+    if len(values) != 1:
+        raise RuntimeError(f"{key} varies between runs: {sorted(values)}")
+    return values.pop()
 
 
-def measure_sequential() -> dict:
-    workload = SequentialPaths(seed=DEFAULT_SEED, work=Path(ROOT))
-    workload.make()
-    argv = workload.requests[0]
-    runs = [run_cli(os.path.join(ROOT, "src"), argv, True) for _ in range(REPEATS)]
-    grown = max(r["grown_kb"] for r in runs) * 1024
-    return {
-        "argv": argv,
-        "wall_s": round(min(r["wall_s"] for r in runs), 4),
-        "peak_rss_growth_bytes": grown,
-        "bytes_per_vertex": round(grown / SequentialPaths.N, 1),
-    }
+def row(argv: list[str] | None, runs: int, baseline: str | None = None) -> dict:
+    """argv (None for IMPORT_PROBE) runs times per tree: this one and, if
+    given, the baseline's src directory, interleaved."""
+    sources = {"tree": SRC, **({"baseline": baseline} if baseline else {})}
+    results = interleave(sources, runs, lambda src: run_child(src, argv))
+    out: dict = {"argv": argv, "runs": runs}
+    for name, rs in results.items():
+        out[name] = {
+            **{key: same(rs, key) for key in ("exit_code", "numpy_loaded", *SEARCH_FIELDS)
+               if key in rs[0]},
+            "wall_s": quartiles([r["wall_s"] for r in rs], 5),
+            "peak_growth_bytes": quartiles([r["grown_kb"] * 1024 for r in rs], None),
+        }
+    if baseline and runs > 1:
+        ours, base = results["tree"], results["baseline"]
+        out["verdict"] = {
+            "wall_s": verdict([r["wall_s"] for r in ours], [r["wall_s"] for r in base]),
+            "peak_growth_bytes": verdict([r["grown_kb"] for r in ours],
+                                         [r["grown_kb"] for r in base], "smaller", "larger"),
+        }
+    return out
 
 
-# run after the probe, outside its timed span
-LIST_MODULES = """
-import json, sys
-print(json.dumps({"modules": sorted(m for m in sys.modules if m.startswith("coloring_games")),
-                  "dataclasses_loaded": "dataclasses" in sys.modules,
-                  "inspect_loaded": "inspect" in sys.modules}))
-"""
+def tier1(sources: dict[str, str]) -> dict:
+    """The Tier-1 suite's wall time and summary line, once per tree, run
+    from the root of the tree's checkout."""
+    def once(src: str) -> dict:
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+            cwd=os.path.dirname(src), capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        return {"exit_code": proc.returncode, "wall_s": round(time.perf_counter() - t0, 1),
+                "summary": proc.stdout.strip().splitlines()[-1]}
+    return {"runs": 1, **{name: once(src) for name, src in sources.items()}}
 
 
-def measure_import(sources: dict[str, str]) -> dict[str, dict]:
-    """A row per source tree, named import plus the tree's suffix."""
-    cached = {name: os.path.isdir(os.path.join(src, "coloring_games", "__pycache__"))
-              for name, src in sources.items()}
-    probes = interleave(sources, IMPORT_RUNS, lambda src: fresh(
-        src, "-c", IMPORT_PROBE + "\n" + LIST_MODULES).splitlines())
-    return {f"import{name}": {
-        "probe": IMPORT_PROBE,
-        "runs": IMPORT_RUNS,
-        "median_s": round(statistics.median(float(p[0]) for p in probes[name]), 4),
-        "min_s": round(min(float(p[0]) for p in probes[name]), 4),
-        **json.loads(probes[name][-1][1]),
-        "bytecode_cache_present": cached[name],
-        "bytecode_cache_written": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
-    } for name in sources}
-
-
-def measure_tables(sources: dict[str, str]) -> dict[str, dict]:
-    """A row per source tree, named tables plus the tree's suffix."""
-    with tempfile.TemporaryDirectory() as tmp:
-        table = os.path.join(tmp, "classes.bin")
-        op.save_table(op.compute_tables(PathTables.KMAX), table)
-        commands = {cmd: ["tables", cmd, "--table", table] for cmd in ("info", "export-csv")}
-
-        probes = interleave(sources, TABLE_RUNS, lambda src: {
-            cmd: run_cli(src, argv, True) for cmd, argv in commands.items()})
-    return {f"tables{name}": {
-        "kmax": PathTables.KMAX,
-        "runs": TABLE_RUNS,
-        **{cmd: {
-            "wall_s": round(min(p[cmd]["wall_s"] for p in probes[name]), 4),
-            "peak_rss_growth_bytes": max(p[cmd]["grown_kb"] for p in probes[name]) * 1024,
-            "numpy_loaded": probes[name][-1][cmd]["numpy_loaded"],
-        } for cmd in commands},
-    } for name in sources}
-
-
-ORIENTED_START_CHILD = """
-import gc, json, sys, time, tracemalloc
-from coloring_games.games import Position
-from coloring_games.graphs import build_family
-from coloring_games.rulesets import OrientedColoring
-timed, traced = (build_family("directed_path", int(sys.argv[1])) for _ in range(2))
-t0 = time.perf_counter()
-Position.start(timed, 3, OrientedColoring())
-wall = time.perf_counter() - t0
-gc.collect()
-tracemalloc.start()
-pos = Position.start(traced, 3, OrientedColoring())
-gc.collect()
-print(json.dumps({"wall_s": wall, "retained_bytes": tracemalloc.get_traced_memory()[0]}))
-"""
-
-
-def measure_graph_data(sources: dict[str, str]) -> dict[str, dict]:
-    """A row per source tree, named graph_data plus the tree's suffix."""
-    argv = ["solve", "--ruleset", "proper", "--k", "2", "--graph", f"dpath:{GRAPH_N}",
-            "--method", "involution"]
-    probes = interleave(sources, GRAPH_RUNS, lambda src: (
-        json.loads(fresh(src, "-c", ORIENTED_START_CHILD, str(GRAPH_N))),
-        run_cli(src, argv, True)))
-    return {f"graph_data{name}": {
-        "n": GRAPH_N,
-        "runs": GRAPH_RUNS,
-        "oriented_start": {
-            "wall_s": round(min(p[0]["wall_s"] for p in probes[name]), 4),
-            "retained_bytes": max(p[0]["retained_bytes"] for p in probes[name]),
-        },
-        "involution_solve": {
-            "argv": argv,
-            "wall_s": round(min(p[1]["wall_s"] for p in probes[name]), 4),
-            "peak_rss_growth_bytes": max(p[1]["grown_kb"] for p in probes[name]) * 1024,
-        },
-    } for name in sources}
-
-
-DISTANCE_START_CHILD = PEAK_KB + """
-from coloring_games.games import Position
-from coloring_games.graphs import build_family
-from coloring_games.rulesets import DistanceColoring, ProperColoring
-n, d = map(int, sys.argv[1:])
-g = build_family("path", n)
-ruleset = DistanceColoring(d) if d else ProperColoring()
-before = peak_kb()
-t0 = time.perf_counter()
-Position.start(g, 2, ruleset)
-wall = time.perf_counter() - t0
-print(json.dumps({"wall_s": wall, "grown_kb": peak_kb() - before}))
-"""
-
-
-def budgeted_exit(src: str, argv: list[str]) -> int:
-    """The exit code of `python -m coloring_games.cli argv` in a fresh
-    interpreter with src first on its path, under BUDGET_BYTES."""
-    env = {**os.environ, "PYTHONPATH": src, TT_BYTES_ENV: str(BUDGET_BYTES)}
-    return subprocess.run([sys.executable, "-m", "coloring_games.cli", *argv],
-                          capture_output=True, env=env).returncode
-
-
-def measure_distance_start(sources: dict[str, str]) -> dict[str, dict]:
-    """A row per source tree, named distance_start plus the tree's suffix."""
-    starts = {"proper": 0, "distance_d2": 2, "distance_d8": 8}
-    argv = ["solve", "--ruleset", "distance", "--d", "2", "--k", "2",
-            "--graph", f"path:{GRAPH_N}"]
-    probes = interleave(sources, DISTANCE_RUNS, lambda src: (
-        {name: json.loads(fresh(src, "-c", DISTANCE_START_CHILD, str(GRAPH_N), str(d)))
-         for name, d in starts.items()},
-        run_cli(src, argv, True),
-        budgeted_exit(src, argv)))
-    return {f"distance_start{name}": {
-        "n": GRAPH_N,
-        "runs": DISTANCE_RUNS,
-        "start": {case: {
-            "wall_s": round(min(p[0][case]["wall_s"] for p in probes[name]), 4),
-            "peak_rss_growth_bytes": max(p[0][case]["grown_kb"] for p in probes[name]) * 1024,
-        } for case in starts},
-        "closed_form_solve": {
-            "argv": argv,
-            "wall_s": round(min(p[1]["wall_s"] for p in probes[name]), 4),
-            "peak_rss_growth_bytes": max(p[1]["grown_kb"] for p in probes[name]) * 1024,
-            "budget_bytes": BUDGET_BYTES,
-            "budget_exit_codes": sorted({p[2] for p in probes[name]}),
-        },
-    } for name in sources}
-
-
-def measure_commands(sources: dict[str, str], row: str, commands: dict[str, list[str]],
-                     runs: int) -> dict[str, dict]:
-    """A row per source tree, named row plus the tree's suffix."""
-    probes = interleave(sources, runs, lambda src: {
-        case: run_cli(src, argv, True) for case, argv in commands.items()})
-    return {f"{row}{name}": {
-        "runs": runs,
-        **{case: {
-            "argv": argv,
-            "wall_s": round(min(p[case]["wall_s"] for p in probes[name]), 4),
-            "peak_rss_growth_bytes": max(p[case]["grown_kb"] for p in probes[name]) * 1024,
-            "numpy_loaded": probes[name][-1][case]["numpy_loaded"],
-        } for case, argv in commands.items()},
-    } for name in sources}
-
-
-KERNEL_CHILD = """
-import json, os, sys, time
-from coloring_games import oriented_paths as op
-K, op.SHORT_FILL_MAX = map(int, sys.argv[1:])
-sys.stdout, out = open(os.devnull, "w"), sys.stdout
-t0 = time.perf_counter()
-from coloring_games.cli import main
-code = main(["grundy-seq", "--kmax", str(K)])
-wall = time.perf_counter() - t0
-print(json.dumps({"code": code, "wall_s": wall, "numpy_loaded": "numpy" in sys.modules}),
-      file=out)
-"""
-
-
-def quartiles(times: list[float]) -> dict:
-    """Median and first and third quartiles of times, in seconds."""
-    q1, median, q3 = statistics.quantiles(times, n=4)
-    return {"median_s": round(median, 4), "q1_s": round(q1, 4), "q3_s": round(q3, 4)}
-
-
-def measure_short_fill_bound() -> dict:
+def short_fill_bound() -> dict:
     """Fresh grundy-seq times per K under each kernel, on this tree."""
-    src = os.path.join(ROOT, "src")
     rows = []
     for K in BOUND_KS:
         limits = {"stdlib": K, "numpy": 0}  # the SHORT_FILL_MAX that picks each kernel
-        probes = interleave(limits, BOUND_RUNS, lambda limit: json.loads(fresh(
-            src, "-c", KERNEL_CHILD, str(K), str(limit))))
+        probes = interleave(limits, BOUND_RUNS, lambda limit: run_child(
+            SRC, ["grundy-seq", "--kmax", str(K)], limit))
         for name, runs in probes.items():
-            if {(r["code"], r["numpy_loaded"]) for r in runs} != {(0, name == "numpy")}:
+            if {(r["exit_code"], r["numpy_loaded"]) for r in runs} != {(0, name == "numpy")}:
                 raise RuntimeError(f"K={K} under the {name} kernel: {runs}")
-        rows.append({"K": K, **{name: quartiles([r["wall_s"] for r in runs])
-                                for name, runs in probes.items()}})
+        rows.append({"K": K, **{name: {f"{k}_s": v for k, v in quartiles(
+            [r["wall_s"] for r in runs]).items()} for name, runs in probes.items()}})
     no_slower = [r["K"] for r in rows if r["stdlib"]["median_s"] <= r["numpy"]["median_s"]]
-    return {"short_fill_bound": {
+    return {
         "runs": BOUND_RUNS,
         "sizes": rows,
         "largest_k_stdlib_median_no_slower": max(no_slower, default=None),
-    }}
+    }
+
+
+def report(name: str, r: dict) -> None:
+    """One line per tree of a row: wall and peak growth medians and quartiles,
+    and the verdicts."""
+    for tree in ("tree", "baseline"):
+        if tree in r:
+            w, p = r[tree]["wall_s"], r[tree]["peak_growth_bytes"]
+            print(f"{name + ' ' + tree:<44} {w['median']:>9.4f} s [{w['q1']:.4f}, "
+                  f"{w['q3']:.4f}] {p['median'] / 2**20:>7.1f} MB exit {r[tree]['exit_code']}")
+    if "verdict" in r:
+        print(f"{'':<44} " + ", ".join(f"{m}: {v['verdict']} ({v['won']}-{v['lost']})"
+                                       for m, v in r["verdict"].items()))
 
 
 def main() -> int:
@@ -445,65 +266,46 @@ def main() -> int:
     ap.add_argument("--baseline",
                     help="src directory of another checkout to measure alongside")
     args = ap.parse_args()
+    baseline = os.path.abspath(args.baseline) if args.baseline else None
+    sources = {"tree": SRC, **({"baseline": baseline} if baseline else {})}
+    for src in sources.values():
+        compileall.compile_dir(src, quiet=1)
 
-    rows = {}
-    for name, argv in SearchCold.INSTANCES:
-        rows[name] = row = measure(argv)
-        print(f"{name:<24} {row['wall_s']:>8.3f} s {row['tt_entries']:>7} entries "
-              f"{row['charged_bytes']:>9} charged {row['tracemalloc_bytes']:>9} traced")
-    seq_row = measure_sequential()
-    print(f"{'sequential path:' + str(SequentialPaths.N):<24} {seq_row['wall_s']:>8.3f} s "
-          f"{seq_row['peak_rss_growth_bytes']:>9} B peak RSS growth "
-          f"({seq_row['bytes_per_vertex']} B/vertex)")
-    sources = {"": os.path.join(ROOT, "src")}  # row name suffix -> source tree
-    if args.baseline:
-        sources["_baseline"] = args.baseline
-    import_rows = measure_import(sources)
-    for name, row in import_rows.items():
-        print(f"{name:<24} {row['median_s']:>8.3f} s median {row['min_s']:.3f} s min, "
-              f"{len(row['modules'])} package modules, dataclasses loaded: "
-              f"{row['dataclasses_loaded']}, inspect loaded: {row['inspect_loaded']}")
-    table_rows = measure_tables(sources)
-    for name, row in table_rows.items():
-        for cmd in ("info", "export-csv"):
-            r = row[cmd]
-            print(f"{name + ' ' + cmd:<27} {r['wall_s']:>8.3f} s best "
-                  f"{r['peak_rss_growth_bytes']:>9} B peak RSS growth, "
-                  f"numpy loaded: {r['numpy_loaded']}")
-    graph_rows = measure_graph_data(sources)
-    for name, row in graph_rows.items():
-        start, solve = row["oriented_start"], row["involution_solve"]
-        print(f"{name + ' oriented start':<34} {start['wall_s']:>8.3f} s best "
-              f"{start['retained_bytes']:>9} B retained")
-        print(f"{name + ' involution':<34} {solve['wall_s']:>8.3f} s best "
-              f"{solve['peak_rss_growth_bytes']:>9} B peak RSS growth")
-    distance_rows = measure_distance_start(sources)
-    for name, row in distance_rows.items():
-        for case, r in row["start"].items():
-            print(f"{name + ' start ' + case:<44} {r['wall_s']:>8.3f} s best "
-                  f"{r['peak_rss_growth_bytes']:>9} B peak RSS growth")
-        solve = row["closed_form_solve"]
-        print(f"{name + ' closed-form solve':<44} {solve['wall_s']:>8.3f} s best "
-              f"{solve['peak_rss_growth_bytes']:>9} B peak RSS growth, exit "
-              f"{solve['budget_exit_codes']} under {BUDGET_BYTES} B")
-    command_rows = {}
+    rows: dict[str, dict] = {}
+
+    def add(name: str, argv: list[str] | None, runs: int) -> dict:
+        rows[name] = r = row(argv, runs, baseline)
+        report(name, r)
+        return r
+
     with tempfile.TemporaryDirectory() as tmp:
-        table = os.path.join(tmp, "classes.bin")
-        op.save_table(op.compute_tables(START_UP_TABLE_K), table)
-        start_up = {case: argv + [table] if case == "tables_info" else argv
-                    for case, argv in START_UP.items()}
-        for row_name, commands, runs in (("short_tables", SHORT_TABLES, SHORT_RUNS),
-                                         ("fills", FILLS, FILL_RUNS),
-                                         ("start_up", start_up, START_UP_RUNS)):
-            for name, row in measure_commands(sources, row_name, commands, runs).items():
-                command_rows[name] = row
-                for case in commands:
-                    r = row[case]
-                    print(f"{name + ' ' + case:<44} {r['wall_s']:>8.3f} s best "
-                          f"{r['peak_rss_growth_bytes']:>9} B peak RSS growth, "
-                          f"numpy loaded: {r['numpy_loaded']}")
-    bound_row = measure_short_fill_bound()
-    for r in bound_row["short_fill_bound"]["sizes"]:
+        table, short_table = os.path.join(tmp, "classes.bin"), os.path.join(tmp, "short.bin")
+        op.save_table(op.compute_tables(PathTables.KMAX), table)
+        op.save_table(op.compute_tables(START_UP_TABLE_K), short_table)
+        sequential = SequentialPaths(seed=DEFAULT_SEED, work=Path(tmp))
+        sequential.make()
+        for name, argv in SearchCold.INSTANCES + SEARCH_EXTRA:
+            add(f"search {name}", ["solve", *argv, "--method", "search", "--format", "json"],
+                RUNS)
+        for name, argv in START_UP.items():
+            add(f"start_up {name}", argv + [short_table] if name == "tables_info" else argv,
+                QUICK_RUNS)
+        add("grundy_seq_10000", ["grundy-seq", "--kmax", "10000"], QUICK_RUNS)
+        add("grundy_seq_100000", ["grundy-seq", "--kmax", "100000"], 1)
+        r = add("sequential", sequential.requests[0], RUNS)
+        for tree in sources:
+            r[tree]["bytes_per_vertex"] = round(
+                r[tree]["peak_growth_bytes"]["median"] / SequentialPaths.N, 1)
+        for name, argv in LARGE.items():
+            add(f"large {name}", argv, QUICK_RUNS)
+        for cmd in TABLES:
+            add(f"tables {cmd}", ["tables", cmd, "--table", table], QUICK_RUNS)
+    rows["tier1"] = tier1(sources)
+    for tree in sources:
+        print(f"{'tier1 ' + tree:<44} {rows['tier1'][tree]['wall_s']:>9.1f} s "
+              f"{rows['tier1'][tree]['summary']}")
+    rows["short_fill_bound"] = bound = short_fill_bound()
+    for r in bound["sizes"]:
         print(f"{'short_fill_bound K=' + str(r['K']):<44} "
               + "  ".join(f"{name} {r[name]['median_s']:.3f} s "
                           f"[{r[name]['q1_s']:.3f}, {r[name]['q3_s']:.3f}]"
@@ -512,14 +314,7 @@ def main() -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
-        "search_cold": rows,
-        "sequential": seq_row,
-        **import_rows,
-        **table_rows,
-        **graph_rows,
-        **distance_rows,
-        **command_rows,
-        **bound_row,
+        **rows,
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)

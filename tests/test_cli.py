@@ -677,7 +677,8 @@ def run_main(*argv: str) -> str:
 
 
 # a prelude that sets a fresh interpreter's kernel bound to LOW_BOUND, as
-# scripts/bench.py's KERNEL_CHILD does, so that numpy's kernel runs at a short K
+# scripts/bench.py's short_fill_bound row does, so that numpy's kernel runs at
+# a short K
 LOW_BOUND = 40
 SET_LOW_BOUND = ("from coloring_games import oriented_paths as op\n"
                  f"op.SHORT_FILL_MAX = {LOW_BOUND}\n")
