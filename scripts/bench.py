@@ -26,11 +26,10 @@ The rows are:
 - the sequential-paths million-vertex request, with its growth per vertex;
 - LARGE, requests on 200,000-vertex paths;
 - TABLES at the path-tables K;
-- the Tier-1 wall time, once per tree;
-- short_fill_bound, on this tree only. It times grundy-seq for each K of
-  BOUND_KS under the stdlib kernel and under numpy's, with SHORT_FILL_MAX set
-  before the clock starts. It gives the largest K at which the stdlib
-  median was no slower, the figure SHORT_FILL_MAX is chosen from.
+- the Tier-1 wall time, once per tree.
+
+The sweep that SHORT_FILL_MAX is chosen from runs the same child, from
+scripts/short_fill_bound.py.
 
 Both trees' bytecode caches are compiled first, so that every run of either
 tree imports from cache, even under PYTHONDONTWRITEBYTECODE.
@@ -99,10 +98,6 @@ LARGE = {
                           "--graph", f"dpath:{LARGE_N}", "--method", "closed-form"],
 }
 TABLES = ("info", "export-csv")  # `tables` commands on a PathTables.KMAX file
-# short_fill_bound's sizes, in steps of 512 where the two kernels meet
-BOUND_KS = (1024, 2048, 4096, 6144, 7168, 8192, 8704, 9216, 9728, 10240, 10752, 11264,
-            12288, 16384)
-BOUND_RUNS = 11  # fresh interpreters per K and kernel
 SEARCH_FIELDS = ("grundy", "tt_entries", "charged_bytes")
 
 CHILD = f"PROBE = {IMPORT_PROBE!r}\n" + """
@@ -113,7 +108,7 @@ def peak_kb():
         return int(re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1))
 
 argv, bound = json.loads(sys.argv[1]), json.loads(sys.argv[2])
-if bound is not None:  # short_fill_bound picks the kernel before the clock starts
+if bound is not None:  # the bound sweep picks the kernel before the clock starts
     from coloring_games import oriented_paths as op
     op.SHORT_FILL_MAX = bound
 search = argv is not None and argv[0] == "solve" and "search" in argv
@@ -227,24 +222,12 @@ def tier1(sources: dict[str, str]) -> dict:
     return {"runs": 1, **{name: once(src) for name, src in sources.items()}}
 
 
-def short_fill_bound() -> dict:
-    """Fresh grundy-seq times per K under each kernel, on this tree."""
-    rows = []
-    for K in BOUND_KS:
-        limits = {"stdlib": K, "numpy": 0}  # the SHORT_FILL_MAX that picks each kernel
-        probes = interleave(limits, BOUND_RUNS, lambda limit: run_child(
-            SRC, ["grundy-seq", "--kmax", str(K)], limit))
-        for name, runs in probes.items():
-            if {(r["exit_code"], r["numpy_loaded"]) for r in runs} != {(0, name == "numpy")}:
-                raise RuntimeError(f"K={K} under the {name} kernel: {runs}")
-        rows.append({"K": K, **{name: {f"{k}_s": v for k, v in quartiles(
-            [r["wall_s"] for r in runs]).items()} for name, runs in probes.items()}})
-    no_slower = [r["K"] for r in rows if r["stdlib"]["median_s"] <= r["numpy"]["median_s"]]
-    return {
-        "runs": BOUND_RUNS,
-        "sizes": rows,
-        "largest_k_stdlib_median_no_slower": max(no_slower, default=None),
-    }
+def write_doc(path: str, rows: dict) -> None:
+    """rows as a JSON file at path, after the interpreter and host they ran on."""
+    host = {"python": platform.python_version(), "machine": platform.machine(),
+            "cpus": os.cpu_count()}
+    with open(path, "w") as fh:
+        fh.write(json.dumps({**host, **rows}, indent=2) + "\n")
 
 
 def report(name: str, r: dict) -> None:
@@ -304,21 +287,7 @@ def main() -> int:
     for tree in sources:
         print(f"{'tier1 ' + tree:<44} {rows['tier1'][tree]['wall_s']:>9.1f} s "
               f"{rows['tier1'][tree]['summary']}")
-    rows["short_fill_bound"] = bound = short_fill_bound()
-    for r in bound["sizes"]:
-        print(f"{'short_fill_bound K=' + str(r['K']):<44} "
-              + "  ".join(f"{name} {r[name]['median_s']:.3f} s "
-                          f"[{r[name]['q1_s']:.3f}, {r[name]['q3_s']:.3f}]"
-                          for name in ("stdlib", "numpy")))
-    doc = {
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        **rows,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_doc(args.out, rows)
     return 0
 
 

@@ -6,9 +6,9 @@ load neither the graph model nor the rulesets.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
+import time
 from typing import TextIO
 
 from . import cli, oriented_paths as op
@@ -32,14 +32,29 @@ def _summary(view: op.GrundyTable) -> dict:
     }
 
 
+def _grow(args) -> op.GrundyTable:
+    """The table grown to --kmax in chunks of --checkpoint-every lengths,
+    resumed from the --checkpoint file when it exists and saved there after
+    each chunk, so an interrupted or budget-stopped run leaves a loadable
+    file. Each save prints the chunk's K and its own rows per second on
+    stderr."""
+    path = args.checkpoint
+    table = op.load_table(path) if os.path.exists(path) else None
+    t = time.perf_counter()
+    while table is None or table.K < args.kmax:
+        done = table.K if table else 0
+        K = min(done + args.checkpoint_every, args.kmax)
+        table = op.extend_table(table, K) if table else op.compute_tables(K)
+        op.save_table(table, path)
+        now = time.perf_counter()
+        print(f"K={K} ({(K - done) / (now - t):.0f} rows/s)", file=sys.stderr)
+        t = now
+    return table
+
+
 def cmd_grundy_seq(args, out: TextIO) -> int:
     try:
-        if args.checkpoint:
-            for table in op.grow_table(args.kmax, args.checkpoint,
-                                       args.checkpoint_every):
-                pass  # each chunk is saved before the next one starts
-        else:
-            table = op.compute_tables(args.kmax)
+        table = _grow(args) if args.checkpoint else op.compute_tables(args.kmax)
     except MemoryBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         if args.checkpoint and os.path.exists(args.checkpoint):
@@ -51,10 +66,9 @@ def cmd_grundy_seq(args, out: TextIO) -> int:
         summary = _summary(view)
         if args.format == "json":
             for k in range(1, args.kmax + 1):
-                dest.write(json.dumps(
-                    {"k": k, "gA": table.gA[k], "gC": table.gC[k], "gD": table.gD[k]},
-                    sort_keys=True) + "\n")
-            dest.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
+                emit({"k": k, "gA": table.gA[k], "gC": table.gC[k], "gD": table.gD[k]},
+                     "json", dest)
+            emit({"summary": summary}, "json", dest)
         else:
             op.export_csv(view, dest)
             dest.write("# summary "

@@ -19,8 +19,9 @@ colors are the painted boundary of an uncolored component, or else the
 part's own colors; the part fixes how many there are, so keys never collide.
 Under a color-symmetric ruleset the colors a key does not see are
 interchangeable, so the search paints only the colors it sees and the lowest
-one it does not. One move loop, shared with legal_moves, gives the legal
-moves: it binds the ruleset's rule to the coloring once per call
+one it does not, and best_move does the same with the board's colors. One
+move loop, shared with legal_moves and best_move, gives the legal moves: it
+binds the ruleset's rule to the coloring once per call
 (rulesets.move_rule) and, under the sequential ruleset, offers only the first
 uncolored vertex of the ruleset's visit order. The loop is lazy, and a live
 level keeps its part as the mask and one byte per vertex of the part's span,
@@ -400,8 +401,22 @@ def outcome(position: Position) -> str:
 
 
 def best_move(position: Position) -> Move | None:
-    """A move to a Grundy-0 position, or None when the position is a loss."""
-    for mv in legal_moves(position):
+    """The first move in (vertex, color) order to a Grundy-0 position, or None
+    when the position is a loss. The moves come one at a time, not as a list.
+    Under a color-symmetric ruleset only the colors on the board and the
+    lowest unused one are offered: an unused color answers as the lowest
+    unused one does, which comes first."""
+    colors = [0 if c is None else c for c in position.coloring]
+    palette = range(1, position.k + 1)
+    if position.ruleset.color_symmetric:
+        used = set(colors)
+        free = 1
+        while free in used:
+            free += 1
+        palette = sorted(c for c in {*used, free} if c in palette)
+    for v, c in _moves(position.ruleset, position.graph, palette, colors,
+                       range(position.graph.n)):
+        mv = Move(v, c)
         if grundy(_play(position, mv)) == 0:
             return mv
     return None

@@ -35,7 +35,7 @@ import struct
 import sys
 from array import array
 from collections import Counter
-from typing import TYPE_CHECKING, BinaryIO, Iterator, NamedTuple, TextIO
+from typing import TYPE_CHECKING, BinaryIO, NamedTuple, TextIO
 
 from .base import Frozen, check_bytes
 
@@ -378,25 +378,6 @@ def _compute(base: GrundyTable | None, K: int) -> GrundyTable:
     gA, gC, gD = (arr + tail for arr in head)
     (_short_fill if K <= SHORT_FILL_MAX else _fill)(gA, gC, gD, start, K)
     return GrundyTable(K=K, gA=gA, gC=gC, gD=gD)
-
-
-def grow_table(kmax: int, path: str, every: int) -> Iterator[GrundyTable]:
-    """Grow the tables to kmax in chunks of every lengths, resuming from the
-    table file at path when it exists and saving it after each chunk, so an
-    interrupted or budget-stopped run leaves a loadable file. Yields the
-    loaded table or first chunk, then the table after each save."""
-    if every < 1:
-        raise ValueError("chunk size must be >= 1")
-    if os.path.exists(path):
-        table = load_table(path)
-    else:
-        table = compute_tables(min(every, kmax))
-        save_table(table, path)
-    yield table
-    while table.K < kmax:
-        table = extend_table(table, min(table.K + every, kmax))
-        save_table(table, path)
-        yield table
 
 
 # ---- enumeration and classification reports ---------------------------------------

@@ -1,19 +1,30 @@
-"""scripts/bench.py: the pair verdict on fixed samples, and one real row.
+"""scripts/bench.py: the pair verdict on fixed samples, and one real row;
+scripts/short_fill_bound.py: one K of its sweep.
 
-Loading the script imports what it takes from the benchmark and the library
-(IMPORT_PROBE, SearchCold.INSTANCES, the table helpers), so a rename there
-fails here rather than in a hand run of the script.
+Loading the scripts imports what they take from the benchmark, the library
+and bench.py (IMPORT_PROBE, SearchCold.INSTANCES, the table helpers, the
+child), so a rename there fails here rather than in a hand run of a script.
 """
 
 import importlib.util
 import os
+import sys
 
 import pytest
 
-SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "bench.py")
-spec = importlib.util.spec_from_file_location("bench", SCRIPT)
-bench = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench)
+SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench = load("bench")
+sys.modules.setdefault("bench", bench)  # short_fill_bound imports it by name
+short_fill_bound = load("short_fill_bound")
 
 BASE = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # quartile spread 0.5
 
@@ -63,3 +74,16 @@ def test_a_row_against_its_own_tree():
     for metric in ("wall_s", "peak_growth_bytes"):
         v = row["verdict"][metric]
         assert v["won"] + v["lost"] <= 2 and v["verdict"] == "unresolved"
+
+
+def test_one_size_of_the_short_fill_bound_sweep(monkeypatch):
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs Linux /proc/self/status")
+    monkeypatch.setattr(short_fill_bound, "BOUND_KS", (40,))
+    monkeypatch.setattr(short_fill_bound, "BOUND_RUNS", 1)
+    doc = short_fill_bound.short_fill_bound()
+    assert doc["runs"] == 1 and doc["largest_k_stdlib_median_no_slower"] in (40, None)
+    (size,) = doc["sizes"]
+    assert size["K"] == 40
+    for kernel in ("stdlib", "numpy"):
+        assert set(size[kernel]) == {"median_s", "q1_s", "q3_s"}

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from coloring_games import sequential as seq
+from coloring_games import oriented_paths as op, sequential as seq
 from coloring_games.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -211,12 +211,29 @@ def test_grundy_seq_budget_abort_leaves_checkpoint(capsys, tmp_path, monkeypatch
     assert code == EXIT_OK and "kmax: 6000" in out
 
 
-def test_grundy_seq_resume_matches_fresh(capsys, tmp_path):
+def test_grundy_seq_resume_matches_fresh(capsys, tmp_path, monkeypatch):
     ckpt = tmp_path / "c.bin"
     run(capsys, "tables", "compute", "--kmax", "120", "--out", str(ckpt))
     _, resumed = run(capsys, "grundy-seq", "--kmax", "400", "--checkpoint", str(ckpt))
     _, fresh = run(capsys, "grundy-seq", "--kmax", "400")
     assert resumed == fresh
+
+    # chunks of 100 across a kernel bound of 200: the stdlib kernel fills
+    # the first run's chunks and numpy's the resumed run's. Each saved chunk
+    # prints its K and rate, and each save leaves no other file
+    monkeypatch.setattr(op, "SHORT_FILL_MAX", 200)
+    ckpt.unlink()
+    lines = []
+    for kmax in ("150", "400"):
+        assert main(["grundy-seq", "--kmax", kmax, "--checkpoint", str(ckpt),
+                     "--checkpoint-every", "100"]) == EXIT_OK
+        resumed, err = capsys.readouterr()
+        lines += err.splitlines()
+    assert resumed == fresh
+    assert os.listdir(tmp_path) == ["c.bin"]
+    assert [line.split(" (")[0] for line in lines] == [
+        "K=100", "K=150", "K=250", "K=350", "K=400"]
+    assert all(line.endswith(" rows/s)") for line in lines), lines
 
 
 def test_grundy_seq_modes_print_the_same(capsys):
@@ -677,7 +694,7 @@ def run_main(*argv: str) -> str:
 
 
 # a prelude that sets a fresh interpreter's kernel bound to LOW_BOUND, as
-# scripts/bench.py's short_fill_bound row does, so that numpy's kernel runs at
+# scripts/short_fill_bound.py does for numpy's kernel, so that it runs at
 # a short K
 LOW_BOUND = 40
 SET_LOW_BOUND = ("from coloring_games import oriented_paths as op\n"

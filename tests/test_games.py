@@ -298,7 +298,7 @@ def test_best_move_wins_and_losses_return_none():
     assert grundy(p_pos) == 0 and best_move(p_pos) is None
 
 
-def test_best_move_derives_moves_once_and_keeps_order(monkeypatch):
+def test_best_move_keeps_order_without_the_move_list(monkeypatch):
     # path 7, k=2: 14 legal moves, the first winning one is the 7th
     pos = Position.start(build_family("path", 7), 2, ProperColoring())
     expect = next(mv for mv in legal_moves(pos) if grundy(apply_move(pos, mv)) == 0)
@@ -307,7 +307,39 @@ def test_best_move_derives_moves_once_and_keeps_order(monkeypatch):
     real = games.legal_moves
     monkeypatch.setattr(games, "legal_moves", lambda p: calls.append(p) or real(p))
     assert best_move(pos) == expect
-    assert calls == [pos]
+    assert calls == []
+
+
+@given(st.data(), st.sampled_from(TOKENS))
+@settings(max_examples=60)
+def test_best_move_is_the_first_winning_legal_move(data, token):
+    # k up to 4 leaves colors no painted vertex uses, which best_move offers
+    # only once per vertex under a color-symmetric ruleset
+    g, k, coloring, order = data.draw(colored_graphs(token, max_n=5, k_max=4))
+    pos = Position.start(g, k, ruleset_for(token, order), coloring=coloring)
+    first = next((mv for mv in legal_moves(pos) if grundy(apply_move(pos, mv)) == 0), None)
+    assert best_move(pos) == first, (g.edges, k, coloring, order)
+
+
+@pytest.mark.parametrize("coloring", [
+    None,
+    (1, None, 2, None, None),  # wins with the unused 3
+    (3, 1, None, None, None),  # wins with the unused 2
+])
+def test_best_move_offers_one_unused_color(coloring):
+    # on a path 3 colors already let every vertex be painted, so a palette
+    # of 100,000 plays the same game; best_move tries the board's colors and
+    # the lowest unused one, so it costs no more there and gives the k=3 move
+    graph = build_family("path", 5)
+    small = best_move(Position.start(graph, 3, ProperColoring(), coloring))
+    big = Position.start(graph, 100_000, ProperColoring(), coloring)
+    tracemalloc.start()
+    try:
+        assert best_move(big) == small
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert small is not None and peak < 1_000_000
 
 
 # ---- memory budget ---------------------------------------------------------------
