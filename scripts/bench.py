@@ -21,7 +21,8 @@ quartile spread and by more than 2% of its median. Otherwise it is
 
 The rows are:
 - the search set: the search-cold instances plus SEARCH_EXTRA;
-- start-up: IMPORT_PROBE, and START_UP, one short command per family;
+- start-up: IMPORT_PROBE, and START_UP, one short command per family plus
+  the solve that fills a class table;
 - grundy-seq at K=10^4, and at K=10^5 once;
 - the sequential-paths million-vertex request, with its growth per vertex;
 - LARGE, requests on 200,000-vertex paths;
@@ -79,6 +80,7 @@ START_UP = {
     "p_positions_20": ["p-positions", "--kmax", "20"],
     "tables_info": ["tables", "info", "--table"],  # the table file's path is appended
     "solve_path_6": ["solve", "--ruleset", "proper", "--k", "2", "--graph", "path:6"],
+    "solve_dpath_100": ["solve", "--ruleset", "oriented-br", "--graph", "dpath:100"],
     "sequential_path_1000": ["sequential", "--graph", "path:1000", "--order", "random",
                              "--seed", "1"],
     "reduce_path_3": ["reduce", "--from", "kayles", "--to", "proper", "--k", "2",

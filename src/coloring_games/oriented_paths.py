@@ -22,14 +22,14 @@ The tables are stdlib uint16 arrays (array('H')), compared, saved, loaded
 and reported on without numpy. Only a fill above SHORT_FILL_MAX loads numpy,
 so a short table, or loading, inspecting or exporting a table file, needs
 no numpy. Nor does it need the engine: at module level this file imports
-only base (Frozen and the byte budget), and build_class_position and the
-move helpers import graphs, rulesets and games when they are called.
+only base (Frozen and the byte budget): build_class_position and the move
+helpers import graphs, rulesets and games when they are called, and
+save_table and load_table import hashlib for the file's checksum.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import os
 import struct
 import sys
@@ -84,10 +84,6 @@ def rare_set() -> frozenset[int]:
 
 
 _RARE = rare_set()
-
-
-def is_rare(value: int) -> bool:
-    return value in _RARE
 
 
 # ---- table ------------------------------------------------------------------
@@ -472,6 +468,8 @@ def save_table(table: GrundyTable, dest: str | BinaryIO) -> None:
 
     A path is written through a temporary file in the same directory and
     renamed over dest, so a run killed mid-save keeps the previous file."""
+    import hashlib
+
     header = _HEADER.pack(_MAGIC, _VERSION, table.K)
     body = b"".join(_little_endian(arr).tobytes() for arr in (table.gA, table.gC, table.gD))
     data = header + body + hashlib.blake2b(header + body, digest_size=8).digest()
@@ -492,6 +490,8 @@ def save_table(table: GrundyTable, dest: str | BinaryIO) -> None:
 def load_table(src: str | BinaryIO) -> GrundyTable:
     """Read a table file. Its header is checked, and the table's size held to
     the byte budget, before the body is read."""
+    import hashlib
+
     with (open(src, "rb") if isinstance(src, str) else contextlib.nullcontext(src)) as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:

@@ -42,6 +42,8 @@ def path_walk(g: Graph) -> array:
     if g.directed:
         raise ValueError("sequential path analysis works on undirected paths")
     n = g.n
+    if n == 0:
+        raise ValueError("graph has no vertices")
     if n == 1:
         return array("q", [0])
     off, nbr = g.offsets, g.targets

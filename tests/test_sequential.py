@@ -136,15 +136,16 @@ def test_rejects_non_paths():
         sq.decide_outcome(two_bits, (0, 1, 2, 3))
 
 
-@pytest.mark.parametrize("g", [
-    make_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6)]),  # plus a cycle
-    make_graph(4, [(0, 1), (1, 2)]),  # plus an isolated vertex
-    make_graph(0, []),
+@pytest.mark.parametrize("g, reason", [
+    (make_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6)]),  # plus a cycle
+     "graph is not a path"),
+    (make_graph(4, [(0, 1), (1, 2)]), "graph is not a path"),  # plus an isolated vertex
+    (make_graph(0, []), "^graph has no vertices$"),
 ], ids=["path+cycle", "path+isolated", "empty"])
-def test_rejects_paths_with_extra_components(g):
-    with pytest.raises(ValueError):
+def test_rejects_paths_with_extra_components(g, reason):
+    with pytest.raises(ValueError, match=reason):
         sq.path_walk(g)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=reason):
         sq.decide_outcome(g, tuple(range(g.n)))
 
 
