@@ -22,7 +22,7 @@ quartile spread and by more than 2% of its median. Otherwise it is
 The rows are:
 - the search set: the search-cold instances plus SEARCH_EXTRA;
 - start-up: IMPORT_PROBE, and START_UP, one short command per family plus
-  the solve that fills a class table;
+  the solves that fill a class table, one with each kernel;
 - grundy-seq at K=10^4, and at K=10^5 once;
 - the sequential-paths million-vertex request, with its growth per vertex;
 - LARGE, requests on 200,000-vertex paths;
@@ -36,7 +36,7 @@ Both trees' bytecode caches are compiled first, so that every run of either
 tree imports from cache, even under PYTHONDONTWRITEBYTECODE.
 
 Example:
-    python scripts/bench.py --out BENCH_27.json --baseline ../parent/src
+    python scripts/bench.py --out BENCH_30.json --baseline ../parent/src
 """
 
 import argparse
@@ -81,6 +81,9 @@ START_UP = {
     "tables_info": ["tables", "info", "--table"],  # the table file's path is appended
     "solve_path_6": ["solve", "--ruleset", "proper", "--k", "2", "--graph", "path:6"],
     "solve_dpath_100": ["solve", "--ruleset", "oriented-br", "--graph", "dpath:100"],
+    # the shortest uncolored path whose class table numpy's kernel fills
+    "solve_dpath_past_bound": ["solve", "--ruleset", "oriented-br",
+                               "--graph", f"dpath:{op.SHORT_FILL_MAX + 1}"],
     "sequential_path_1000": ["sequential", "--graph", "path:1000", "--order", "random",
                              "--seed", "1"],
     "reduce_path_3": ["reduce", "--from", "kayles", "--to", "proper", "--k", "2",

@@ -9,7 +9,7 @@ Subcommands:
   reduce       embed a Node-Kayles instance into a richer ruleset
   verify       oracle-equivalence suites (recursion, sequential, reductions,
                closed-forms)
-  tables       compute/extend/inspect/export binary table files
+  tables       inspect or export a grundy-seq --checkpoint table file
 
 Exit codes: 0 computed, 2 parse or usage error, 3 memory budget exceeded or
 search recursion too deep for the interpreter's stack (for example
@@ -194,17 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="binary table files")
     tsub = p.add_subparsers(dest="table_cmd", required=True)
-    t = tsub.add_parser("compute")
-    t.add_argument("--kmax", type=int, required=True)
-    t.add_argument("--out", required=True)
-    _add_format(t)
-    t.set_defaults(handler=("cli_tables", "cmd_tables"))
-    t = tsub.add_parser("extend")
-    t.add_argument("--table", required=True)
-    t.add_argument("--kmax", type=int, required=True)
-    t.add_argument("--out", help="write here instead of overwriting --table")
-    _add_format(t)
-    t.set_defaults(handler=("cli_tables", "cmd_tables"))
     t = tsub.add_parser("info")
     t.add_argument("--table", required=True)
     _add_format(t)

@@ -1,7 +1,9 @@
 """The table commands: grundy-seq, p-positions and tables.
 
-They run the directed-path class tables of oriented_paths alone, so they
-load neither the graph model nor the rulesets.
+grundy-seq --checkpoint is the one command that writes or grows a table
+file; tables info and tables export-csv read one. They run the
+directed-path class tables of oriented_paths alone, so they load neither
+the graph model nor the rulesets.
 """
 
 from __future__ import annotations
@@ -91,20 +93,8 @@ def cmd_p_positions(args, out: TextIO) -> int:
 
 
 def cmd_tables(args, out: TextIO) -> int:
-    if args.table_cmd == "compute":
-        table = op.compute_tables(args.kmax)
-        op.save_table(table, args.out)
-        emit({"kmax": table.K, "file": args.out}, args.format, out)
-        return cli.EXIT_OK
-    if args.table_cmd == "extend":
-        table = op.load_table(args.table)
-        table = op.extend_table(table, args.kmax)
-        dest = args.out or args.table
-        op.save_table(table, dest)
-        emit({"kmax": table.K, "file": dest}, args.format, out)
-        return cli.EXIT_OK
+    table = op.load_table(args.table)
     if args.table_cmd == "info":
-        table = op.load_table(args.table)
         record = {
             "kmax": table.K,
             "max_gA": max(table.gA),
@@ -114,8 +104,7 @@ def cmd_tables(args, out: TextIO) -> int:
         }
         emit(record, args.format, out)
         return cli.EXIT_OK
-    table = op.load_table(args.table)  # export-csv
-    if args.out:
+    if args.out:  # export-csv
         op.export_csv(table, args.out)
         emit({"kmax": table.K, "file": args.out}, args.format, out)
     else:

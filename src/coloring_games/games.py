@@ -89,7 +89,7 @@ class Position(Frozen):
         if len(coloring) != graph.n:
             raise IllegalColoringError("coloring length must equal vertex count")
         if not is_legal_coloring(ruleset, graph, k, coloring):
-            raise IllegalColoringError(f"coloring {coloring} is illegal under {ruleset.token}")
+            raise IllegalColoringError(f"coloring is illegal under {ruleset.token}")
         self.__dict__.update(graph=graph, k=k, ruleset=ruleset, coloring=coloring)
 
     @classmethod

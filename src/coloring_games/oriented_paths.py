@@ -54,10 +54,7 @@ MODE_NAIVE = "naive"
 MODE_ACCELERATED = "accelerated"
 
 # the longest table the stdlib kernel fills; a fresh grundy-seq up to this K
-# ran no slower with it than with numpy's kernel and import (BENCH_23.json).
-# It also bounds the directed paths that rulesets.closed_form_outcome answers
-# from a table, so that solve never loads numpy: moving it changes which
-# dpath:n solve answers by closed form and which it searches.
+# ran no slower with it than with numpy's kernel and import (BENCH_23.json)
 SHORT_FILL_MAX = 9728
 
 RARE_GENERATORS = (0, 1, 2, 3, 4, 5, 6, 7, 24, 40, 64, 136, 264, 520, 1032)

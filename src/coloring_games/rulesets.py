@@ -381,9 +381,7 @@ def closed_form_outcome(ruleset: Ruleset, k: int, g: Graph) -> tuple[str, int | 
             (n,) = params
             from . import oriented_paths as op
 
-            # the uncolored path is class D; longer ones are left to search
-            # rather than to an O(n^2) fill that would load numpy
-            if n <= op.SHORT_FILL_MAX:
-                value = op.compute_tables(n).value(op.CLASS_D, n)
-                return (OUTCOME_N if value else OUTCOME_P), value
+            # the uncolored path is class D
+            value = op.compute_tables(n).value(op.CLASS_D, n)
+            return (OUTCOME_N if value else OUTCOME_P), value
     return OUTCOME_UNKNOWN, None

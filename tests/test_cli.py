@@ -151,6 +151,19 @@ def test_visit_order_belongs_to_sequential(capsys, tmp_path):
     assert three["winning_move"] == {"vertex": 1, "color": 1}
 
 
+def test_illegal_coloring_exits_2_with_one_short_line(capsys, tmp_path):
+    # the message names the ruleset, not the coloring, which on a long path
+    # would make it one line of over a hundred kilobytes
+    n = 20_000
+    f = tmp_path / "p.txt"
+    f.write_text(f"graph undirected\nvertices {n}\n"
+                 + "".join(f"edge {v} {v + 1}\n" for v in range(n - 1))
+                 + "k 2\ncolor 0 1\ncolor 1 1\n")
+    assert main(["solve", "--ruleset", "proper", "--file", str(f)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: coloring is illegal under proper\n"
+
+
 @pytest.mark.parametrize("line,msg", [
     ("vertices x", "line 2: expected 'vertices <n>'"),
     ("vertices 3", "line 2: duplicate vertices line"),
@@ -213,7 +226,7 @@ def test_grundy_seq_budget_abort_leaves_checkpoint(capsys, tmp_path, monkeypatch
 
 def test_grundy_seq_resume_matches_fresh(capsys, tmp_path, monkeypatch):
     ckpt = tmp_path / "c.bin"
-    run(capsys, "tables", "compute", "--kmax", "120", "--out", str(ckpt))
+    run(capsys, "grundy-seq", "--kmax", "120", "--checkpoint", str(ckpt))
     _, resumed = run(capsys, "grundy-seq", "--kmax", "400", "--checkpoint", str(ckpt))
     _, fresh = run(capsys, "grundy-seq", "--kmax", "400")
     assert resumed == fresh
@@ -425,10 +438,10 @@ def test_verify_sampled_needs_seed(capsys):
 
 def test_tables_round_trip(capsys, tmp_path):
     t = tmp_path / "t.bin"
-    code, _ = run(capsys, "tables", "compute", "--kmax", "300", "--out", str(t))
-    assert code == EXIT_OK
-    code, _ = run(capsys, "tables", "extend", "--table", str(t), "--kmax", "500")
-    assert code == EXIT_OK
+    # grundy-seq --checkpoint writes the file, then grows it
+    for kmax in ("300", "500"):
+        code, _ = run(capsys, "grundy-seq", "--kmax", kmax, "--checkpoint", str(t))
+        assert code == EXIT_OK
     code, recs = run_json(capsys, "tables", "info", "--table", str(t))
     assert recs[0]["kmax"] == 500
     code, out = run(capsys, "tables", "export-csv", "--table", str(t))
@@ -441,7 +454,7 @@ def test_tables_round_trip(capsys, tmp_path):
 
 def test_tables_rejects_corrupt_file(capsys, tmp_path):
     t = tmp_path / "t.bin"
-    run(capsys, "tables", "compute", "--kmax", "50", "--out", str(t))
+    run(capsys, "grundy-seq", "--kmax", "50", "--checkpoint", str(t))
     raw = bytearray(t.read_bytes())
     raw[20] ^= 0xFF
     t.write_bytes(raw)
@@ -457,8 +470,8 @@ def test_argparse_usage_exits_2(capsys):
     assert exc.value.code == 2
     # --mode is left on grundy-seq only
     for argv in (["p-positions", "--mode", "naive"],
-                 ["tables", "compute", "--kmax", "5", "--out", "t.bin", "--mode", "naive"],
-                 ["tables", "extend", "--table", "t.bin", "--kmax", "9", "--mode", "naive"]):
+                 ["tables", "info", "--table", "t.bin", "--mode", "naive"],
+                 ["tables", "export-csv", "--table", "t.bin", "--mode", "naive"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -740,11 +753,17 @@ def test_commands_load_only_the_engine_they_run(tmp_path):
     assert loaded_by("cli_tables", low) == [
         "base", "cli", "cli_output", "cli_tables", "coloring_games", "inspect", "numpy",
         "oriented_paths"]
-    # the uncolored directed path is answered from the short table
-    dpath = loaded_by("cli_solve", run_main("solve", "--ruleset", "oriented-br",
-                                            "--graph", "dpath:40"))
-    assert dpath == ["base", "cli", "cli_output", "cli_solve", "coloring_games", "games",
-                     "graphs", "oriented_paths", "rulesets"]
+    # the uncolored directed path is answered from a class table at any
+    # length, and only a table above the bound loads numpy
+    for n, numpy in ((LOW_BOUND, []), (LOW_BOUND + 1, ["inspect", "numpy"])):
+        proc = fresh_python("-c", SET_LOW_BOUND + run_main(
+            "solve", "--ruleset", "oriented-br", "--graph", f"dpath:{n}") + LOADED)
+        assert proc.returncode == 0, proc.stderr
+        *out, loaded = proc.stdout.splitlines()
+        assert "method: closed-form" in out, out
+        assert json.loads(loaded) == sorted([
+            "base", "cli", "cli_output", "cli_solve", "coloring_games", "games", "graphs",
+            "oriented_paths", "rulesets", *numpy]), n
     table = save_small_table(tmp_path)
     for argv in (("tables", "info", "--table", table), ("tables", "export-csv", "--table", table)):
         assert loaded_by("cli_tables", run_main(*argv)) == [
@@ -881,7 +900,7 @@ def test_table_commands_refuse_an_oversized_table(capsys, monkeypatch, tmp_path)
     big.write_bytes(table_file(K, bytes(6 * (K + 1))))
     monkeypatch.setenv(TT_BYTES_ENV, "500000")
     for argv in (["tables", "info", "--table", str(big)],
-                 ["tables", "compute", "--kmax", str(K), "--out", str(tmp_path / "c.bin")]):
+                 ["grundy-seq", "--kmax", str(K)]):
         assert main(argv) == EXIT_BUDGET, argv
         err = capsys.readouterr().err
         assert err == (f"error: a table to K={K} needs at least {6 * (K + 1)} bytes, "

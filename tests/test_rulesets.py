@@ -347,12 +347,13 @@ def test_closed_form_spots():
     assert closed_form_outcome(DistanceColoring(d=2), 2, build_family("path", 21)) == (OUTCOME_N, None)
     assert closed_form_outcome(OrientedBlueRed(), 2, build_family("directed_cycle", 9)) == (OUTCOME_P, 0)
     assert closed_form_outcome(OrientedBlueRed(), 2, build_family("directed_cycle", 3)) == (OUTCOME_UNKNOWN, None)
-    # an uncolored directed path is class D, answered from the table up to
-    # the stdlib fill's bound and searched above it
+    # an uncolored directed path is class D, answered from the table at any
+    # length: 9729 is above the stdlib fill's bound, where numpy's kernel fills
     assert closed_form_outcome(OrientedBlueRed(), 2, build_family("directed_path", 3)) == (OUTCOME_P, 0)
     assert closed_form_outcome(OrientedBlueRed(), 2, build_family("directed_path", 40)) == (OUTCOME_N, 3)
+    assert SHORT_FILL_MAX < 9729
     assert closed_form_outcome(OrientedBlueRed(), 2, build_family(
-        "directed_path", SHORT_FILL_MAX + 1)) == (OUTCOME_UNKNOWN, None)
+        "directed_path", 9729)) == (OUTCOME_N, 262)
     untagged = make_graph(3, [(0, 1)])
     assert closed_form_outcome(ProperColoring(), 2, untagged) == (OUTCOME_UNKNOWN, None)
     # sequential: the linear path decision holds for k=2 only; on this order
