@@ -132,8 +132,10 @@ def test_tables_compare_by_value(tmp_path):
      "order must list every vertex exactly once"),
     (lambda: games.Position(graph=EDGE, k=2, ruleset=ProperColoring(), coloring=(None,)),
      games.IllegalColoringError, "coloring length must equal vertex count"),
-    (lambda: games.Position.start(EDGE, 2, ProperColoring(), coloring=(1, 1)),
-     games.IllegalColoringError, "coloring is illegal under proper"),
+    # the id names the refused input; the message itself leaves the coloring out
+    pytest.param(lambda: games.Position.start(EDGE, 2, ProperColoring(), coloring=(1, 1)),
+                 games.IllegalColoringError, "coloring is illegal under proper",
+                 id="<lambda>-IllegalColoringError-coloring (1, 1) is illegal under proper"),
     (lambda: reductions.ReducedInstance(REDUCED.position, {0: 1, 1: 1}), ValueError,
      "vertex_map must be injective"),
     (lambda: reductions.ReducedInstance(
