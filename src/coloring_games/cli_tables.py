@@ -93,6 +93,9 @@ def cmd_p_positions(args, out: TextIO) -> int:
 
 
 def cmd_tables(args, out: TextIO) -> int:
+    if args.table_cmd == "export-csv" and args.format == "json" and not args.out:
+        # the JSON record describes a written file; stdout gets plain CSV rows
+        raise ValueError("export-csv --format json needs --out")
     table = op.load_table(args.table)
     if args.table_cmd == "info":
         record = {

@@ -23,10 +23,11 @@ one it does not, and best_move does the same with the board's colors. One
 move loop, shared with legal_moves and best_move, gives the legal moves: it
 binds the ruleset's rule to the coloring once per call
 (rulesets.move_rule) and, under the sequential ruleset, offers only the first
-uncolored vertex of the ruleset's visit order. The loop is lazy, and a live
+uncolored vertex of the ruleset's visit order. The loop is lazy, and every
 level keeps its part as the mask and one byte per vertex of the part's span,
 picking the vertices from those bytes each time it walks them, so a level
-holds neither a move list nor a vertex list. Only the solver plays a
+holds neither a move list nor a vertex list; a part that does not split
+passes its bytes down, made once per root part. Only the solver plays a
 distance game as the proper game on the power graph.
 
 Each solver counts the bytes of its own table against COLORING_GAMES_TT_BYTES,
@@ -193,13 +194,11 @@ class _Solver:
         self.palette = range(1, k + 1)
         n = self.graph.n
         self.field = n.bit_length()  # bits that hold a vertex number or a count of them
-        self.ids = list(range(n))  # one int object per vertex, shared by all vertex lists
+        self.ids = list(range(n))  # one int object per vertex, shared by every walk
         self.symmetric = self.ruleset.color_symmetric
         self.live = self.ruleset.decomposition == rs.DECOMP_LIVE
-        # the parts of a ruleset that does not split on the coloring:
-        # (lo, rel) -> its vertices, ascending
-        if self.ruleset.decomposition == rs.DECOMP_NONE:
-            self.parts = {(0, (1 << n) - 1): self.ids} if n else {}
+        if self.ruleset.decomposition == rs.DECOMP_NONE:  # one part: every vertex
+            self.roots = [(0, (1 << n) - 1)] if n else []
         else:
             # per vertex: its lowest neighbour, and its neighbours as a mask
             # relative to that one, as wide as the span of their labels; made
@@ -207,19 +206,15 @@ class _Solver:
             self.nlo = [0] * n
             self.nrel: list[int | None] = [None] * n
             if not self.live:  # the weak rule's parts: the whole graph's components
-                parts = self._free_parts([0] * n)
-                self.parts = {p: list(self._verts(*p, _flags(p[1]))) for p in parts}
+                self.roots = self._free_parts([0] * n)
         self.table: dict[int, int] = {}
         self.budget = byte_budget()
         self.bytes = 0
 
-    def _verts(self, lo: int, rel: int, flags: bytes | None) -> Iterable[int]:
-        """The vertices of the part (lo, rel), ascending: the stored list of a
-        part that does not split, or else picked from flags, _flags(rel), by
-        C-level iteration, so a wide part costs no big-int step per vertex and
-        no list."""
-        if flags is None:
-            return self.parts[lo, rel]
+    def _verts(self, lo: int, flags: bytes) -> Iterable[int]:
+        """The vertices of a part, ascending, picked from its flags,
+        _flags(rel), by C-level iteration, so a wide part costs no big-int
+        step per vertex and no list."""
         return compress(islice(self.ids, lo, None), flags)
 
     def _free_parts(self, colors: list[int]) -> list[tuple[int, int]]:
@@ -318,11 +313,12 @@ class _Solver:
         w = rel.bit_length()
         return lo | w << self.field | (rel | packed << w) << 2 * self.field, relabel
 
-    def _solve(self, colors: list[int], lo: int, rel: int) -> int:
-        # a live level keeps its part's flags, one byte per vertex of the
-        # span, and walks the vertices from them: for the key and the moves
-        flags = _flags(rel) if self.live else None
-        key, relabel = self._key(colors, lo, rel, self._verts(lo, rel, flags))
+    def _solve(self, colors: list[int], lo: int, rel: int, flags: bytes) -> int:
+        """The value of the part (lo, rel) with flags _flags(rel), one byte
+        per vertex of its span, from which it walks the part's vertices for
+        the key and the moves. A part that does not split passes its flags
+        down unchanged."""
+        key, relabel = self._key(colors, lo, rel, self._verts(lo, flags))
         hit = self.table.get(key)
         if hit is not None:
             return hit
@@ -330,16 +326,16 @@ class _Solver:
         if relabel is not None and len(relabel) < self.k:
             # the colors the key does not see are interchangeable, so the
             # lowest of them answers for all; relabel also maps 0 (uncolored)
-            free = 1
-            while free in relabel:
-                free += 1
-            palette = [*filter(None, relabel), free]
+            palette = [*filter(None, relabel), mex(relabel)]
         opts = set()
-        for v, c in _moves(self.ruleset, self.graph, palette, colors, self._verts(lo, rel, flags)):
+        for v, c in _moves(self.ruleset, self.graph, palette, colors, self._verts(lo, flags)):
             colors[v] = c
-            val = 0
-            for rest in self._split(lo, rel, v) if self.live else ((lo, rel),):
-                val ^= self._solve(colors, *rest)
+            if self.live:
+                val = 0
+                for plo, prel in self._split(lo, rel, v):
+                    val ^= self._solve(colors, plo, prel, _flags(prel))
+            else:
+                val = self._solve(colors, lo, rel, flags)
             opts.add(val)
             colors[v] = 0
         result = mex(opts)
@@ -363,8 +359,8 @@ class _Solver:
 
     def value(self, colors: list[int]) -> int:
         total = 0
-        for lo, rel in self._free_parts(colors) if self.live else self.parts:
-            total ^= self._solve(colors, lo, rel)
+        for lo, rel in self._free_parts(colors) if self.live else self.roots:
+            total ^= self._solve(colors, lo, rel, _flags(rel))
         return total
 
 
@@ -409,11 +405,8 @@ def best_move(position: Position) -> Move | None:
     colors = [0 if c is None else c for c in position.coloring]
     palette = range(1, position.k + 1)
     if position.ruleset.color_symmetric:
-        used = set(colors)
-        free = 1
-        while free in used:
-            free += 1
-        palette = sorted(c for c in {*used, free} if c in palette)
+        used = {0, *colors}
+        palette = sorted(c for c in {*used, mex(used)} if c in palette)
     for v, c in _moves(position.ruleset, position.graph, palette, colors,
                        range(position.graph.n)):
         mv = Move(v, c)

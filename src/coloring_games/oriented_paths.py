@@ -8,15 +8,17 @@ satisfy Mex recursions over split pairs, with lengths counted in vertices
 and any length <= 0 standing for the empty path (value 0). B mirrors A
 (reverse the path and swap colors), so only A, C, D are stored.
 
-The fill reads every option family as a forward run of one stored array
-XOR a reversed run of another, and is O(K^2) in time. It has two kernels,
-picked by the target K alone: up to SHORT_FILL_MAX lengths, _short_fill
-keeps each class as byte planes packed into Python ints, XORs each family
-plane by plane and takes its mex with bytes.translate, all in the standard
-library; above it, _fill reads the families as numpy views, which is faster
-there, repaying numpy's import (about 0.06-0.1 s and 13 MB). Observed
-values split into "rare" ones, members of a small XOR-closed set, and
-"common" ones; classify_rare_common reports that split for a computed table.
+The fill reads every option family as a forward run of one class XOR a
+reversed run of another, and is O(K^2) in time. It has two kernels, picked
+by the target K alone, that read the same families over the same ranges: up
+to SHORT_FILL_MAX lengths, _short_fill keeps each class as byte planes
+packed into Python ints, XORs each family plane by plane and takes its mex
+with bytes.translate, all in the standard library; above it, _fill reads
+the families as views of numpy buffers padded with the empty path at length
+-1, which is faster there, repaying numpy's import (about 0.06-0.1 s and
+13 MB). Observed values split into "rare" ones, members of a small
+XOR-closed set, and "common" ones; classify_rare_common reports that split
+for a computed table.
 
 The tables are stdlib uint16 arrays (array('H')), compared, saved, loaded
 and reported on without numpy. Only a fill above SHORT_FILL_MAX loads numpy,
@@ -178,6 +180,19 @@ def class_move_options(
 
 
 # ---- fill ----------------------------------------------------------------------
+#
+# Both kernels read the same option families, each the splits X_j + Y_{k-1-j}
+# for lo <= j <= hi. Y_{-1} is the empty path, so the split j = k is X_k
+# alone. At length k, in fill order:
+# - C_k: Blue on v_i leaves A_{i-2} + C_{k+1-i} and Red on v_i leaves
+#   C_i + A_{k-1-i}; both are the splits A_j + C_{k-1-j}, 1 <= j <= k-3.
+# - A_k: Blue leaves A_{i-2} + A_{k+1-i}, splits symmetric in j = i - 2, so
+#   A_j + A_{k-1-j} for 1 <= j <= (k-1)//2 holds every option; Red leaves
+#   C_i + D_{k-1-i}, the splits C_j + D_{k-1-j}, 2 <= j <= k, where j = k
+#   (Red on v_k) is C_k alone.
+# - D_k: Blue leaves D_{i-2} + A_{k+1-i} and Red leaves A_i + D_{k-1-i};
+#   both are the splits A_j + D_{k-1-j}, 1 <= j <= k (D_0 is the empty
+#   path), where j = k is A_k alone.
 
 def _mex(seen, top: int, *families) -> int:
     """Least value in no option family, where every option is a XOR of table
@@ -198,51 +213,36 @@ def _mex(seen, top: int, *families) -> int:
     return first
 
 
-def _splits(X, rY, r: int, lo: int, hi: int):
-    """X[j] ^ Y[k-1-j] for lo <= j <= hi, with rY = Y[::-1] and r = len(Y) - k."""
-    hi = max(hi, lo - 1)
-    return X[lo : hi + 1] ^ rY[r + lo : r + hi + 1]
-
-
 def _fill(gA: array, gC: array, gD: array, start: int, K: int) -> None:
     """Fill lengths start..K in place; the lengths below start are already set.
 
-    This kernel, for K above SHORT_FILL_MAX, works on numpy views that share
-    the arrays' memory. Every option family is a run of splits
-    X_j + Y_{k-1-j}, read as a forward view of X XOR a reversed view of Y, so
-    no index arrays are built. Each class feeds the next one at the same
-    length (C_k into A_k, A_k into D_k), so the mex bound is taken again
-    before each class.
+    This kernel, for K above SHORT_FILL_MAX, copies each class into a numpy
+    buffer of K + 2 entries, entry i holding length i - 1: entry 0 stands for
+    length -1 and stays 0, as the lanes above K of _short_fill's reversed
+    ints do. Each option family is then a forward view of one buffer XOR a
+    reversed view of another, with no index arrays and no case of its own
+    for the split j = k.
     """
     import numpy as np
 
-    gA, gC, gD = (np.frombuffer(arr, dtype=np.uint16) for arr in (gA, gC, gD))
+    arrs = [np.frombuffer(arr, dtype=np.uint16) for arr in (gA, gC, gD)]
+    A, C, D = bufs = [np.zeros(K + 2, dtype=np.uint16) for _ in arrs]
+    for buf, arr in zip(bufs, arrs):
+        buf[1 : start + 1] = arr[:start]
+    rA, rC, rD = (buf[::-1] for buf in bufs)
     seen = np.zeros((1 << 16) + 1, dtype=bool)
-    n = gA.size
-    rA, rC, rD = gA[::-1], gC[::-1], gD[::-1]
-    top = max(int(gA[:start].max()), int(gC[:start].max()), int(gD[:start].max()))
+    top = max(int(buf.max()) for buf in bufs)
     for k in range(start, K + 1):
-        r = n - k
-        # C_k: Blue on v_i leaves A_{i-2} + C_{k+1-i} and Red on v_i leaves
-        # C_i + A_{k-1-i}; both are the splits A_j + C_{k-1-j}, 1 <= j <= k-3
-        gC[k] = _mex(seen, top, _splits(gA, rC, r, 1, k - 3))
-        top = max(top, int(gC[k]))
-        # A_k: Blue leaves A_{i-2} + A_{k+1-i}, splits symmetric in j = i - 2,
-        # so the first half of them holds every option; Red leaves
-        # C_i + D_{k-1-i}, which is C_k alone for Red on v_k (k > 1)
-        gA[k] = _mex(
-            seen,
-            top,
-            _splits(gA, rA, r, 1, (k - 1) // 2),
-            _splits(gC, rD, r, 2, k - 1),
-            gC[k : k + 1] if k > 1 else gC[:0],
-        )
-        top = max(top, int(gA[k]))
-        # D_k: Blue leaves D_{i-2} + A_{k+1-i} and Red leaves A_i + D_{k-1-i};
-        # both are the splits D_j + A_{k-1-j}, 0 <= j <= k-2, or A_k alone
-        # (D_0 is the empty path)
-        gD[k] = _mex(seen, top, _splits(gD, rA, r, 0, k - 2), gA[k : k + 1])
-        top = max(top, int(gD[k]))
+        r = K + 1 - k  # rY[r + j] holds Y_{k-1-j}
+        # the option families above, as (X, rY, lo, hi)
+        for Z, families in ((C, [(A, rC, 1, k - 3)]),
+                            (A, [(A, rA, 1, (k - 1) // 2), (C, rD, 2, k)]),
+                            (D, [(A, rD, 1, k)])):
+            Z[k + 1] = value = _mex(seen, top, *(X[lo + 1 : hi + 2] ^ rY[r + lo : r + hi + 1]
+                                                 for X, rY, lo, hi in families))
+            top = max(top, value)
+    for buf, arr in zip(bufs, arrs):
+        arr[start:] = buf[start + 1 :]
 
 
 _BYTES = bytes(range(256))
@@ -296,9 +296,8 @@ def _short_fill(gA: array, gC: array, gD: array, start: int, K: int) -> None:
     lane j holding length j, once forward and once reversed (lane K - j), so
     every option family X_j + Y_{k-1-j} is a shift of each and one XOR per
     plane, and _plane_mex takes its mex without a loop over the options.
-    Lanes above K in a reversed int are zero, so the split X_k + Y_{-1}
-    reads X_k alone: that is how C_k joins A_k's options and A_k joins D_k's.
-    A value that needs a higher bit adds a plane, zero for every length
+    Lanes above K in a reversed int are zero, so Y_{-1} reads as the empty
+    path. A value that needs a higher bit adds a plane, zero for every length
     before it.
     """
     arrs = (gA, gC, gD)
@@ -335,10 +334,7 @@ def _short_fill(gA: array, gC: array, gD: array, start: int, K: int) -> None:
                 rX[p] |= lane << 8 * (K - k)
         return value
 
-    for k in range(start, K + 1):
-        # the families of _fill, D_k's read from their A side; A_k's Blue
-        # splits A_j + A_{k-1-j} are symmetric in j, so the first half of
-        # them holds every option
+    for k in range(start, K + 1):  # the option families above
         gC[k] = put(C, rC, _plane_mex(splits(A, rC, 1, k - 3), nhigh))
         gA[k] = put(A, rA, _plane_mex(splits(A, rA, 1, (k - 1) // 2)
                                       + splits(C, rD, 2, k), nhigh))

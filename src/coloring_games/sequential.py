@@ -10,7 +10,10 @@ alternating Source/Closed skeleton: each Closed vertex is saved or doomed by
 whoever controls the later of its two flanking Sources, which turns the
 whole decision into one elimination sweep in paint order.
 
-Turns are 0-based internally; the first player owns even turns.
+Turns are 0-based internally; the first player owns even turns. The sweep
+reads the path position painted at each turn, which is the order itself on
+the path 0-1-...-(n-1) and the order through the inverse of the walk on any
+other path, and inverts it once for each position's turn.
 """
 
 from __future__ import annotations
@@ -65,12 +68,17 @@ def path_walk(g: Graph) -> array:
     return walk
 
 
-def _turns(walk: Sequence[int], order: Sequence[int]) -> array:
-    """Paint turn by path position."""
-    turn = array("q", bytes(8 * len(order)))  # by vertex id
-    for t, v in enumerate(order):
-        turn[v] = t
-    return array("q", map(turn.__getitem__, walk))
+def _inverse(perm: Sequence[int]) -> array:
+    """The inverse permutation: inv[perm[i]] == i."""
+    inv = array("q", bytes(8 * len(perm)))
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return inv
+
+
+def _at(walk: Sequence[int], order: Sequence[int]) -> array:
+    """Path position painted at each turn: order through the inverse of walk."""
+    return array("q", map(_inverse(walk).__getitem__, order))
 
 
 def _labels(t_of: array) -> bytearray:
@@ -96,31 +104,28 @@ def classify(g: Graph, order: tuple[int, ...]) -> dict[int, str]:
     """Source/Closed/Constrained label per vertex id."""
     walk = path_walk(g)
     check_order(g.n, order)
-    return {v: _NAMES[c] for v, c in zip(walk, _labels(_turns(walk, order)))}
+    return {v: _NAMES[c] for v, c in zip(walk, _labels(_inverse(_at(walk, order))))}
 
 
 def decide_path(order: tuple[int, ...]) -> str:
     """Outcome on the path 0-1-...-(n-1) painted in the given vertex order."""
-    n = len(order)
-    check_order(n, order)
-    return _decide(_turns(range(n), order))
+    check_order(len(order), order)
+    return _decide(order)
 
 
 def decide_outcome(g: Graph, order: Sequence[int]) -> str:
     """Outcome of the forced-order game on a path graph; O(n)."""
     walk = path_walk(g)
     check_order(g.n, order)
-    t_of = _turns(walk, order)
-    del walk  # the sweep reads only the turns
-    return _decide(t_of)
+    at = _at(walk, order)
+    del walk  # the sweep reads only the positions
+    return _decide(at)
 
 
-def _decide(t_of: array) -> str:
-    """Outcome from the paint turn of each path position."""
-    n = len(t_of)
-    at = array("q", bytes(8 * n))  # path position by paint turn
-    for i, t in enumerate(t_of):
-        at[t] = i
+def _decide(at: Sequence[int]) -> str:
+    """Outcome from the path position painted at each turn."""
+    n = len(at)
+    t_of = _inverse(at)  # paint turn by path position
     label = _labels(t_of)
 
     # left/right are path positions of the neighbours in the skeleton
@@ -165,7 +170,7 @@ def brute_force_outcome(g: Graph, order: Sequence[int]) -> str:
         raise ValueError(f"brute force oracle is capped at {ORACLE_CAP} vertices")
     walk = path_walk(g)
     check_order(g.n, order)
-    pos = {v: i for i, v in enumerate(walk)}
+    pos = _inverse(walk)
     colors = [0] * g.n  # by path position; 0 = unpainted
 
     def win(t: int) -> bool:

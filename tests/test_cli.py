@@ -452,6 +452,23 @@ def test_tables_round_trip(capsys, tmp_path):
     assert csv_dest.read_text() == out
 
 
+def test_tables_export_json_needs_out(capsys, tmp_path):
+    # the JSON record names the file written, so without --out there is none
+    # to name: a usage error, not CSV rows under --format json
+    t = tmp_path / "t.bin"
+    run(capsys, "grundy-seq", "--kmax", "5", "--checkpoint", str(t))
+    code = main(["tables", "export-csv", "--table", str(t), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.count("\n") == 1 and "--out" in captured.err
+    # --format json with --out, and text with or without it, are unchanged
+    code, recs = run_json(capsys, "tables", "export-csv", "--table", str(t),
+                          "--out", str(tmp_path / "t.csv"))
+    assert code == EXIT_OK and recs == [{"kmax": 5, "file": str(tmp_path / "t.csv")}]
+    assert run(capsys, "tables", "export-csv", "--table", str(t))[1] == (
+        tmp_path / "t.csv").read_text()
+
+
 def test_tables_rejects_corrupt_file(capsys, tmp_path):
     t = tmp_path / "t.bin"
     run(capsys, "grundy-seq", "--kmax", "50", "--checkpoint", str(t))

@@ -431,10 +431,12 @@ def test_table_keys_keep_values_and_entry_counts(ruleset, k, graph, value, entri
 @given(graphs(max_n=7))
 def test_weak_root_parts_are_the_graph_components(g):
     solver = games._Solver(g, 2, WeakColoring())
-    assert {frozenset(verts) for verts in solver.parts.values()} == RefGraph(
+    # each root part's vertices, as the solver walks them from its mask
+    parts = {(lo, rel): list(solver._verts(lo, games._flags(rel))) for lo, rel in solver.roots}
+    assert {frozenset(verts) for verts in parts.values()} == RefGraph(
         g.n, g.directed, g.edges
     ).components()
-    for (lo, rel), verts in solver.parts.items():
+    for (lo, rel), verts in parts.items():
         assert verts == sorted(verts) and verts[0] == lo
         assert rel == sum(1 << (v - lo) for v in verts)
 

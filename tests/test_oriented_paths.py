@@ -179,6 +179,24 @@ def test_accelerated_extend_matches_naive_full(reference):
         _assert_matches_reference(t, reference)
 
 
+def test_numpy_kernel_matches_stdlib_kernel_on_short_tables(monkeypatch):
+    # numpy's kernel otherwise fills only above SHORT_FILL_MAX, so here its
+    # empty families at k <= 3 and its single options at j = k meet the
+    # stdlib kernel's arrays: whole tables and extensions with the bound at
+    # 0, then extensions of a stdlib head by a numpy tail with it at 40
+    def arrays(t):
+        return t.gA, t.gC, t.gD
+
+    stdlib = {K: arrays(op.compute_tables(K)) for K in range(1, 65)}
+    monkeypatch.setattr(op, "SHORT_FILL_MAX", 0)
+    for K in range(1, 65):
+        assert arrays(op.compute_tables(K)) == stdlib[K]
+    for bound in (0, 40):
+        monkeypatch.setattr(op, "SHORT_FILL_MAX", bound)
+        for start in range(1, 17):
+            assert arrays(op.extend_table(op.compute_tables(start), 64)) == stdlib[64]
+
+
 def _family(values, nhigh):
     """values as an option family of op._plane_mex."""
     planes = op._planes(array("H", values), nhigh)
