@@ -15,10 +15,11 @@ to SHORT_FILL_MAX lengths, _short_fill keeps each class as byte planes
 packed into Python ints, XORs each family plane by plane and takes its mex
 with bytes.translate, all in the standard library; above it, _fill reads
 the families as views of numpy buffers padded with the empty path at length
--1, which is faster there, repaying numpy's import (about 0.06-0.1 s and
-13 MB). Observed values split into "rare" ones, members of a small
-XOR-closed set, and "common" ones; classify_rare_common reports that split
-for a computed table.
+-1 and counts each length's options for its mex (np.bincount). numpy's
+import costs about 0.06-0.1 s, which the faster kernel repays above the
+bound, and 13 MB, which no table up to the bound pays. Observed values
+split into "rare" ones, members of a small XOR-closed set, and "common"
+ones; classify_rare_common reports that split for a computed table.
 
 The tables are stdlib uint16 arrays (array('H')), compared, saved, loaded
 and reported on without numpy. Only a fill above SHORT_FILL_MAX loads numpy,
@@ -55,8 +56,11 @@ PATH_CLASSES = (CLASS_A, CLASS_B, CLASS_C, CLASS_D)
 MODE_NAIVE = "naive"
 MODE_ACCELERATED = "accelerated"
 
-# the longest table the stdlib kernel fills; a fresh grundy-seq up to this K
-# ran no slower with it than with numpy's kernel and import (BENCH_23.json)
+# the longest table the stdlib kernel fills: where a fresh grundy-seq ran no
+# slower with it than with numpy's kernel and import (BENCH_23.json). With
+# numpy's counting mex that crossover is between 6144 and 7168 (BENCH_32.json);
+# the bound also keeps numpy's 13 MB import out of the tables a default
+# p-positions run and the benchmark's path-tables fills make (K = 8084)
 SHORT_FILL_MAX = 9728
 
 RARE_GENERATORS = (0, 1, 2, 3, 4, 5, 6, 7, 24, 40, 64, 136, 264, 520, 1032)
@@ -194,20 +198,14 @@ def class_move_options(
 #   both are the splits A_j + D_{k-1-j}, 1 <= j <= k (D_0 is the empty
 #   path), where j = k is A_k alone.
 
-def _mex(seen, top: int, *families) -> int:
-    """Least value in no option family, where every option is a XOR of table
-    values <= top, so every option lies below 1 << top.bit_length().
+def _mex(*families) -> int:
+    """Least value in no option family (numpy uint16 arrays): the first zero
+    count, with one appended in case every value up to the largest occurs.
+    bincount reads intp, so the families are joined into intp, copied once."""
+    import numpy as np
 
-    seen (bool) and the families (uint16) are numpy arrays; seen has at least
-    2**16 + 1 entries, enough for any top that fits in 16 bits, and one fill
-    passes the same array to every call.
-    """
-    bound = 1 << top.bit_length()
-    seen = seen[: bound + 1]  # the mex is at most bound
-    seen[:] = False
-    for opts in families:
-        seen[opts] = True
-    first = int(seen.argmin())
+    counts = np.append(np.bincount(np.concatenate(families, dtype=np.intp)), 0)
+    first = int(counts.argmin())
     if first >= 1 << 16:
         raise OverflowError("Grundy value does not fit in 16 bits")
     return first
@@ -216,12 +214,13 @@ def _mex(seen, top: int, *families) -> int:
 def _fill(gA: array, gC: array, gD: array, start: int, K: int) -> None:
     """Fill lengths start..K in place; the lengths below start are already set.
 
-    This kernel, for K above SHORT_FILL_MAX, copies each class into a numpy
-    buffer of K + 2 entries, entry i holding length i - 1: entry 0 stands for
-    length -1 and stays 0, as the lanes above K of _short_fill's reversed
-    ints do. Each option family is then a forward view of one buffer XOR a
-    reversed view of another, with no index arrays and no case of its own
-    for the split j = k.
+    This kernel, for K above SHORT_FILL_MAX (a shorter table does not repay
+    numpy's 13 MB import), copies each class into a numpy buffer of K + 2
+    entries, entry i holding length i - 1: entry 0 stands for length -1 and
+    stays 0, as the lanes above K of _short_fill's reversed ints do. Each
+    option family is then a forward view of one buffer XOR a reversed view
+    of another, with no index arrays and no case of its own for the split
+    j = k, and _mex counts each length's options afresh.
     """
     import numpy as np
 
@@ -230,17 +229,14 @@ def _fill(gA: array, gC: array, gD: array, start: int, K: int) -> None:
     for buf, arr in zip(bufs, arrs):
         buf[1 : start + 1] = arr[:start]
     rA, rC, rD = (buf[::-1] for buf in bufs)
-    seen = np.zeros((1 << 16) + 1, dtype=bool)
-    top = max(int(buf.max()) for buf in bufs)
     for k in range(start, K + 1):
         r = K + 1 - k  # rY[r + j] holds Y_{k-1-j}
         # the option families above, as (X, rY, lo, hi)
         for Z, families in ((C, [(A, rC, 1, k - 3)]),
                             (A, [(A, rA, 1, (k - 1) // 2), (C, rD, 2, k)]),
                             (D, [(A, rD, 1, k)])):
-            Z[k + 1] = value = _mex(seen, top, *(X[lo + 1 : hi + 2] ^ rY[r + lo : r + hi + 1]
-                                                 for X, rY, lo, hi in families))
-            top = max(top, value)
+            Z[k + 1] = _mex(*(X[lo + 1 : hi + 2] ^ rY[r + lo : r + hi + 1]
+                              for X, rY, lo, hi in families))
     for buf, arr in zip(bufs, arrs):
         arr[start:] = buf[start + 1 :]
 

@@ -761,10 +761,12 @@ def test_commands_load_only_the_engine_they_run(tmp_path):
                       "rulesets", "sequential"]
     # only a fill above SHORT_FILL_MAX loads numpy, and only a table file's
     # checksum hashlib; no table command loads the graph, ruleset or search
-    # engine
+    # engine. The default p-positions run fills to K=8084, the benchmark's
+    # path-tables K, so a bound retuned below it fails here
     short = ["base", "cli", "cli_output", "cli_tables", "coloring_games", "oriented_paths"]
     for argv in (("grundy-seq", "--kmax", str(SHORT_FILL_MAX)),
-                 ("p-positions", "--class", "D", "--kmax", "20")):
+                 ("p-positions", "--class", "D", "--kmax", "20"),
+                 ("p-positions",)):
         assert loaded_by("cli_tables", run_main(*argv)) == short, argv
     low = SET_LOW_BOUND + run_main("grundy-seq", "--kmax", str(LOW_BOUND + 1))
     assert loaded_by("cli_tables", low) == [

@@ -267,13 +267,19 @@ def test_mex_on_full_uint16_option_array():
     # 65,536 uint16 options (2k options of D_k at k = 32768 in the naive
     # recursion): a clamp to 65536 in uint16 overflows, so none may be needed
     opts = np.arange(1 << 16, dtype=np.uint16)
-    seen = np.zeros((1 << 16) + 1, dtype=bool)
     with pytest.raises(OverflowError):
-        op._mex(seen, int(opts.max()), opts)
+        op._mex(opts)
     opts[40000] = 7
-    assert op._mex(seen, int(opts.max()), opts) == 40000
-    # the scratch array is reused dirty, as the fill reuses it
-    assert op._mex(seen, 1401, opts[:1000], np.zeros(1 << 16, dtype=np.uint16)) == 1000
+    assert op._mex(opts) == 40000
+
+
+def test_mex_matches_a_set_mex():
+    # the cases of numpy's mex and of _plane_mex are the same: bucket edges,
+    # values repeated across families, and families with no options
+    for families in _plane_mex_cases():
+        if families:
+            got = op._mex(*(np.array(fam, dtype=np.uint16) for fam in families))
+            assert got == _set_mex(families), families
 
 
 @pytest.mark.extended
