@@ -17,7 +17,8 @@ count for neither) and a verdict. The verdict is "faster" or "slower" (for
 peak growth, "smaller" or "larger") only when one tree wins at least 9 in 10
 of at least 10 pairs and the medians differ by more than the baseline's
 quartile spread and by more than 2% of its median. Otherwise it is
-"unresolved". Rows with "runs": 1 ran once per tree and carry no verdict.
+"unresolved". Rows of fewer runs per tree (K=10^5 and Tier-1) carry no
+verdict.
 
 The rows are:
 - the search set: the search-cold instances plus SEARCH_EXTRA;
@@ -27,10 +28,8 @@ The rows are:
 - the sequential-paths million-vertex request, with its growth per vertex;
 - LARGE, requests on 200,000-vertex paths;
 - TABLES at the path-tables K;
-- the Tier-1 wall time, once per tree.
-
-The sweep that SHORT_FILL_MAX is chosen from runs the same child, from
-scripts/short_fill_bound.py.
+- the Tier-1 wall time, twice per tree in the order tree, baseline,
+  baseline, tree, with each tree's median.
 
 Both trees' bytecode caches are compiled first, so that every run of either
 tree imports from cache, even under PYTHONDONTWRITEBYTECODE.
@@ -112,10 +111,7 @@ def peak_kb():
     with open("/proc/self/status") as fh:
         return int(re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1))
 
-argv, bound = json.loads(sys.argv[1]), json.loads(sys.argv[2])
-if bound is not None:  # the bound sweep picks the kernel before the clock starts
-    from coloring_games import oriented_paths as op
-    op.SHORT_FILL_MAX = bound
+argv = json.loads(sys.argv[1])
 search = argv is not None and argv[0] == "solve" and "search" in argv
 sys.stdout, out = io.StringIO() if search else open(os.devnull, "w"), sys.stdout
 before = peak_kb()
@@ -137,9 +133,9 @@ print(json.dumps(run), file=out)
 """
 
 
-def run_child(src: str, argv: list[str] | None, bound: int | None = None) -> dict:
+def run_child(src: str, argv: list[str] | None) -> dict:
     """One run of CHILD in a fresh interpreter with src first on its path."""
-    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argv), json.dumps(bound)],
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argv)],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     if proc.returncode:
         raise RuntimeError(f"{argv} under {src}: {proc.stderr}")
@@ -214,8 +210,9 @@ def row(argv: list[str] | None, runs: int, baseline: str | None = None) -> dict:
 
 
 def tier1(sources: dict[str, str]) -> dict:
-    """The Tier-1 suite's wall time and summary line, once per tree, run
-    from the root of the tree's checkout."""
+    """The Tier-1 suite's wall time and summary line, run from the root of
+    each tree's checkout twice, interleaved (tree, baseline, baseline, tree),
+    with each tree's median wall time."""
     def once(src: str) -> dict:
         t0 = time.perf_counter()
         proc = subprocess.run(
@@ -224,7 +221,10 @@ def tier1(sources: dict[str, str]) -> dict:
             env={**os.environ, "PYTHONPATH": src})
         return {"exit_code": proc.returncode, "wall_s": round(time.perf_counter() - t0, 1),
                 "summary": proc.stdout.strip().splitlines()[-1]}
-    return {"runs": 1, **{name: once(src) for name, src in sources.items()}}
+    results = interleave(sources, 2, once)
+    return {"runs": 2, **{name: {
+        "median_wall_s": round(statistics.median(r["wall_s"] for r in rs), 1), "runs": rs}
+        for name, rs in results.items()}}
 
 
 def write_doc(path: str, rows: dict) -> None:
@@ -290,8 +290,9 @@ def main() -> int:
             add(f"tables {cmd}", ["tables", cmd, "--table", table], QUICK_RUNS)
     rows["tier1"] = tier1(sources)
     for tree in sources:
-        print(f"{'tier1 ' + tree:<44} {rows['tier1'][tree]['wall_s']:>9.1f} s "
-              f"{rows['tier1'][tree]['summary']}")
+        t = rows["tier1"][tree]
+        print(f"{'tier1 ' + tree:<44} {t['median_wall_s']:>9.1f} s median of "
+              + ", ".join(f"{r['wall_s']:.1f} s ({r['summary']})" for r in t["runs"]))
     write_doc(args.out, rows)
     return 0
 

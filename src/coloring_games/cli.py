@@ -150,6 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=("cli_tables", "cmd_grundy_seq"))
 
     p = sub.add_parser("p-positions", help="zero-value lengths in one class")
+    # oriented_paths.SHORT_FILL_MAX, so a default run loads no numpy
     p.add_argument("--kmax", type=int, default=8084)
     p.add_argument("--class", dest="klass", choices=("A", "B", "C", "D"),  # PATH_CLASSES
                    default="D")

@@ -16,10 +16,10 @@ packed into Python ints, XORs each family plane by plane and takes its mex
 with bytes.translate, all in the standard library; above it, _fill reads
 the families as views of numpy buffers padded with the empty path at length
 -1 and counts each length's options for its mex (np.bincount). numpy's
-import costs about 0.06-0.1 s, which the faster kernel repays above the
-bound, and 13 MB, which no table up to the bound pays. Observed values
-split into "rare" ones, members of a small XOR-closed set, and "common"
-ones; classify_rare_common reports that split for a computed table.
+import costs about 0.06-0.1 s, which its kernel repays from about 7168
+lengths on, and 13 MB, which no default command's table pays. Observed
+values split into "rare" ones, members of a small XOR-closed set, and
+"common" ones; classify_rare_common reports that split for a computed table.
 
 The tables are stdlib uint16 arrays (array('H')), compared, saved, loaded
 and reported on without numpy. Only a fill above SHORT_FILL_MAX loads numpy,
@@ -56,12 +56,12 @@ PATH_CLASSES = (CLASS_A, CLASS_B, CLASS_C, CLASS_D)
 MODE_NAIVE = "naive"
 MODE_ACCELERATED = "accelerated"
 
-# the longest table the stdlib kernel fills: where a fresh grundy-seq ran no
-# slower with it than with numpy's kernel and import (BENCH_23.json). With
-# numpy's counting mex that crossover is between 6144 and 7168 (BENCH_32.json);
-# the bound also keeps numpy's 13 MB import out of the tables a default
-# p-positions run and the benchmark's path-tables fills make (K = 8084)
-SHORT_FILL_MAX = 9728
+# the longest table the stdlib kernel fills: the default p-positions K, which
+# is also the benchmark's path-tables K, so no table a default command fills
+# pays numpy's 13 MB import. Every longer fill takes numpy's kernel, which a
+# fresh grundy-seq runs faster from about 7168 lengths on (BENCH_32.json);
+# tests/test_cli.py checks that the two values agree
+SHORT_FILL_MAX = 8084
 
 RARE_GENERATORS = (0, 1, 2, 3, 4, 5, 6, 7, 24, 40, 64, 136, 264, 520, 1032)
 
@@ -214,13 +214,13 @@ def _mex(*families) -> int:
 def _fill(gA: array, gC: array, gD: array, start: int, K: int) -> None:
     """Fill lengths start..K in place; the lengths below start are already set.
 
-    This kernel, for K above SHORT_FILL_MAX (a shorter table does not repay
-    numpy's 13 MB import), copies each class into a numpy buffer of K + 2
-    entries, entry i holding length i - 1: entry 0 stands for length -1 and
-    stays 0, as the lanes above K of _short_fill's reversed ints do. Each
-    option family is then a forward view of one buffer XOR a reversed view
-    of another, with no index arrays and no case of its own for the split
-    j = k, and _mex counts each length's options afresh.
+    This kernel, for K above SHORT_FILL_MAX, copies each class into a numpy
+    buffer of K + 2 entries, entry i holding length i - 1: entry 0 stands
+    for length -1 and stays 0, as the lanes above K of _short_fill's
+    reversed ints do. Each option family is then a forward view of one
+    buffer XOR a reversed view of another, with no index arrays and no case
+    of its own for the split j = k, and _mex counts each length's options
+    afresh.
     """
     import numpy as np
 

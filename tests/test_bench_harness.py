@@ -1,14 +1,14 @@
-"""scripts/bench.py: the pair verdict on fixed samples, and one real row;
-scripts/short_fill_bound.py: one K of its sweep.
+"""scripts/bench.py: the pair verdict on fixed samples, one real row, and
+the order and shape of the Tier-1 row.
 
-Loading the scripts imports what they take from the benchmark, the library
-and bench.py (IMPORT_PROBE, SearchCold.INSTANCES, the table helpers, the
-child), so a rename there fails here rather than in a hand run of a script.
+Loading the script imports what it takes from the benchmark and the library
+(IMPORT_PROBE, SearchCold.INSTANCES, the table helpers), so a rename there
+fails here rather than in a hand run of the script.
 """
 
 import importlib.util
 import os
-import sys
+import subprocess
 
 import pytest
 
@@ -23,8 +23,6 @@ def load(name):
 
 
 bench = load("bench")
-sys.modules.setdefault("bench", bench)  # short_fill_bound imports it by name
-short_fill_bound = load("short_fill_bound")
 
 BASE = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # quartile spread 0.5
 
@@ -76,14 +74,20 @@ def test_a_row_against_its_own_tree():
         assert v["won"] + v["lost"] <= 2 and v["verdict"] == "unresolved"
 
 
-def test_one_size_of_the_short_fill_bound_sweep(monkeypatch):
-    if not os.path.exists("/proc/self/status"):
-        pytest.skip("needs Linux /proc/self/status")
-    monkeypatch.setattr(short_fill_bound, "BOUND_KS", (40,))
-    monkeypatch.setattr(short_fill_bound, "BOUND_RUNS", 1)
-    doc = short_fill_bound.short_fill_bound()
-    assert doc["runs"] == 1 and doc["largest_k_stdlib_median_no_slower"] in (40, None)
-    (size,) = doc["sizes"]
-    assert size["K"] == 40
-    for kernel in ("stdlib", "numpy"):
-        assert set(size[kernel]) == {"median_s", "q1_s", "q3_s"}
+def test_tier1_runs_each_tree_twice_interleaved(monkeypatch):
+    # the suite itself is not run: each call records its checkout and
+    # answers with a summary line
+    calls = []
+
+    def fake_run(argv, cwd, **kwargs):
+        calls.append(os.path.basename(cwd))
+        return subprocess.CompletedProcess(argv, 0, stdout=f"{cwd}\n1 passed\n")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    row = bench.tier1({"tree": "/t/ours/src", "baseline": "/t/base/src"})
+    assert calls == ["ours", "base", "base", "ours"]
+    assert row["runs"] == 2 and set(row) == {"runs", "tree", "baseline"}
+    for tree in ("tree", "baseline"):
+        first, second = row[tree]["runs"]
+        assert [(r["exit_code"], r["summary"]) for r in (first, second)] == [(0, "1 passed")] * 2
+        assert row[tree]["median_wall_s"] == round((first["wall_s"] + second["wall_s"]) / 2, 1)
