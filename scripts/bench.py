@@ -32,7 +32,9 @@ The rows are:
   baseline, tree, with each tree's median.
 
 Both trees' bytecode caches are compiled first, so that every run of either
-tree imports from cache, even under PYTHONDONTWRITEBYTECODE.
+tree imports from cache, even under PYTHONDONTWRITEBYTECODE. A source file
+edited after that would be compiled again in every later run, so each row
+first checks that no .py file under either tree has changed since.
 
 Example:
     python scripts/bench.py --out BENCH_30.json --baseline ../parent/src
@@ -108,12 +110,13 @@ CHILD = f"PROBE = {IMPORT_PROBE!r}\n" + """
 import io, json, os, re, sys, time
 
 def peak_kb():
-    with open("/proc/self/status") as fh:
+    with open("/proc/self/status", encoding="utf-8") as fh:
         return int(re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1))
 
 argv = json.loads(sys.argv[1])
 search = argv is not None and argv[0] == "solve" and "search" in argv
-sys.stdout, out = io.StringIO() if search else open(os.devnull, "w"), sys.stdout
+sink = io.StringIO() if search else open(os.devnull, "w", encoding="utf-8")
+sys.stdout, out = sink, sys.stdout
 before = peak_kb()
 t0 = time.perf_counter()
 if argv is None:
@@ -227,11 +230,26 @@ def tier1(sources: dict[str, str]) -> dict:
         for name, rs in results.items()}}
 
 
+def mtimes(srcs) -> dict[str, int]:
+    """The modification time, in ns, of every .py file under the directories srcs."""
+    return {str(p): p.stat().st_mtime_ns
+            for src in srcs for p in sorted(Path(src).rglob("*.py"))}
+
+
+def check_unchanged(compiled: dict[str, int], srcs) -> None:
+    """Raise RuntimeError naming the first .py file under srcs added, edited
+    or deleted since compiled = mtimes(srcs) was taken."""
+    now = mtimes(srcs)
+    for path in {**compiled, **now}:
+        if compiled.get(path) != now.get(path):
+            raise RuntimeError(f"{path} changed after the bytecode caches were compiled")
+
+
 def write_doc(path: str, rows: dict) -> None:
     """rows as a JSON file at path, after the interpreter and host they ran on."""
     host = {"python": platform.python_version(), "machine": platform.machine(),
             "cpus": os.cpu_count()}
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({**host, **rows}, indent=2) + "\n")
 
 
@@ -258,10 +276,12 @@ def main() -> int:
     sources = {"tree": SRC, **({"baseline": baseline} if baseline else {})}
     for src in sources.values():
         compileall.compile_dir(src, quiet=1)
+    compiled = mtimes(sources.values())
 
     rows: dict[str, dict] = {}
 
     def add(name: str, argv: list[str] | None, runs: int) -> dict:
+        check_unchanged(compiled, sources.values())
         rows[name] = r = row(argv, runs, baseline)
         report(name, r)
         return r
@@ -288,6 +308,7 @@ def main() -> int:
             add(f"large {name}", argv, QUICK_RUNS)
         for cmd in TABLES:
             add(f"tables {cmd}", ["tables", cmd, "--table", table], QUICK_RUNS)
+    check_unchanged(compiled, sources.values())
     rows["tier1"] = tier1(sources)
     for tree in sources:
         t = rows["tier1"][tree]

@@ -1,7 +1,9 @@
 """The verify command: oracle-equivalence suites.
 
 Each suite imports the search, table, sequential or reduction modules it
-checks when it runs, so a suite loads only the engine it runs.
+checks when it runs, so a suite loads only the engine it runs. Every check
+record comes from _check: ok when nothing is bad, with a detail that names
+what failed, or what was checked.
 """
 
 from __future__ import annotations
@@ -25,6 +27,12 @@ from .rulesets import (
 )
 
 
+def _check(name: str, bad, failed: str, checked: str) -> dict:
+    """A check's record: ok when nothing is bad (an empty list or a zero count);
+    the detail names what failed (failed.format(bad)), or else what was checked."""
+    return {"check": name, "ok": not bad, "detail": failed.format(bad) if bad else checked}
+
+
 def _suite_recursion(args) -> list[dict]:
     from . import games, oriented_paths as op
 
@@ -35,11 +43,8 @@ def _suite_recursion(args) -> list[dict]:
         lo = 2 if klass == op.CLASS_C else 1
         bad = [k for k in range(lo, kmax + 1)
                if games.grundy(op.build_class_position(klass, k)) != table.value(klass, k)]
-        checks.append({
-            "check": f"recursion-vs-search class {klass} k<={kmax}",
-            "ok": not bad,
-            "detail": f"mismatch at {bad}" if bad else f"{kmax - lo + 1} lengths",
-        })
+        checks.append(_check(f"recursion-vs-search class {klass} k<={kmax}", bad,
+                             "mismatch at {}", f"{kmax - lo + 1} lengths"))
     return checks
 
 
@@ -47,36 +52,30 @@ def _suite_sequential(args) -> list[dict]:
     from . import sequential as seq
 
     n = args.n or 6
-    checks = []
     if args.exhaustive:
         if n > 8:
             raise ValueError("exhaustive sequential verification is capped at n=8")
-        for m in range(1, n + 1):
-            g = cli.build_family("path", m)
-            bad = sum(1 for perm in itertools.permutations(range(m))
-                      if seq.decide_path(perm) != seq.brute_force_outcome(g, perm))
-            checks.append({
-                "check": f"sequential exhaustive n={m}",
-                "ok": bad == 0,
-                "detail": f"{bad} mismatches" if bad else "all orders",
-            })
+        cases = [(f"sequential exhaustive n={m}", m, itertools.permutations(range(m)),
+                  "all orders") for m in range(1, n + 1)]
     else:
         if args.seed is None:
             raise ValueError("sampled sequential verification requires --seed")
         rng = random.Random(args.seed)
-        samples = args.samples
-        g = cli.build_family("path", n)
-        bad = 0
-        for _ in range(samples):
-            perm = list(range(n))
-            rng.shuffle(perm)
-            if seq.decide_path(tuple(perm)) != seq.brute_force_outcome(g, tuple(perm)):
-                bad += 1
-        checks.append({
-            "check": f"sequential sampled n={n} x{samples}",
-            "ok": bad == 0,
-            "detail": f"{bad} mismatches" if bad else f"seed {args.seed}",
-        })
+
+        def sampled():
+            for _ in range(args.samples):
+                order = list(range(n))
+                rng.shuffle(order)
+                yield tuple(order)
+
+        cases = [(f"sequential sampled n={n} x{args.samples}", n, sampled(),
+                  f"seed {args.seed}")]
+    checks = []
+    for name, m, orders, checked in cases:
+        g = cli.build_family("path", m)
+        bad = sum(seq.decide_path(order) != seq.brute_force_outcome(g, order)
+                  for order in orders)
+        checks.append(_check(name, bad, "{} mismatches", checked))
     return checks
 
 
@@ -85,28 +84,21 @@ def _suite_reductions(args) -> list[dict]:
     from .cli_reduce import REDUCERS, reduced
 
     n = args.n or 4
-    # every reduce target, at k=2 and 3 unless its ruleset fixes k
-    variants = []
-    for to in REDUCERS:
-        fixed = RULESET_TOKENS[to].fixed_k
-        if fixed is None:
-            variants += [(f"{to} k={k}", to, k) for k in (2, 3)]
-        else:
-            variants.append((to, to, fixed))
     census = [g for m in range(1, n + 1) for g in connected_graph_census(m)]
     checks = []
-    for name, to, k in variants:
-        fails = []
-        for g in census:
-            rep = reductions.verify_equivalence(
-                games.Position.start(g, 1, ProperColoring()), reduced(to, g, k))
-            if not rep.equivalent:
-                fails.append((g.n, list(g.pairs()), rep.reason))
-        checks.append({
-            "check": f"reduction {name} on census n<={n}",
-            "ok": not fails,
-            "detail": f"failed {fails[:2]}" if fails else f"{len(census)} graphs",
-        })
+    # every reduce target, at k=2 and 3 unless its ruleset fixes k
+    for to in REDUCERS:
+        fixed = RULESET_TOKENS[to].fixed_k
+        for k in (2, 3) if fixed is None else (fixed,):
+            fails = []
+            for g in census:
+                rep = reductions.verify_equivalence(
+                    games.Position.start(g, 1, ProperColoring()), reduced(to, g, k))
+                if not rep.equivalent:
+                    fails.append((g.n, list(g.pairs()), rep.reason))
+            name = f"{to} k={k}" if fixed is None else to
+            checks.append(_check(f"reduction {name} on census n<={n}", fails[:2],
+                                 "failed {}", f"{len(census)} graphs"))
     return checks
 
 
@@ -127,11 +119,7 @@ def _suite_closed_forms(args) -> list[dict]:
             got = games.grundy(games.Position.start(g, k, ruleset))
             if (OUTCOME_N if got else OUTCOME_P) != want or value not in (None, got):
                 bad.append((g.family, want))
-        checks.append({
-            "check": name,
-            "ok": not bad,
-            "detail": f"mismatch {bad}" if bad else f"{len(instances)} instances",
-        })
+        checks.append(_check(name, bad, "mismatch {}", f"{len(instances)} instances"))
 
     build = cli.build_family
     add("proper k=2 paths", [(build("path", n), 2, ProperColoring()) for n in range(2, 12)])
@@ -151,11 +139,8 @@ def _suite_closed_forms(args) -> list[dict]:
         got = cli.outcome_by_involution(g, 2)
         if got != want or games.outcome(games.Position.start(g, 2, ProperColoring())) != want:
             bad.append((spec, got))
-    checks.append({
-        "check": "involution pairings",
-        "ok": not bad,
-        "detail": f"mismatch {bad}" if bad else f"{len(pairings)} instances",
-    })
+    checks.append(_check("involution pairings", bad, "mismatch {}",
+                         f"{len(pairings)} instances"))
     return checks
 
 

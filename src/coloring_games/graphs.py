@@ -18,6 +18,10 @@ transposition-table keys.
 check_order, the visit-order check, lives here so that every caller shares
 it. A graph's sizes are checked against the byte budget (base.check_bytes)
 before it is built, and its adjacency tuples before they are built.
+
+parse_graph_text reads the text format through one table of the directives
+a document gives at most once, under one duplicate rule; an error in a line
+names the line. load_graph_file drops a leading UTF-8 byte-order mark.
 """
 
 from __future__ import annotations
@@ -562,6 +566,36 @@ class GraphDocument(Frozen):
         self.__dict__.update(graph=graph, k=k, coloring=coloring, order=order)
 
 
+def _count(args: list[str]) -> int:
+    """The one argument of a vertices or k line, a nonnegative integer."""
+    (val,) = map(int, args)  # a ValueError unless one integer
+    if val < 0:
+        raise ValueError(val)
+    return val
+
+
+# The directives a document gives at most once: the parser of the line's
+# arguments, and the line's error when it raises ValueError. A line is parsed
+# before it is checked for a repeat.
+_ONCE = {
+    "graph": (lambda args: ("undirected", "directed").index(" ".join(args)) == 1,
+              "expected 'graph directed|undirected'"),
+    "vertices": (_count, "expected 'vertices <n>'"),
+    "k": (_count, "expected 'k <colors>'"),
+    "order": (lambda args: tuple(map(int, args)), "order entries must be integers"),
+}
+
+
+def _pair(args: list[str], usage: str, what: str) -> tuple[int, int]:
+    """The two integer arguments of an edge or color line."""
+    if len(args) != 2:
+        raise ValueError(f"expected '{usage}'")
+    try:
+        return int(args[0]), int(args[1])
+    except ValueError:
+        raise ValueError(f"{what} must be integers") from None
+
+
 def parse_graph_text(text: str) -> GraphDocument:
     """Parse the line-oriented graph format.
 
@@ -569,87 +603,46 @@ def parse_graph_text(text: str) -> GraphDocument:
     "color <v> <c>", "k <colors>", "order <v_1> ... <v_n>". '#' starts a
     comment; blank lines are skipped. Vertex ids are 0-based, colors 1-based.
     """
-    directed: bool | None = None
-    n: int | None = None
-    k: int | None = None
+    once: dict[str, object] = {}
     edges: list[tuple[int, int]] = []
     colors: dict[int, int] = {}
-    order: tuple[int, ...] | None = None
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        key, args = parts[0], parts[1:]
-
-        def fail(msg: str) -> GraphFormatError:
-            return GraphFormatError(f"line {lineno}: {msg}")
-
-        def count(usage: str) -> int:  # the one argument, a nonnegative integer
-            try:
-                val = int(args[0]) if len(args) == 1 else -1
-            except ValueError:
-                val = -1
-            if val < 0:
-                raise fail(f"expected '{usage}'")
-            return val
-
-        if key == "graph":
-            if len(args) != 1 or args[0] not in ("directed", "undirected"):
-                raise fail("expected 'graph directed|undirected'")
-            if directed is not None:
-                raise fail("duplicate graph line")
-            directed = args[0] == "directed"
-        elif key == "vertices":
-            val = count("vertices <n>")
-            if n is not None:
-                raise fail("duplicate vertices line")
-            n = val
-        elif key == "edge":
-            if len(args) != 2:
-                raise fail("expected 'edge <u> <v>'")
-            try:
-                edges.append((int(args[0]), int(args[1])))
-            except ValueError:
-                raise fail("edge endpoints must be integers") from None
-        elif key == "color":
-            if len(args) != 2:
-                raise fail("expected 'color <v> <c>'")
-            try:
-                v, c = int(args[0]), int(args[1])
-            except ValueError:
-                raise fail("color arguments must be integers") from None
-            if v in colors:
-                raise fail(f"duplicate color for vertex {v}")
-            colors[v] = c
-        elif key == "k":
-            val = count("k <colors>")
-            if k is not None:
-                raise fail("duplicate k line")
-            k = val
-        elif key == "order":
-            if order is not None:
-                raise fail("duplicate order line")
-            try:
-                order = tuple(int(a) for a in args)
-            except ValueError:
-                raise fail("order entries must be integers") from None
-        else:
-            raise fail(f"unknown directive {key!r}")
-
-    if directed is None:
+        key, *args = raw.split("#", 1)[0].split() or [""]
+        try:
+            if key in _ONCE:
+                parse, error = _ONCE[key]
+                try:
+                    val = parse(args)
+                except ValueError:
+                    raise ValueError(error) from None
+                if key in once:
+                    raise ValueError(f"duplicate {key} line")
+                once[key] = val
+            elif key == "edge":
+                edges.append(_pair(args, "edge <u> <v>", "edge endpoints"))
+            elif key == "color":
+                v, c = _pair(args, "color <v> <c>", "color arguments")
+                if v in colors:
+                    raise ValueError(f"duplicate color for vertex {v}")
+                colors[v] = c
+            elif key:
+                raise ValueError(f"unknown directive {key!r}")
+        except ValueError as exc:
+            raise GraphFormatError(f"line {lineno}: {exc}") from None
+    if "graph" not in once:
         raise GraphFormatError("missing 'graph directed|undirected' line")
-    if n is None:
+    if "vertices" not in once:
         raise GraphFormatError("missing 'vertices <n>' line")
+    n = once["vertices"]
     # the graph and the document check the rest; their ValueErrors are
     # format errors here
     try:
-        g = make_graph(n, edges, directed=directed)
+        g = make_graph(n, edges, directed=once["graph"])
         if any(not 0 <= v < n for v in colors):
             raise ValueError("color line names a vertex out of range")
         coloring = tuple(colors.get(v) for v in range(n)) if colors else None
-        return GraphDocument(graph=g, k=k, coloring=coloring, order=order)
+        return GraphDocument(graph=g, k=once.get("k"), coloring=coloring,
+                             order=once.get("order"))
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from exc
 
@@ -675,7 +668,8 @@ def format_graph_text(doc: GraphDocument) -> str:
 
 
 def load_graph_file(path: str) -> GraphDocument:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig: a leading byte-order mark, as some editors write, is dropped
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_graph_text(fh.read())
 
 

@@ -8,13 +8,14 @@ Each ruleset states its rule once, as its move_ok method: may uncolored
 vertex v take color c, given a legal coloring in which 0 marks an uncolored
 vertex. Only the constraints touching v are checked. move_rule binds that
 method to one coloring, once, as the (g, colors, v, c) callable every caller
-uses; the oriented rule's set of used color pairs is built there. A game's
-parameter is a field of its ruleset: the distance d, and the sequential
-game's visit order, a tuple that no other ruleset has. is_legal_coloring
-checks a whole partial coloring with the same rule: every painted vertex
-must be able to take its color with the rest of the coloring as it stands,
-and under the sequential ruleset the painted vertices must be a prefix of
-the visit order.
+uses; the oriented rule's set of used color pairs is built there, and the
+distance rule's cache of ball colors, so that each vertex's ball is walked
+once per coloring, not once per color. A game's parameter is a field of its
+ruleset: the distance d, and the sequential game's visit order, a tuple that
+no other ruleset has. is_legal_coloring checks a whole partial coloring with
+the same rule: every painted vertex must be able to take its color with the
+rest of the coloring as it stands, and under the sequential ruleset the
+painted vertices must be a prefix of the visit order.
 """
 
 from __future__ import annotations
@@ -163,8 +164,17 @@ class DistanceColoring(Ruleset):
             raise ValueError("distance parameter d must be >= 1")
         self.__dict__["d"] = d
 
-    def move_ok(self, g: Graph, colors: list[int], v: int, c: int) -> bool:
-        return c not in map(colors.__getitem__, within(g, v, self.d))
+    def move_ok(
+        self, g: Graph, colors: list[int], v: int, c: int, balls: dict[int, set[int]]
+    ) -> bool:
+        """balls, bound empty once per coloring by move_rule, keeps the
+        colors within d hops of each vertex asked about, walked the first
+        time it is asked; the walk leaves the vertex itself out, so clearing
+        it leaves its entry true."""
+        ball = balls.get(v)
+        if ball is None:
+            ball = balls[v] = set(map(colors.__getitem__, within(g, v, self.d)))
+        return c not in ball
 
 
 class SequentialColoring(Ruleset):
@@ -221,11 +231,14 @@ def move_rule(
     ruleset: Ruleset, g: Graph, colors: list[int]
 ) -> Callable[[Graph, list[int], int, int], bool]:
     """The ruleset's move_ok(g, colors, v, c) bound to this coloring.
-    Oriented's gets the coloring's used pairs, built once here, so the
-    callable answers for this coloring only; clearing the vertex asked about
-    is the one change it allows."""
+    Oriented's gets the coloring's used pairs, built once here, and
+    distance's a cache of each vertex's ball colors, so the callable answers
+    for this coloring only; clearing the vertex asked about is the one
+    change it allows."""
     if isinstance(ruleset, OrientedColoring):
         return partial(ruleset.move_ok, used=ruleset.used_pairs(g, colors))
+    if isinstance(ruleset, DistanceColoring):
+        return partial(ruleset.move_ok, balls={})
     return ruleset.move_ok
 
 

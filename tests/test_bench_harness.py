@@ -1,5 +1,5 @@
-"""scripts/bench.py: the pair verdict on fixed samples, one real row, and
-the order and shape of the Tier-1 row.
+"""scripts/bench.py: the pair verdict on fixed samples, one real row, the
+order and shape of the Tier-1 row, and the check for sources edited mid-run.
 
 Loading the script imports what it takes from the benchmark and the library
 (IMPORT_PROBE, SearchCold.INSTANCES, the table helpers), so a rename there
@@ -91,3 +91,18 @@ def test_tier1_runs_each_tree_twice_interleaved(monkeypatch):
         first, second = row[tree]["runs"]
         assert [(r["exit_code"], r["summary"]) for r in (first, second)] == [(0, "1 passed")] * 2
         assert row[tree]["median_wall_s"] == round((first["wall_s"] + second["wall_s"]) / 2, 1)
+
+
+def test_a_source_edited_after_compiling_stops_the_run(tmp_path):
+    src = tmp_path / "src"
+    (src / "pkg").mkdir(parents=True)
+    for name in ("a.py", "b.py"):
+        (src / "pkg" / name).write_text("x = 1\n", encoding="utf-8")
+    compiled = bench.mtimes([str(src)])
+    assert len(compiled) == 2
+    bench.check_unchanged(compiled, [str(src)])  # untouched
+    edited = src / "pkg" / "b.py"
+    stat = edited.stat()
+    os.utime(edited, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+    with pytest.raises(RuntimeError, match=r"b\.py changed"):
+        bench.check_unchanged(compiled, [str(src)])

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from array import array
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -177,12 +178,24 @@ def test_illegal_coloring_exits_2_with_one_short_line(capsys, tmp_path):
     ("k 2\nk 3", "line 3: duplicate k line"),
     ("order 0 1 x", "line 2: order entries must be integers"),
     ("order 0 1 2\norder 0 1 2", "line 3: duplicate order line"),
+    # a once-only line is parsed before it is checked for a repeat
+    ("order 0 1 2\norder x", "line 3: order entries must be integers"),
 ])
 def test_graph_file_parse_errors_exit_2(capsys, tmp_path, line, msg):
     f = tmp_path / "bad.txt"
     f.write_text(f"vertices 3\n{line}\ngraph undirected\n", encoding="utf-8")
     assert main(["solve", "--ruleset", "proper", "--k", "2", "--file", str(f)]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {msg}\n"
+
+
+def test_solve_file_with_a_byte_order_mark(capsys, tmp_path):
+    f = tmp_path / "g.txt"
+    text = "graph undirected\nvertices 3\nedge 0 1\nedge 1 2\nk 2\n"
+    records = []
+    for prefix in ("", "\ufeff"):
+        f.write_text(prefix + text, encoding="utf-8")
+        records.append(run(capsys, "solve", "--ruleset", "proper", "--file", str(f)))
+    assert records[0][0] == EXIT_OK and records[1] == records[0]
 
 
 def test_solve_usage_errors(capsys):
@@ -409,20 +422,85 @@ def test_reduce_usage_errors(capsys):
                "--graph", "path:8", "--verify")[0] == EXIT_USAGE  # over cap
 
 
+# each suite's checks at a small size: (check, detail), all passing
+VERIFY_RECORDS = {
+    ("recursion", "--kmax", "6"): [
+        ("recursion-vs-search class A k<=6", "6 lengths"),
+        ("recursion-vs-search class B k<=6", "6 lengths"),
+        ("recursion-vs-search class C k<=6", "5 lengths"),
+        ("recursion-vs-search class D k<=6", "6 lengths"),
+    ],
+    ("reductions", "--n", "3"): [
+        (f"reduction {name} on census n<=3", "4 graphs")
+        for name in ("proper k=2", "proper k=3", "oriented k=2", "oriented k=3",
+                     "oriented-br", "distance k=2", "distance k=3")
+    ],
+    ("closed-forms",): [
+        ("proper k=2 paths", "10 instances"),
+        ("proper k=2 cycles", "8 instances"),
+        ("weak cycles", "7 instances"),
+        ("blue-red directed cycles", "6 instances"),
+        ("blue-red directed paths", "12 instances"),
+        ("distance-2 paths", "7 instances"),
+        ("involution pairings", "4 instances"),
+    ],
+    ("sequential", "--n", "4", "--exhaustive"): [
+        (f"sequential exhaustive n={m}", "all orders") for m in range(1, 5)
+    ],
+    ("sequential", "--n", "5", "--seed", "1", "--samples", "50"): [
+        ("sequential sampled n=5 x50", "seed 1"),
+    ],
+}
+
+
 def test_verify_suites_pass(capsys):
-    assert run(capsys, "verify", "recursion", "--kmax", "6")[0] == EXIT_OK
-    assert run(capsys, "verify", "sequential", "--n", "4",
-               "--exhaustive")[0] == EXIT_OK
-    assert run(capsys, "verify", "reductions", "--n", "3")[0] == EXIT_OK
-    code, out = run(capsys, "verify", "closed-forms")
-    assert code == EXIT_OK and "7/7 checks passed" in out
+    # each suite's exact bytes, as text and as JSON lines
+    for argv, checks in VERIFY_RECORDS.items():
+        suite, n = argv[0], len(checks)
+        code, out = run(capsys, "verify", *argv)
+        assert code == EXIT_OK
+        assert out == "".join(f"ok   {check} ({detail})\n" for check, detail in checks) + (
+            f"{suite}: {n}/{n} checks passed\n")
+        code, out = run(capsys, "verify", *argv, "--format", "json")
+        assert code == EXIT_OK
+        assert out == "".join(f'{{"check": "{check}", "detail": "{detail}", "ok": true}}\n'
+                              for check, detail in checks) + (
+            f'{{"passed": {n}, "suite": "{suite}", "total": {n}}}\n')
 
 
 def test_verify_failure_exits_4(capsys, monkeypatch):
     monkeypatch.setattr("coloring_games.sequential.decide_path", lambda perm: "N")
     code, out = run(capsys, "verify", "sequential", "--n", "4", "--exhaustive")
     assert code == EXIT_VERIFY
-    assert "FAIL" in out
+    assert out == ("ok   sequential exhaustive n=1 (all orders)\n"
+                   "FAIL sequential exhaustive n=2 (2 mismatches)\n"
+                   "FAIL sequential exhaustive n=3 (2 mismatches)\n"
+                   "FAIL sequential exhaustive n=4 (20 mismatches)\n"
+                   "sequential: 1/4 checks passed\n")
+    code, recs = run_json(capsys, "verify", "sequential", "--n", "5", "--seed", "1",
+                          "--samples", "50")
+    assert code == EXIT_VERIFY
+    assert recs == [{"check": "sequential sampled n=5 x50", "detail": "17 mismatches",
+                     "ok": False}, {"suite": "sequential", "passed": 0, "total": 1}]
+
+
+def test_verify_failures_name_what_failed(capsys, monkeypatch):
+    # every value reads 0 and every reduction fails: each suite's first
+    # FAIL line names the failures, a reduction's only the first two
+    monkeypatch.setattr("coloring_games.games.grundy", lambda position: 0)
+    monkeypatch.setattr("coloring_games.reductions.verify_equivalence",
+                        lambda a, b: SimpleNamespace(equivalent=False, reason="x"))
+    for argv, line in [
+        (("recursion", "--kmax", "3"),
+         "FAIL recursion-vs-search class A k<=3 (mismatch at [2, 3])"),
+        (("closed-forms",),
+         "FAIL distance-2 paths (mismatch [(('path', (5,)), 'N'), (('path', (7,)), 'N')])"),
+        (("reductions", "--n", "3"),
+         "FAIL reduction proper k=2 on census n<=3 (failed [(1, [], 'x'), (2, [(0, 1)], 'x')])"),
+    ]:
+        code, out = run(capsys, "verify", *argv)
+        assert code == EXIT_VERIFY
+        assert line + "\n" in out
 
 
 def test_verify_sampled_needs_seed(capsys):

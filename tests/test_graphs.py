@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import re
 import tracemalloc
 
 import pytest
@@ -21,6 +22,7 @@ from coloring_games.graphs import (
     find_involution,
     format_graph_text,
     is_automorphism,
+    load_graph_file,
     make_graph,
     parse_family_spec,
     parse_graph_text,
@@ -418,6 +420,13 @@ def test_parse_graph_text_sample():
     assert doc.order is None
 
 
+def test_load_graph_file_drops_a_byte_order_mark(tmp_path):
+    # some editors begin a UTF-8 file with one
+    f = tmp_path / "bom.txt"
+    f.write_text("\ufeff" + SAMPLE, encoding="utf-8")
+    assert load_graph_file(str(f)) == parse_graph_text(SAMPLE)
+
+
 def test_format_round_trip_is_canonical():
     doc = parse_graph_text(SAMPLE)
     text = format_graph_text(doc)
@@ -447,10 +456,16 @@ def test_order_line_round_trip():
         ("graph undirected\nvertices 2\nk 1\ncolor 0 2\n", "exceeds declared k"),
         ("graph undirected\nvertices 3\norder 0 1\n", "every vertex"),
         ("graph undirected\nvertices 2\ngraph directed\nvertices 2\n", "duplicate"),
+        ("graph directed extra\nvertices 1\n",
+         "line 1: expected 'graph directed|undirected'"),
+        ("graph undirected\nvertices -1\n", "line 2: expected 'vertices <n>'"),
+        ("graph undirected\nvertices 2\nk -1\n", "line 3: expected 'k <colors>'"),
+        ("graph undirected\nvertices 2\nedge 0 1 2\n", "line 3: expected 'edge <u> <v>'"),
+        ("graph undirected\nvertices 2\ncolor 0 1 2\n", "line 3: expected 'color <v> <c>'"),
     ],
 )
 def test_parse_errors(text, msg):
-    with pytest.raises(GraphFormatError, match=msg):
+    with pytest.raises(GraphFormatError, match=re.escape(msg)):
         parse_graph_text(text)
 
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coloring_games.games import Position, grundy
+from coloring_games import rulesets
+from coloring_games.games import Position, grundy, legal_moves
 from coloring_games.graphs import build_family, make_graph, power_graph
 from coloring_games.oriented_paths import SHORT_FILL_MAX
 from coloring_games.rulesets import (
@@ -192,6 +193,18 @@ def test_move_ok_matches_full_recheck(data, token):
             assert move_ok(g, colors, v, c) == legal, (g.edges, coloring, v, c)
             if token == "distance":
                 assert proper_ok(power, colors, v, c) == legal, (g.edges, coloring, v, c)
+
+
+def test_distance_rule_walks_each_ball_once(monkeypatch):
+    # the bound rule walks a vertex's ball on its first color and reuses the
+    # colors it found for the others; the moves are those of proper on G^2
+    g = build_family("path", 6)
+    expected = legal_moves(Position.start(power_graph(g, 2), 3, ProperColoring()))
+    walks = []
+    within = rulesets.within
+    monkeypatch.setattr(rulesets, "within", lambda g, s, d: walks.append(s) or within(g, s, d))
+    assert legal_moves(Position.start(g, 3, DistanceColoring(2))) == expected
+    assert len(expected) == 18 and walks == list(range(6))
 
 
 def _all_graphs(n, directed):
