@@ -291,7 +291,8 @@ def _short_fill(gA: array, gC: array, gD: array, start: int, K: int) -> None:
     Each class is kept as byte planes (see _planes) packed into Python ints,
     lane j holding length j, once forward and once reversed (lane K - j), so
     every option family X_j + Y_{k-1-j} is a shift of each and one XOR per
-    plane, and _plane_mex takes its mex without a loop over the options.
+    plane, and _plane_mex takes its mex without a loop over the options. No
+    family reads D forward, so D is kept reversed only.
     Lanes above K in a reversed int are zero, so Y_{-1} reads as the empty
     path. A value that needs a higher bit adds a plane, zero for every length
     before it.
@@ -302,9 +303,10 @@ def _short_fill(gA: array, gC: array, gD: array, start: int, K: int) -> None:
     rev: list[list[int]] = []
     for arr in arrs:
         planes = _planes(arr[:start], nhigh)
-        fwd.append([int.from_bytes(p, "little") for p in planes])
+        if arr is not gD:
+            fwd.append([int.from_bytes(p, "little") for p in planes])
         rev.append([int.from_bytes(p[::-1], "little") << 8 * (K + 1 - start) for p in planes])
-    (A, C, D), (rA, rC, rD) = fwd, rev
+    (A, C), (rA, rC, rD) = fwd, rev
 
     def splits(X: list[int], rY: list[int], lo: int, hi: int) -> tuple:
         """X_j + Y_{k-1-j} for lo <= j <= hi, as a family of _plane_mex."""
@@ -317,7 +319,7 @@ def _short_fill(gA: array, gC: array, gD: array, start: int, K: int) -> None:
         mask = (1 << 8 * m) - 1
         return ((m, *((x >> f ^ y >> r) & mask for x, y in zip(X, rY))),)
 
-    def put(X: list[int], rX: list[int], value: int) -> int:
+    def put(X: list[int] | None, rX: list[int], value: int) -> int:
         nonlocal nhigh
         while value >> (8 + nhigh):
             for planes in fwd + rev:
@@ -326,7 +328,8 @@ def _short_fill(gA: array, gC: array, gD: array, start: int, K: int) -> None:
         lanes = [value & 0xFF, *(0xFF * (value >> b & 1) for b in range(8, 8 + nhigh))]
         for p, lane in enumerate(lanes):
             if lane:
-                X[p] |= lane << 8 * k
+                if X is not None:
+                    X[p] |= lane << 8 * k
                 rX[p] |= lane << 8 * (K - k)
         return value
 
@@ -334,7 +337,7 @@ def _short_fill(gA: array, gC: array, gD: array, start: int, K: int) -> None:
         gC[k] = put(C, rC, _plane_mex(splits(A, rC, 1, k - 3), nhigh))
         gA[k] = put(A, rA, _plane_mex(splits(A, rA, 1, (k - 1) // 2)
                                       + splits(C, rD, 2, k), nhigh))
-        gD[k] = put(D, rD, _plane_mex(splits(A, rD, 1, k), nhigh))
+        gD[k] = put(None, rD, _plane_mex(splits(A, rD, 1, k), nhigh))
 
 
 def _check_budget(K: int) -> None:

@@ -342,11 +342,11 @@ def closed_form_outcome(ruleset: Ruleset, k: int, g: Graph) -> tuple[str, int | 
     if g.family is None:
         return OUTCOME_UNKNOWN, None
     name, params = g.family
+    n = params[0]  # the size; only a grid has more than one
 
     if isinstance(ruleset, ProperColoring):
         name = UNDIRECTED_FAMILY.get(name, name)  # the rule ignores arc directions
         if name == "path":
-            (n,) = params
             if n % 2 == 1:
                 # mirror through the middle; the exact value 1 needs a spare
                 # color for the middle vertex, so k=1 only gets the outcome
@@ -366,32 +366,26 @@ def closed_form_outcome(ruleset: Ruleset, k: int, g: Graph) -> tuple[str, int | 
             return OUTCOME_N, None  # swap the root's subtrees
     elif isinstance(ruleset, WeakColoring):
         if name == "path":
-            (n,) = params
             return (OUTCOME_N, None) if n % 2 == 1 else (OUTCOME_P, 0)
         if name == "cycle":
-            (n,) = params
             # every maximal play colors the whole cycle, so the Grundy value
             # is just the parity of the number of uncolored vertices
             return (OUTCOME_N, 1) if n % 2 == 1 else (OUTCOME_P, 0)
     elif isinstance(ruleset, DistanceColoring) and ruleset.d == 2 and k == 2:
         if name == "path":
-            (n,) = params
             if n % 2 == 0:
                 return OUTCOME_P, 0
             if n in DISTANCE2_ODD_PATHS:
                 out = DISTANCE2_ODD_PATHS[n]
                 return out, (0 if out == OUTCOME_P else None)
         elif name == "cycle":
-            (n,) = params
             if n % 2 == 0:
                 return OUTCOME_P, 0
     elif isinstance(ruleset, OrientedBlueRed):
         if name == "directed_cycle":
-            (n,) = params
             if n > 3:
                 return OUTCOME_P, 0  # any first move leaves a nonzero path class
         elif name == "directed_path":
-            (n,) = params
             from . import oriented_paths as op
 
             # the uncolored path is class D

@@ -10,10 +10,10 @@ alternating Source/Closed skeleton: each Closed vertex is saved or doomed by
 whoever controls the later of its two flanking Sources, which turns the
 whole decision into one elimination sweep in paint order.
 
-Turns are 0-based internally; the first player owns even turns. The sweep
-reads the path position painted at each turn, which is the order itself on
-the path 0-1-...-(n-1) and the order through the inverse of the walk on any
-other path, and inverts it once for each position's turn.
+Turns are 0-based; the first player owns even turns. The sweep reads the
+path position painted at each turn (the order itself on the path
+0-1-...-(n-1), else the order through the inverse of the walk) and inverts
+it once for each position's turn. The play-out oracle shares none of it.
 """
 
 from __future__ import annotations
@@ -165,28 +165,28 @@ def _decide(at: Sequence[int]) -> str:
 
 
 def brute_force_outcome(g: Graph, order: Sequence[int]) -> str:
-    """Exhaustive play-out oracle, independent of the elimination algorithm."""
+    """Exhaustive play-out oracle for any undirected graph, on its own rows:
+    turn t paints order[t] with a color none of its neighbours holds. It
+    shares only check_order with the sweep."""
     if g.n > ORACLE_CAP:
         raise ValueError(f"brute force oracle is capped at {ORACLE_CAP} vertices")
-    walk = path_walk(g)
+    if g.directed:
+        raise ValueError("the sequential oracle plays undirected graphs")
     check_order(g.n, order)
-    pos = _inverse(walk)
-    colors = [0] * g.n  # by path position; 0 = unpainted
+    adj, colors = g.adj, [0] * g.n  # colors by vertex id; 0 = unpainted
 
     def win(t: int) -> bool:
         if t == g.n:
             return False
-        i = pos[order[t]]
+        v = order[t]
+        held = [colors[u] for u in adj[v]]
         for c in (1, 2):
-            if i > 0 and colors[i - 1] == c:
-                continue
-            if i + 1 < g.n and colors[i + 1] == c:
-                continue
-            colors[i] = c
-            opp = win(t + 1)
-            colors[i] = 0
-            if not opp:
-                return True
+            if c not in held:
+                colors[v] = c
+                opp = win(t + 1)
+                colors[v] = 0
+                if not opp:
+                    return True
         return False  # every color blocked or losing; blocked counts as lost
 
     return OUTCOME_N if win(0) else OUTCOME_P

@@ -225,6 +225,17 @@ def test_grundy_seq_summary_json(capsys):
     assert summary["max_value"] > 0 and summary["largest_rare_index"] <= 200
 
 
+def test_grundy_seq_below_its_checkpoint_prints_a_slice(capsys, tmp_path):
+    # a checkpoint already past --kmax is read, not grown: stdout is that of
+    # a fresh run to --kmax, and the file keeps its own K
+    ckpt = tmp_path / "c.bin"
+    run(capsys, "grundy-seq", "--kmax", "300", "--checkpoint", str(ckpt))
+    _, sliced = run(capsys, "grundy-seq", "--kmax", "100", "--checkpoint", str(ckpt))
+    _, fresh = run(capsys, "grundy-seq", "--kmax", "100")
+    assert sliced == fresh
+    assert op.load_table(str(ckpt)).K == 300
+
+
 def test_grundy_seq_budget_abort_leaves_checkpoint(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv(TT_BYTES_ENV, "40000")
     ckpt = tmp_path / "c.bin"

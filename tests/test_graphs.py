@@ -27,6 +27,7 @@ from coloring_games.graphs import (
     parse_family_spec,
     parse_graph_text,
     power_graph,
+    save_graph_file,
 )
 from reference import RefGraph, bfs_dist
 from strategies import graphs
@@ -439,6 +440,17 @@ def test_order_line_round_trip():
         graph=build_family("path", 3), k=2, coloring=None, order=(2, 0, 1)
     )
     assert parse_graph_text(format_graph_text(doc)).order == (2, 0, 1)
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_save_graph_file_round_trip(tmp_path, directed):
+    # a saved document loads back whole, position data included
+    g = make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], directed=directed)
+    doc = GraphDocument(graph=g, k=3, coloring=(None, 2, None, 3), order=(2, 0, 3, 1))
+    f = tmp_path / "doc.txt"
+    save_graph_file(doc, str(f))
+    assert f.read_text(encoding="utf-8") == format_graph_text(doc)
+    assert load_graph_file(str(f)) == doc
 
 
 @pytest.mark.parametrize(

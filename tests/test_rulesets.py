@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coloring_games import rulesets
+from coloring_games import graphs, rulesets
 from coloring_games.games import Position, grundy, legal_moves
 from coloring_games.graphs import build_family, make_graph, power_graph
 from coloring_games.oriented_paths import SHORT_FILL_MAX
@@ -282,6 +282,18 @@ def test_outcome_by_involution_spots():
 def test_outcome_by_involution_budget_is_unknown():
     g = make_graph(30, [(i, i + 1) for i in range(29)])  # no family tag
     assert outcome_by_involution(g, 2) == OUTCOME_UNKNOWN
+
+
+def test_outcome_by_involution_search_budget_is_unknown(monkeypatch):
+    # under the exhaustive cap, a search cut short by its node budget is
+    # "unknown": path:5 runs out in the single-fixed-point search (its
+    # fixed-point-free one is settled by parity), path:4 in the
+    # fixed-point-free one
+    assert outcome_by_involution(build_family("path", 5), 2) == OUTCOME_N
+    assert outcome_by_involution(build_family("path", 4), 2) == OUTCOME_P
+    monkeypatch.setattr(graphs, "NODE_BUDGET", 0)
+    assert outcome_by_involution(build_family("path", 5), 2) == OUTCOME_UNKNOWN
+    assert outcome_by_involution(build_family("path", 4), 2) == OUTCOME_UNKNOWN
 
 
 def test_outcome_by_involution_on_the_empty_graph():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coloring_games import games, sequential as sq
-from coloring_games.graphs import build_family, make_graph
+from coloring_games.graphs import build_family, connected_graph_census, make_graph
 from coloring_games.rulesets import SequentialColoring
 
 
@@ -54,6 +54,53 @@ def test_random_oracle_equivalence_medium():
         for _ in range(300):
             o = tuple(rng.sample(range(n), n))
             assert sq.decide_outcome(g, o) == sq.brute_force_outcome(g, o), (n, o)
+
+
+def test_oracle_plays_without_the_walk(monkeypatch):
+    # the oracle reads the graph's rows, so a fault in the sweep's walk or
+    # inverse cannot reach both sides of a check
+    g = build_family("path", 6)
+    expect = {o: sq.decide_path(o) for o in permutations(range(6))}
+
+    def broken(*args):
+        raise AssertionError("the oracle used the sweep's code")
+
+    monkeypatch.setattr(sq, "path_walk", broken)
+    monkeypatch.setattr(sq, "_inverse", broken)
+    for o, outcome in expect.items():
+        assert sq.brute_force_outcome(g, o) == outcome, o
+
+
+def _engine_outcome(g, order):
+    return games.outcome(games.Position.start(g, 2, SequentialColoring(order)))
+
+
+def test_oracle_matches_engine_on_any_graph():
+    # two checks that share no code, on graphs the sweep refuses; every
+    # order is its own ruleset, so its own cached solver
+    graphs = [build_family("cycle", n) for n in range(3, 8)]
+    graphs += [g for n in range(1, 6) for g in connected_graph_census(n)]
+    orders = 0
+    for g in graphs:
+        games.clear_solver_cache()
+        for o in permutations(range(g.n)):
+            assert sq.brute_force_outcome(g, o) == _engine_outcome(g, o), (g, o)
+            orders += 1
+    assert orders == 8_589
+    rng = random.Random(13)
+    for n in range(8, 13):
+        g = build_family("cycle", n)
+        games.clear_solver_cache()
+        for _ in range(20):
+            o = tuple(rng.sample(range(n), n))
+            assert sq.brute_force_outcome(g, o) == _engine_outcome(g, o), (n, o)
+    games.clear_solver_cache()
+
+
+def test_oracle_edges():
+    assert sq.brute_force_outcome(make_graph(0, []), ()) == "P"
+    with pytest.raises(ValueError, match="undirected"):
+        sq.brute_force_outcome(build_family("directed_path", 3), (0, 1, 2))
 
 
 @settings(max_examples=60, deadline=None)
