@@ -27,6 +27,8 @@ The rows are:
 - grundy-seq at K=10^4, and at K=10^5 once;
 - the sequential-paths million-vertex request, with its growth per vertex;
 - LARGE, requests on 200,000-vertex paths;
+- PAINTED, searches of a few free vertices on long painted paths, read
+  from graph files;
 - TABLES at the path-tables K;
 - the Tier-1 wall time, twice per tree in the order tree, baseline,
   baseline, tree, with each tree's median.
@@ -58,6 +60,7 @@ SRC = os.path.join(ROOT, "src")
 sys.path[:0] = [SRC, os.path.join(ROOT, "benchmark")]
 
 from coloring_games import oriented_paths as op
+from coloring_games.graphs import GraphDocument, build_family, save_graph_file
 from run import IMPORT_PROBE
 from workloads import DEFAULT_SEED, PathTables, SearchCold, SequentialPaths
 
@@ -102,6 +105,12 @@ LARGE = {
                              "--graph", f"dpath:{LARGE_N}", "--method", "involution"],
     "oriented_k3_start": ["solve", "--ruleset", "oriented", "--k", "3",
                           "--graph", f"dpath:{LARGE_N}", "--method", "closed-form"],
+}
+# mostly painted paths searched from a graph file: k, n, and which vertices
+# stay free; the others are painted 1 + v % k, a proper coloring
+PAINTED = {
+    "proper_k2_path_100000_last_14_free": (2, 100_000, lambda n, v: v >= n - 14),
+    "proper_k3_path_30000_every_third_free": (3, 30_000, lambda n, v: v % 3 == 2),
 }
 TABLES = ("info", "export-csv")  # `tables` commands on a PathTables.KMAX file
 SEARCH_FIELDS = ("grundy", "tt_entries", "charged_bytes")
@@ -306,6 +315,12 @@ def main() -> int:
                 r[tree]["peak_growth_bytes"]["median"] / SequentialPaths.N, 1)
         for name, argv in LARGE.items():
             add(f"large {name}", argv, QUICK_RUNS)
+        for name, (k, n, free) in PAINTED.items():
+            path = os.path.join(tmp, f"{name}.txt")
+            coloring = tuple(None if free(n, v) else 1 + v % k for v in range(n))
+            save_graph_file(GraphDocument(build_family("path", n), coloring=coloring), path)
+            add(f"painted {name}", ["solve", "--ruleset", "proper", "--k", str(k), "--file", path,
+                                    "--method", "search", "--format", "json"], QUICK_RUNS)
         for cmd in TABLES:
             add(f"tables {cmd}", ["tables", cmd, "--table", table], QUICK_RUNS)
     check_unchanged(compiled, sources.values())

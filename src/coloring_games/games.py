@@ -21,14 +21,14 @@ Under a color-symmetric ruleset the colors a key does not see are
 interchangeable, so the search paints only the colors it sees and the lowest
 one it does not, and best_move does the same with the board's colors. One
 move loop, shared with legal_moves and best_move, gives the legal moves: it
-binds the ruleset's rule to the coloring once per call
-(rulesets.move_rule) and, under the sequential ruleset, offers only the first
-uncolored vertex of the ruleset's visit order. The loop is lazy, and every
-level keeps its part as the mask and one byte per vertex of the part's span,
-picking the vertices from those bytes each time it walks them, so a level
-holds neither a move list nor a vertex list; a part that does not split
-passes its bytes down, made once per root part. Only the solver plays a
-distance game as the proper game on the power graph.
+binds the ruleset's rule to the coloring once per call (rulesets.move_rule)
+and, under the sequential ruleset, offers only the first uncolored vertex of
+the ruleset's visit order. The loop is lazy, and every level keeps its part as
+the mask and one byte per vertex of the part's span, picking the vertices from
+those bytes over range(lo, lo + span) each time it walks them, so a walk is as
+long as the part, and a level holds neither a move list nor a vertex list; a
+part that does not split passes its bytes down, made once per root part. Only
+the solver plays a distance game as the proper game on the power graph.
 
 Each solver counts the bytes of its own table against COLORING_GAMES_TT_BYTES,
 read when the solver is made: per entry, the key's size plus a dict slot.
@@ -40,7 +40,7 @@ current table alone is over.
 from __future__ import annotations
 
 import sys
-from itertools import compress, islice
+from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import rulesets as rs
@@ -194,7 +194,6 @@ class _Solver:
         self.palette = range(1, k + 1)
         n = self.graph.n
         self.field = n.bit_length()  # bits that hold a vertex number or a count of them
-        self.ids = list(range(n))  # one int object per vertex, shared by every walk
         self.symmetric = self.ruleset.color_symmetric
         self.live = self.ruleset.decomposition == rs.DECOMP_LIVE
         if self.ruleset.decomposition == rs.DECOMP_NONE:  # one part: every vertex
@@ -212,10 +211,9 @@ class _Solver:
         self.bytes = 0
 
     def _verts(self, lo: int, flags: bytes) -> Iterable[int]:
-        """The vertices of a part, ascending, picked from its flags,
-        _flags(rel), by C-level iteration, so a wide part costs no big-int
-        step per vertex and no list."""
-        return compress(islice(self.ids, lo, None), flags)
+        """The vertices of a part, ascending: range(lo, lo + len(flags)) picked
+        by its flags, _flags(rel), at C level, so a walk is as long as the part."""
+        return compress(range(lo, lo + len(flags)), flags)
 
     def _free_parts(self, colors: list[int]) -> list[tuple[int, int]]:
         """The components of the uncolored subgraph as (lo, rel) parts, from

@@ -78,6 +78,14 @@ class TableChecksumError(TableFormatError):
     """Table file content does not match its checksum."""
 
 
+def _painted_ends(klass: str) -> tuple[bool, bool]:
+    """Whether a class's first vertex is Blue and whether its last is Red;
+    their count picks its values: none D's, one A's (B mirrors A), two C's."""
+    if klass not in PATH_CLASSES:
+        raise ValueError(f"unknown path class {klass!r}")
+    return klass in (CLASS_A, CLASS_C), klass in (CLASS_B, CLASS_C)
+
+
 def rare_set() -> frozenset[int]:
     """XOR-closure of RARE_GENERATORS (1024 members)."""
     span = {0}
@@ -111,22 +119,19 @@ class GrundyTable(Frozen):
 
     def value(self, klass: str, length: int) -> int:
         """Grundy value of a class position; lengths <= 0 are the empty path."""
-        if klass not in PATH_CLASSES:
-            raise ValueError(f"unknown path class {klass!r}")
+        values = (self.gD, self.gA, self.gC)[sum(_painted_ends(klass))]
         if length <= 0:
             return 0
         if length > self.K:
             raise IndexError(f"length {length} beyond computed bound {self.K}")
         if klass == CLASS_C and length == 1:
             raise ValueError("a one-vertex path cannot be class C")
-        arr = {CLASS_A: self.gA, CLASS_B: self.gA, CLASS_C: self.gC, CLASS_D: self.gD}
-        return arr[klass][length]
+        return values[length]
 
 
 def build_class_position(klass: str, k: int) -> Position:
     """The colored directed path a class stands for, as an engine position."""
-    if klass not in PATH_CLASSES:
-        raise ValueError(f"unknown path class {klass!r}")
+    first_blue, last_red = _painted_ends(klass)
     if k < 1 or (klass == CLASS_C and k < 2):
         raise ValueError(f"class {klass} needs a longer path than k={k}")
     from .games import Position
@@ -134,9 +139,9 @@ def build_class_position(klass: str, k: int) -> Position:
     from .rulesets import BLUE, RED, OrientedBlueRed
 
     coloring: list[int | None] = [None] * k
-    if klass in (CLASS_A, CLASS_C):
+    if first_blue:
         coloring[0] = BLUE
-    if klass in (CLASS_B, CLASS_C):
+    if last_red:
         coloring[-1] = RED
     graph = build_family("directed_path", k)
     return Position.start(graph, 2, OrientedBlueRed(), coloring=coloring)
@@ -155,10 +160,7 @@ def class_move_options(
     from .games import Move
     from .rulesets import BLUE, RED
 
-    if klass not in PATH_CLASSES:
-        raise ValueError(f"unknown path class {klass!r}")
-    first_blue = klass in (CLASS_A, CLASS_C)
-    last_red = klass in (CLASS_B, CLASS_C)
+    first_blue, last_red = _painted_ends(klass)
     out: list[tuple[Move, tuple[tuple[str, int], ...]]] = []
 
     def parts(*ps: tuple[str, int]) -> tuple[tuple[str, int], ...]:
@@ -372,10 +374,9 @@ def _compute(base: GrundyTable | None, K: int) -> GrundyTable:
 
 def enumerate_p_positions(table: GrundyTable, klass: str) -> list[int]:
     """All lengths 1 <= k <= K whose class value is 0."""
-    if klass not in PATH_CLASSES:
-        raise ValueError(f"unknown path class {klass!r}")
-    lo = 2 if klass == CLASS_C else 1
-    return [k for k in range(lo, table.K + 1) if table.value(klass, k) == 0]
+    values = (table.gD, table.gA, table.gC)[sum(_painted_ends(klass))]
+    lo = 2 if klass == CLASS_C else 1  # a C path has at least two vertices
+    return [k for k in range(lo, table.K + 1) if values[k] == 0]
 
 
 class RareCommonReport(NamedTuple):

@@ -1,6 +1,7 @@
 """Position model and solver, double-checked against the reference walker."""
 
 import gc
+import time
 import tracemalloc
 
 import pytest
@@ -473,6 +474,27 @@ def test_key_size_follows_the_part_not_the_graph():
         finally:
             clear_solver_cache()
     assert per_entry[1] <= per_entry[0] + 8
+
+
+def test_walk_time_follows_the_part_not_the_graph():
+    # the same fourteen free vertices at the end of a short and of a long
+    # painted path: each node walks its part's span, so the long path's solve
+    # costs about what the short one's does, not a hundred times as much
+    best = []
+    for n in (2000, 200000):
+        coloring = [1 + v % 2 for v in range(n - 14)] + [None] * 14
+        pos = Position.start(build_family("path", n), 2, ProperColoring(), coloring=coloring)
+        times = []
+        for _ in range(3):
+            clear_solver_cache()
+            start = time.perf_counter()
+            value = grundy(pos)
+            times.append(time.perf_counter() - start)
+            entries = len(games._solver_for(pos).table)
+            clear_solver_cache()
+            assert (value, entries) == (14, 196)
+        best.append(min(times))
+    assert best[1] <= 10 * best[0]
 
 
 def test_many_small_parts_of_a_large_graph_stay_linear(monkeypatch):
